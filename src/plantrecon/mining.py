@@ -10,11 +10,9 @@ anti-monotone, which keeps the support pruning sound; this deliberately
 diverges from the transaction-based support of textbook gSpan.
 
 Edge direction is part of the edge label, so ``A -Contains-> B`` and
-``B -Contains-> A`` are different patterns. Automation hardware
-(Plc / IoDevice / Channel) is excluded from the mining projection by
-default: a single IO device fans out to all of its channels and field
-devices, and those stars otherwise crowd out the structurally interesting
-templates.
+``B -Contains-> A`` are different patterns. The mining projection leaves
+out, by default, every node kind that is not part of the plant's own
+functional structure (see ``DEFAULT_EXCLUDED_KINDS``).
 """
 
 from __future__ import annotations
@@ -40,7 +38,25 @@ from .graph import (
 CodeEdge = tuple[int, int, str, tuple[int, str], str]
 DfsCode = tuple[CodeEdge, ...]
 
-DEFAULT_EXCLUDED_KINDS = frozenset({NodeKind.PLC, NodeKind.IO_DEVICE, NodeKind.CHANNEL})
+# Automation hardware: a single IO device fans out to all of its channels
+# and field devices, and those stars crowd out the structurally interesting
+# templates. Software-backing detail and the dynamics nodes multiply the
+# pattern space without adding repeated units, and the marking's own
+# TemplatePattern / TemplateInstance nodes must not be mined again when a
+# marked graph is re-mined.
+DEFAULT_EXCLUDED_KINDS = frozenset(
+    {
+        NodeKind.PLC,
+        NodeKind.IO_DEVICE,
+        NodeKind.CHANNEL,
+        NodeKind.DATA_BLOCK,
+        NodeKind.FUNCTION_BLOCK_TYPE,
+        NodeKind.PHYSICAL_GROUP,
+        NodeKind.MATERIAL_TRACKER,
+        NodeKind.TEMPLATE_PATTERN,
+        NodeKind.TEMPLATE_INSTANCE,
+    }
+)
 
 
 class MiningError(DataError):
@@ -51,13 +67,6 @@ class StaleEmbeddingError(MiningError):
     pass
 
 
-@dataclass(frozen=True)
-class MiningDerivation:
-    excluded_kinds: tuple[str, ...]
-    label_key: str | None
-    root_id: str | None
-
-
 @dataclass
 class MiningGraph:
     """Label-projected view of a property graph, ready for pattern search."""
@@ -65,7 +74,6 @@ class MiningGraph:
     vertex_ids: list[str]
     vertex_labels: dict[str, str]
     edges: list[tuple[str, str, str]]  # (src, dst, label)
-    derivation: MiningDerivation
 
     def __post_init__(self) -> None:
         self._adj: dict[str, list[tuple[int, str, int, str]]] = {v: [] for v in self.vertex_ids}
@@ -77,71 +85,38 @@ class MiningGraph:
         """(edge index, neighbor, direction flag, edge label) entries."""
         return self._adj[vid]
 
-    def connected_components(self) -> list[list[str]]:
-        seen: set[str] = set()
-        components: list[list[str]] = []
-        for start in sorted(self.vertex_ids):
-            if start in seen:
-                continue
-            comp = []
-            stack = [start]
-            seen.add(start)
-            while stack:
-                v = stack.pop()
-                comp.append(v)
-                for _, nb, _, _ in self._adj[v]:
-                    if nb not in seen:
-                        seen.add(nb)
-                        stack.append(nb)
-            components.append(sorted(comp))
-        return components
-
 
 def project_for_mining(
     graph: PropertyGraph,
     excluded_kinds: frozenset[NodeKind] | set[NodeKind] = DEFAULT_EXCLUDED_KINDS,
-    label_key: str | None = None,
 ) -> MiningGraph:
     """Project the property graph onto a plain labeled graph.
 
     Vertices are the nodes reachable from the SystemRoot via Contains
     edges (the whole assembled system), minus the excluded kinds. The
-    vertex label is the node kind, optionally refined with one node label
-    value; the edge label is the edge kind. Self-loops are dropped.
+    vertex label is the node kind; the edge label is the edge kind.
+    Self-loops are dropped.
     """
     roots = graph.system_roots()
-    scope: set[str]
-    root_id: str | None
     if roots:
-        root_id = roots[0].id
-        scope = set(iter_contains_subtree(graph, root_id))
+        scope = set(iter_contains_subtree(graph, roots[0].id))
     else:
-        root_id = None
         scope = {n.id for n in graph.nodes()}
-    excluded = frozenset(excluded_kinds)
     vertex_ids = []
     vertex_labels = {}
     for nid in sorted(scope):
         node = graph.node(nid)
-        if node.kind in excluded:
+        if node.kind in excluded_kinds:
             continue
-        label = node.kind.value
-        if label_key is not None and label_key in node.labels:
-            label = f"{label}|{node.labels[label_key]}"
         vertex_ids.append(nid)
-        vertex_labels[nid] = label
+        vertex_labels[nid] = node.kind.value
     keep = set(vertex_ids)
     edges = [
         (e.source, e.target, e.kind.value)
         for e in graph.edges()
         if e.source in keep and e.target in keep and e.source != e.target
     ]
-    return MiningGraph(
-        vertex_ids,
-        vertex_labels,
-        edges,
-        MiningDerivation(tuple(sorted(k.value for k in excluded)), label_key, root_id),
-    )
+    return MiningGraph(vertex_ids, vertex_labels, edges)
 
 
 @dataclass
@@ -569,10 +544,14 @@ class TemplateAnnotation:
 def mark_templates(graph: PropertyGraph, templates: list[Pattern]) -> list[TemplateAnnotation]:
     """Create TemplatePattern / TemplateInstance nodes for each template.
 
-    Template ids are assigned in input order (T1, T2, ...). Embeddings
-    that differ only by pattern automorphism share one instance node; a
-    second run with the same templates is a no-op. Member nodes are left
-    untouched.
+    Template ids are assigned in input order (T1, T2, ...). There is one
+    instance per occurrence counted by the MNI support: per distinct graph
+    image of the pattern position with the fewest distinct images (the
+    lowest such position on ties). An instance's members are the union of
+    the graph nodes of every embedding through its image, so a mined
+    template gets exactly ``support`` instances and together they cover
+    every embedded node. A second run with the same templates is a no-op.
+    Member nodes are left untouched.
     """
     roots = graph.system_roots()
     if len(roots) != 1:
@@ -597,9 +576,16 @@ def mark_templates(graph: PropertyGraph, templates: list[Pattern]) -> list[Templ
                 )
             )
             graph.add_edge(Edge(EdgeKind.CONTAINS, root_id, pattern_nid))
-        member_sets = sorted({tuple(sorted(set(vmap))) for vmap in pattern.embeddings})
+        position = min(
+            range(pattern.vertex_count),
+            key=lambda p: len({vmap[p] for vmap in pattern.embeddings}),
+        )
+        occurrences: dict[str, set[str]] = {}
+        for vmap in pattern.embeddings:
+            occurrences.setdefault(vmap[position], set()).update(vmap)
         instance_ids = []
-        for k, members in enumerate(member_sets):
+        for k, image in enumerate(sorted(occurrences)):
+            members = sorted(occurrences[image])
             missing = [m for m in members if not graph.has_node(m)]
             if missing:
                 raise StaleEmbeddingError(f"template {tid}: vanished nodes {missing}")

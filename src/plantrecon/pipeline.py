@@ -151,24 +151,16 @@ def stage_export(cfg: PipelineConfig, graph: PropertyGraph | None = None) -> byt
 
 
 def templates_from_graph(graph: PropertyGraph) -> list[mining.Pattern]:
-    """Recover the marked templates from a stored graph.
-
-    The recovered embeddings are instance member sets (position order is
-    not persisted); structure and support are exact.
-    """
+    """Recover the structure and support of the marked templates from a
+    stored graph; embeddings are not persisted."""
     patterns = []
     for node in graph.query(kinds={NodeKind.TEMPLATE_PATTERN}):
         structure = json.loads(str(node.labels["patternCode"]))
-        embeddings = [
-            tuple(str(graph.node(e.source).labels.get("members", "")).split(","))
-            for e in graph.in_edges(node.id)
-            if e.kind.value == "InstanceOf"
-        ]
         patterns.append(
             mining.Pattern(
                 code=(),
                 support=int(node.labels.get("support", 0)),
-                embeddings=embeddings,
+                embeddings=[],
                 vertex_labels=tuple(structure["vertices"]),
                 arcs=tuple((int(u), int(v), str(k)) for (u, v, k) in structure["edges"]),
                 maximal=True,
@@ -202,14 +194,11 @@ def _estimates_from_graph(graph: PropertyGraph) -> list[PositionEstimate]:
 def stage_evaluate(
     cfg: PipelineConfig,
     graph: PropertyGraph | None = None,
-    templates: list[mining.Pattern] | None = None,
     runtime_seconds: float = 0.0,
 ) -> metrics.MetricsReport:
     cfg.require("ground_truth")
     if graph is None:
         graph = load_graph(_out(cfg, "plant.dtgraph"))
-    if templates is None:
-        templates = templates_from_graph(graph)
     truth = synth.load_ground_truth(cfg.ground_truth)
 
     clustering_assignments = None
@@ -223,7 +212,9 @@ def stage_evaluate(
         if any(e.status is EstimateStatus.KNOWN for e in estimates):
             clustering_assignments = cluster_positions(estimates, method).assignments
 
-    report = metrics.evaluate(graph, templates, truth, runtime_seconds, clustering_assignments)
+    report = metrics.evaluate(
+        graph, templates_from_graph(graph), truth, runtime_seconds, clustering_assignments
+    )
     _out(cfg, "metrics.report").write_text(report.to_text(), encoding="utf-8")
     return report
 
@@ -240,12 +231,11 @@ def run_all(cfg: PipelineConfig) -> RunResult:
 
     timed("analyze-plc", stage_analyze_plc, cfg)
     timed("analyze-dynamics", stage_analyze_dynamics, cfg)
-    graph, templates = timed("mine", stage_mine, cfg)
+    graph, _ = timed("mine", stage_mine, cfg)
     timed("export", stage_export, cfg, graph)
     if cfg.ground_truth is not None:
         result.report = timed(
-            "evaluate",
-            lambda: stage_evaluate(cfg, graph, templates, result.total_seconds()),
+            "evaluate", lambda: stage_evaluate(cfg, graph, result.total_seconds())
         )
     _out(cfg, "timings.txt").write_text(result.timing_text(), encoding="utf-8")
     return result

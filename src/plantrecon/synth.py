@@ -30,6 +30,7 @@ from pathlib import Path
 
 from .errors import InputError
 from .graph import EdgeKind, NodeKind
+from .mining import DEFAULT_EXCLUDED_KINDS
 from .plc import (
     Block,
     BlockType,
@@ -736,17 +737,6 @@ def recommended_config(spec: PlantSpec, out_dir: str | Path) -> dict[str, str]:
         for u in spec.extra_components
         if u.waypoint != "none"
     )
-    excluded = [
-        NodeKind.PLC,
-        NodeKind.IO_DEVICE,
-        NodeKind.CHANNEL,
-        NodeKind.DATA_BLOCK,
-        NodeKind.FUNCTION_BLOCK_TYPE,
-        NodeKind.PHYSICAL_GROUP,
-        NodeKind.MATERIAL_TRACKER,
-        NodeKind.TEMPLATE_PATTERN,
-        NodeKind.TEMPLATE_INSTANCE,
-    ]
     return {
         "plc_xml": str(out / "plant.plcproject.xml"),
         "io_csv": str(out / "io.csv"),
@@ -759,7 +749,7 @@ def recommended_config(spec: PlantSpec, out_dir: str | Path) -> dict[str, str]:
         "min_support": str(recommended_min_support(spec)),
         "min_nodes": "3",
         "max_nodes": str(max(12, 2 + 4 * spec.places_per_row)),
-        "excluded_kinds": ",".join(k.value for k in excluded),
+        "excluded_kinds": ",".join(sorted(k.value for k in DEFAULT_EXCLUDED_KINDS)),
         "kmeans_k": str(zone_count),
     }
 

@@ -19,7 +19,6 @@ from plantrecon.graph import NodeKind, load_graph
 from plantrecon.grouping import call_tree_shape, functional_grouping, group_tree_shape
 from plantrecon.metrics import ari, functional_partition_of
 from plantrecon.mining import (
-    MiningDerivation,
     MiningGraph,
     mine,
     patterns_isomorphic,
@@ -167,7 +166,6 @@ def test_criterion_4_mining_oracle_equivalence():
                 vertex_ids=[f"v{i}" for i in range(n)],
                 vertex_labels={f"v{i}": lab for i, lab in enumerate(vlabels)},
                 edges=[(f"v{u}", f"v{v}", lab) for (u, v, lab) in arcs],
-                derivation=MiningDerivation((), None, None),
             )
             mined = mine(view, min_support=2, min_nodes=2, max_nodes=12)
             expected = mine_oracle(vlabels, arcs, 2, 2, 12)

@@ -6,7 +6,6 @@ from plantrecon.graph import Edge, EdgeKind, Node, NodeKind, PropertyGraph
 from plantrecon.mining import (
     MiningError,
     MiningGraph,
-    MiningDerivation,
     Pattern,
     StaleEmbeddingError,
     find_monomorphism,
@@ -60,7 +59,6 @@ def _graph_from(vlabels, arcs):
         vertex_ids=ids,
         vertex_labels={f"v{i}": lab for i, lab in enumerate(vlabels)},
         edges=[(f"v{u}", f"v{v}", lab) for (u, v, lab) in arcs],
-        derivation=MiningDerivation((), None, None),
     )
 
 
@@ -210,7 +208,6 @@ class TestProjectForMining:
     def test_empty_graph(self):
         view = project_for_mining(PropertyGraph())
         assert view.vertex_ids == []
-        assert view.connected_components() == []
 
     def test_root_anchored_filter(self):
         # A Reads-linked pair is connected but not spanned by Contains arcs
@@ -379,6 +376,34 @@ class TestMarkTemplates:
         snapshot = graph.copy()
         mark_templates(graph, templates)
         assert graph.equals(snapshot)
+
+    def test_one_instance_per_support_occurrence(self, mini_functional, mini_view):
+        # Two groups of two sensors: FunctionalGroup -> Sensor has four
+        # embeddings but support 2, one occurrence per group.
+        nested = PropertyGraph()
+        nested.add_node(Node("SystemRoot:P", NodeKind.SYSTEM_ROOT, "P", {}))
+        for i in range(2):
+            grp = f"FunctionalGroup:G{i}"
+            nested.add_node(Node(grp, NodeKind.FUNCTIONAL_GROUP, f"G{i}", {}))
+            nested.add_edge(Edge(EdgeKind.CONTAINS, "SystemRoot:P", grp))
+            for j in range(2):
+                s = f"Sensor:S{i}{j}"
+                nested.add_node(Node(s, NodeKind.SENSOR, f"S{i}{j}", {}))
+                nested.add_edge(Edge(EdgeKind.CONTAINS, grp, s))
+        cases = [
+            (mini_functional.copy(), mine(mini_view, min_support=2, min_nodes=3, max_nodes=12)),
+            (nested, mine(project_for_mining(nested), min_support=2, min_nodes=2, max_nodes=3)),
+        ]
+        for graph, patterns in cases:
+            for annotation in mark_templates(graph, patterns):
+                pattern = annotation.pattern
+                assert len(annotation.instance_node_ids) == pattern.support
+                members = {
+                    m
+                    for nid in annotation.instance_node_ids
+                    for m in str(graph.node(nid).labels["members"]).split(",")
+                }
+                assert members == {v for vmap in pattern.embeddings for v in vmap}
 
     def test_empty_template_list_is_identity(self, mini_functional):
         graph = mini_functional.copy()
