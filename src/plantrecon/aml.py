@@ -39,6 +39,12 @@ from .graph import (
 
 CAEX_SCHEMA_VERSION = "2.15"
 
+# The deepest Contains nesting that export and import accept, with the
+# SystemRoot at depth 0. The builder, the importer and ElementTree's
+# ``indent`` and serializer all recurse once per nesting level, so the
+# bound stays well under Python's default recursion limit of 1000.
+MAX_CONTAINS_DEPTH = 500
+
 
 class AmlError(DataError):
     pass
@@ -157,7 +163,11 @@ def build_aml_document(graph: PropertyGraph, profile: AmlProfile = DEFAULT_PROFI
             iface_ids[edge.id] = (f"{edge.id}:A", f"{edge.id}:B")
             links.append(edge)
 
-    def element_for(node: Node, parent: ET.Element) -> ET.Element:
+    def element_for(node: Node, parent: ET.Element, depth: int) -> ET.Element:
+        if depth > MAX_CONTAINS_DEPTH:
+            raise InvalidGraphError(
+                [f"Contains nesting deeper than {MAX_CONTAINS_DEPTH} levels at {node.id!r}"]
+            )
         attrs = {"Name": node.name, "ID": node.id}
         if node.kind is NodeKind.TEMPLATE_INSTANCE:
             targets = [
@@ -193,10 +203,10 @@ def build_aml_document(graph: PropertyGraph, profile: AmlProfile = DEFAULT_PROFI
                 ID=iface_ids[edge.id][1],
             )
         for child_id in graph.contains_children(node.id):
-            element_for(graph.node(child_id), elem)
+            element_for(graph.node(child_id), elem, depth + 1)
         return elem
 
-    top = element_for(root_node, hierarchy)
+    top = element_for(root_node, hierarchy, 0)
     for edge in links:
         a, b = iface_ids[edge.id]
         ET.SubElement(top, "InternalLink", Name=edge.kind.value, RefPartnerSideA=a, RefPartnerSideB=b)
@@ -228,11 +238,15 @@ def import_aml(xml_bytes: bytes, profile: AmlProfile = DEFAULT_PROFILE) -> Prope
     contains: list[tuple[str, str]] = []
     links: list[tuple[str, str, str]] = []
 
-    def walk(elem: ET.Element, parent_id: str | None) -> None:
+    def walk(elem: ET.Element, parent_id: str | None, depth: int) -> None:
         nid = elem.get("ID")
         name = elem.get("Name", "")
         if nid is None:
             raise AmlSyntaxError(f"InternalElement {name!r} lacks an ID")
+        if depth > MAX_CONTAINS_DEPTH:
+            raise AmlSyntaxError(
+                f"InternalElement nesting deeper than {MAX_CONTAINS_DEPTH} levels at {nid!r}"
+            )
         kind: NodeKind | None = None
         provenance = Provenance.IMPORT
         labels: dict[str, LabelValue] = {}
@@ -273,14 +287,14 @@ def import_aml(xml_bytes: bytes, profile: AmlProfile = DEFAULT_PROFILE) -> Prope
             contains.append((parent_id, nid))
         for child in elem:
             if child.tag == "InternalElement":
-                walk(child, nid)
+                walk(child, nid, depth + 1)
 
     hierarchies = [c for c in caex if c.tag == "InstanceHierarchy"]
     if len(hierarchies) != 1:
         raise AmlSyntaxError(f"expected one InstanceHierarchy, found {len(hierarchies)}")
     for elem in hierarchies[0]:
         if elem.tag == "InternalElement":
-            walk(elem, None)
+            walk(elem, None, 0)
 
     for parent_id, child_id in contains:
         graph.add_edge(Edge(EdgeKind.CONTAINS, parent_id, child_id))

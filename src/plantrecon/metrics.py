@@ -87,13 +87,7 @@ def pairwise_f1(truth: dict[str, str], predicted: dict[str, str]) -> float:
 def _as_pattern(structure: dict | Pattern) -> Pattern:
     if isinstance(structure, Pattern):
         return structure
-    return Pattern(
-        code=(),
-        support=int(structure.get("support", 0)),
-        embeddings=[],
-        vertex_labels=tuple(structure["vertices"]),
-        arcs=tuple((int(u), int(v), str(k)) for (u, v, k) in structure["edges"]),
-    )
+    return Pattern.from_structure(structure, int(structure.get("support", 0)))
 
 
 def template_recovery(expected: list[dict | Pattern], mined: list[Pattern]) -> float:

@@ -69,20 +69,28 @@ class StaleEmbeddingError(MiningError):
 
 @dataclass
 class MiningGraph:
-    """Label-projected view of a property graph, ready for pattern search."""
+    """Label-projected labeled graph, ready for pattern search.
 
-    vertex_ids: list[str]
-    vertex_labels: dict[str, str]
-    edges: list[tuple[str, str, str]]  # (src, dst, label)
+    It serves both as the host graph and as the pattern graph of the
+    canonical-code check. Edges are unique per (src, dst, label), so an
+    embedding's vertex map fixes which edges it uses.
+    """
+
+    vertex_ids: list
+    vertex_labels: dict
+    edges: list[tuple]  # (src, dst, label)
 
     def __post_init__(self) -> None:
-        self._adj: dict[str, list[tuple[int, str, int, str]]] = {v: [] for v in self.vertex_ids}
-        for idx, (src, dst, label) in enumerate(self.edges):
-            self._adj[src].append((idx, dst, 1, label))
-            self._adj[dst].append((idx, src, 0, label))
+        if len(set(self.edges)) != len(self.edges):
+            duplicates = sorted({e for e in self.edges if self.edges.count(e) > 1})
+            raise MiningError(f"duplicate (src, dst, label) edges {duplicates}")
+        self._adj: dict = {v: [] for v in self.vertex_ids}
+        for (src, dst, label) in self.edges:
+            self._adj[src].append((dst, 1, label))
+            self._adj[dst].append((src, 0, label))
 
-    def adjacency(self, vid: str) -> list[tuple[int, str, int, str]]:
-        """(edge index, neighbor, direction flag, edge label) entries."""
+    def adjacency(self, vid) -> list[tuple]:
+        """(neighbor, direction flag, edge label) entries."""
         return self._adj[vid]
 
 
@@ -128,7 +136,6 @@ class Pattern:
     embeddings: list[tuple[str, ...]]  # position -> graph vertex id
     vertex_labels: tuple[str, ...]
     arcs: tuple[tuple[int, int, str], ...]
-    maximal: bool = False
 
     @property
     def vertex_count(self) -> int:
@@ -147,6 +154,18 @@ class Pattern:
             sort_keys=True,
         )
 
+    @classmethod
+    def from_structure(cls, structure: dict, support: int) -> Pattern:
+        """Inverse of ``structure_json``: a pattern with no code and no
+        embeddings, for comparing stored or expected structures."""
+        return cls(
+            code=(),
+            support=support,
+            embeddings=[],
+            vertex_labels=tuple(structure["vertices"]),
+            arcs=tuple((int(u), int(v), str(k)) for (u, v, k) in structure["edges"]),
+        )
+
 
 def code_to_structure(code: DfsCode) -> tuple[tuple[str, ...], tuple[tuple[int, int, str], ...]]:
     """Vertex labels and directed arcs of the pattern a DFS code describes."""
@@ -163,25 +182,13 @@ def code_to_structure(code: DfsCode) -> tuple[tuple[str, ...], tuple[tuple[int, 
     return tuple(labels[p] for p in range(n)), tuple(arcs)
 
 
-class _PatternView:
-    """Adjacency view over a pattern's own little graph (for min-code)."""
-
-    def __init__(self, vertex_labels: tuple[str, ...], arcs: tuple[tuple[int, int, str], ...]):
-        self.vertex_ids = list(range(len(vertex_labels)))
-        self.vertex_labels = {i: lab for i, lab in enumerate(vertex_labels)}
-        self._adj: dict[int, list[tuple[int, int, int, str]]] = {i: [] for i in self.vertex_ids}
-        for idx, (src, dst, label) in enumerate(arcs):
-            self._adj[src].append((idx, dst, 1, label))
-            self._adj[dst].append((idx, src, 0, label))
-        self.edge_total = len(arcs)
-
-    def adjacency(self, vid: int):
-        return self._adj[vid]
+def _pattern_graph(vertex_labels: tuple[str, ...], arcs) -> MiningGraph:
+    return MiningGraph(list(range(len(vertex_labels))), dict(enumerate(vertex_labels)), list(arcs))
 
 
-# An embedding is (vmap, eset): the tuple of graph vertices per code
-# position, and the frozenset of used graph edge indices. Plain tuples:
-# these are created millions of times during a mining run.
+# An embedding is the tuple of graph vertices per code position. Edges are
+# unique per (src, dst, label), so the vertex map fixes the edges it uses.
+# Plain tuples: these are created millions of times during a mining run.
 _Embedding = tuple
 
 
@@ -199,99 +206,91 @@ def _rightmost_path(code: DfsCode) -> list[int]:
     return vertices
 
 
-def _initial_codes(view) -> dict[CodeEdge, list[_Embedding]]:
+def _initial_codes(view: MiningGraph) -> dict[CodeEdge, list[_Embedding]]:
+    """One-edge codes and their embeddings. A one-edge code compares as
+    its (label_i, (direction, edge_label), label_j) part, the gSpan order
+    of first edges."""
     seeds: dict[CodeEdge, list[_Embedding]] = {}
-    seen_edges: set[int] = set()
-    for vid in view.vertex_ids:
-        for (eidx, nb, direction, elabel) in view.adjacency(vid):
-            if eidx in seen_edges:
-                continue
-            # Each underlying edge yields two oriented starts.
-            seen_edges.add(eidx)
-            src, dst = (vid, nb) if direction == 1 else (nb, vid)
-            for a, b, d in ((src, dst, 1), (dst, src, 0)):
-                ce: CodeEdge = (0, 1, view.vertex_labels[a], (d, elabel), view.vertex_labels[b])
-                seeds.setdefault(ce, []).append(((a, b), frozenset({eidx})))
+    labels = view.vertex_labels
+    for (src, dst, elabel) in view.edges:
+        # Each underlying edge yields two oriented starts.
+        for a, b, d in ((src, dst, 1), (dst, src, 0)):
+            ce: CodeEdge = (0, 1, labels[a], (d, elabel), labels[b])
+            seeds.setdefault(ce, []).append((a, b))
     return seeds
 
 
-# Candidate extensions are enumerated as light (embedding index, edge
-# index, new vertex | None) entries; full embeddings are materialized only
-# for candidates that survive the support and canonicality pruning.
-_Entry = tuple[int, int, object]
+# Candidate extensions are enumerated as light (embedding index, new vertex
+# | None) entries; full embeddings are materialized only for candidates
+# that survive the support and canonicality pruning.
+_Entry = tuple[int, object]
 
 
 def _extension_entries(
     code: DfsCode,
     embeddings: list[_Embedding],
-    view,
+    view: MiningGraph,
     max_nodes: int | None,
 ) -> dict[CodeEdge, list[_Entry]]:
     rmpath = _rightmost_path(code)
     maxtoc = rmpath[0]
-    nverts = maxtoc + 1
-    labels_by_pos: dict[int, str] = {}
-    for (i, j, li, _, lj) in code:
-        labels_by_pos.setdefault(i, li)
-        labels_by_pos.setdefault(j, lj)
+    labels_by_pos, arcs = code_to_structure(code)
+    nverts = len(labels_by_pos)
+    used_arcs = set(arcs)
     exts: dict[CodeEdge, list[_Entry]] = {}
     allow_forward = max_nodes is None or nverts < max_nodes
     vlabels = view.vertex_labels
     adjacency = view.adjacency
-    for emb_idx, (vmap, eset) in enumerate(embeddings):
-        vset = set(vmap)
-        # Backward: from the rightmost vertex to a rightmost-path vertex.
+    for emb_idx, vmap in enumerate(embeddings):
+        # Backward: from the rightmost vertex to a rightmost-path vertex,
+        # along an arc the code does not use yet.
         rm_image = vmap[maxtoc]
         for j in rmpath[1:]:
             target_image = vmap[j]
-            for (eidx, nb, direction, elabel) in adjacency(rm_image):
-                if nb != target_image or eidx in eset:
+            for (nb, direction, elabel) in adjacency(rm_image):
+                if nb != target_image:
+                    continue
+                arc = (maxtoc, j, elabel) if direction == 1 else (j, maxtoc, elabel)
+                if arc in used_arcs:
                     continue
                 ce: CodeEdge = (maxtoc, j, labels_by_pos[maxtoc], (direction, elabel), labels_by_pos[j])
-                exts.setdefault(ce, []).append((emb_idx, eidx, None))
+                exts.setdefault(ce, []).append((emb_idx, None))
         # Forward: from any rightmost-path vertex to a fresh vertex.
         if allow_forward:
+            vset = set(vmap)
             for i in rmpath:
-                src_image = vmap[i]
                 src_label = labels_by_pos[i]
-                for (eidx, nb, direction, elabel) in adjacency(src_image):
-                    if nb in vset or eidx in eset:
+                for (nb, direction, elabel) in adjacency(vmap[i]):
+                    if nb in vset:
                         continue
                     ce = (i, nverts, src_label, (direction, elabel), vlabels[nb])
-                    exts.setdefault(ce, []).append((emb_idx, eidx, nb))
+                    exts.setdefault(ce, []).append((emb_idx, nb))
     return exts
 
 
 def _entries_mni(entries: list[_Entry], embeddings: list[_Embedding], nverts: int) -> int:
     best = None
     for p in range(nverts):
-        images = {embeddings[idx][0][p] for (idx, _, _) in entries}
+        images = {embeddings[idx][p] for (idx, _) in entries}
         if best is None or len(images) < best:
             best = len(images)
             if best == 0:
                 return 0
-    if entries and entries[0][2] is not None:  # forward: the new position
-        images = {nb for (_, _, nb) in entries}
+    if entries and entries[0][1] is not None:  # forward: the new position
+        images = {nb for (_, nb) in entries}
         if best is None or len(images) < best:
             best = len(images)
     return best or 0
 
 
 def _materialize(entries: list[_Entry], embeddings: list[_Embedding]) -> list[_Embedding]:
-    out = []
-    for (idx, eidx, nb) in entries:
-        vmap, eset = embeddings[idx]
-        if nb is None:
-            out.append((vmap, eset | {eidx}))
-        else:
-            out.append((vmap + (nb,), eset | {eidx}))
-    return out
+    return [embeddings[idx] if nb is None else embeddings[idx] + (nb,) for (idx, nb) in entries]
 
 
 def _extension_rank(ce: CodeEdge):
     """gSpan order of candidate extensions of one code: backward edges
     first (nearer targets first), then forward edges (deeper sources
-    first), labels breaking ties."""
+    first), labels breaking ties. Injective per code."""
     i, j, _, el, lj = ce
     if j < i:  # backward
         return (0, j, el, lj)
@@ -301,85 +300,32 @@ def _extension_rank(ce: CodeEdge):
 def _mni(embeddings: list[_Embedding]) -> int:
     if not embeddings:
         return 0
-    n = len(embeddings[0][0])
-    best = None
-    for p in range(n):
-        images = {vmap[p] for (vmap, _) in embeddings}
-        if best is None or len(images) < best:
-            best = len(images)
-    return best or 0
+    return min(len({vmap[p] for vmap in embeddings}) for p in range(len(embeddings[0])))
 
 
-def _min_extension(
-    code: DfsCode, embeddings: list[_Embedding], view
-) -> tuple[CodeEdge, list[_Embedding]]:
-    """The gSpan-minimal rightmost-path extension and its embeddings."""
-    rmpath = _rightmost_path(code)
-    maxtoc = rmpath[0]
-    nverts = maxtoc + 1
-    labels_by_pos: dict[int, str] = {}
-    for (i, j, li, _, lj) in code:
-        labels_by_pos.setdefault(i, li)
-        labels_by_pos.setdefault(j, lj)
-    best: CodeEdge | None = None
-    best_rank = None
-    best_embeddings: list[_Embedding] = []
-    for (vmap, eset) in embeddings:
-        vset = set(vmap)
-        rm_image = vmap[maxtoc]
-        for j in rmpath[1:]:
-            target_image = vmap[j]
-            for (eidx, nb, direction, elabel) in view.adjacency(rm_image):
-                if eidx in eset or nb != target_image:
-                    continue
-                ce: CodeEdge = (maxtoc, j, labels_by_pos[maxtoc], (direction, elabel), labels_by_pos[j])
-                rank = _extension_rank(ce)
-                if best_rank is None or rank < best_rank:
-                    best, best_rank, best_embeddings = ce, rank, []
-                if rank == best_rank:
-                    best_embeddings.append((vmap, eset | {eidx}))
-        for i in rmpath:
-            src_image = vmap[i]
-            for (eidx, nb, direction, elabel) in view.adjacency(src_image):
-                if eidx in eset or nb in vset:
-                    continue
-                ce = (i, nverts, labels_by_pos[i], (direction, elabel), view.vertex_labels[nb])
-                rank = _extension_rank(ce)
-                if best_rank is None or rank < best_rank:
-                    best, best_rank, best_embeddings = ce, rank, []
-                if rank == best_rank:
-                    best_embeddings.append((vmap + (nb,), eset | {eidx}))
-    assert best is not None
-    return best, best_embeddings
+def _min_code_walk(view: MiningGraph):
+    """Yield the minimal DFS code of a connected pattern graph, edge by edge."""
+    seeds = _initial_codes(view)
+    code = (min(seeds),)
+    embeddings = seeds[code[0]]
+    yield code[0]
+    while len(code) < len(view.edges):
+        exts = _extension_entries(code, embeddings, view, None)
+        best = min(exts, key=_extension_rank)
+        embeddings = _materialize(exts[best], embeddings)
+        code += (best,)
+        yield best
 
 
 def min_dfs_code(vertex_labels: tuple[str, ...], arcs: tuple[tuple[int, int, str], ...]) -> DfsCode:
     """Canonical (minimal) DFS code of a connected pattern graph."""
-    view = _PatternView(vertex_labels, arcs)
-    seeds = _initial_codes(view)
-    best_first = min(seeds, key=lambda ce: (ce[2], ce[3], ce[4]))
-    code: list[CodeEdge] = [best_first]
-    embeddings = seeds[best_first]
-    while len(code) < view.edge_total:
-        best, embeddings = _min_extension(tuple(code), embeddings, view)
-        code.append(best)
-    return tuple(code)
+    return tuple(_min_code_walk(_pattern_graph(vertex_labels, arcs)))
 
 
 def _is_canonical(code: DfsCode) -> bool:
     """Stepwise minimality check with early exit at the first divergence."""
-    labels, arcs = code_to_structure(code)
-    view = _PatternView(labels, arcs)
-    seeds = _initial_codes(view)
-    first = min(seeds, key=lambda ce: (ce[2], ce[3], ce[4]))
-    if first != code[0]:
-        return False
-    embeddings = seeds[first]
-    for k in range(1, len(code)):
-        best, embeddings = _min_extension(code[:k], embeddings, view)
-        if best != code[k]:
-            return False
-    return True
+    walk = _min_code_walk(_pattern_graph(*code_to_structure(code)))
+    return all(best == ce for best, ce in zip(walk, code))
 
 
 def _root_anchored(pattern: Pattern) -> bool:
@@ -425,7 +371,7 @@ def mine(
                 Pattern(
                     code=code,
                     support=support,
-                    embeddings=sorted(vmap for (vmap, _) in embeddings),
+                    embeddings=sorted(embeddings),
                     vertex_labels=labels,
                     arcs=arcs,
                 )
@@ -441,7 +387,7 @@ def mine(
                 continue
             recurse(child_code, _materialize(entries, embeddings), child_support)
 
-    for ce in sorted(seeds, key=lambda c: (c[2], c[3], c[4])):
+    for ce in sorted(seeds):
         embeddings = seeds[ce]
         support = _mni(embeddings)
         if support < min_support:
@@ -518,19 +464,7 @@ def select_templates(patterns: list[Pattern]) -> list[Pattern]:
         )
         if not dominated:
             kept.append(pattern)
-    result = []
-    for pattern in sorted(kept, key=Pattern.sort_key):
-        result.append(
-            Pattern(
-                code=pattern.code,
-                support=pattern.support,
-                embeddings=pattern.embeddings,
-                vertex_labels=pattern.vertex_labels,
-                arcs=pattern.arcs,
-                maximal=True,
-            )
-        )
-    return result
+    return sorted(kept, key=Pattern.sort_key)
 
 
 @dataclass

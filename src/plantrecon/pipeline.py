@@ -153,20 +153,12 @@ def stage_export(cfg: PipelineConfig, graph: PropertyGraph | None = None) -> byt
 def templates_from_graph(graph: PropertyGraph) -> list[mining.Pattern]:
     """Recover the structure and support of the marked templates from a
     stored graph; embeddings are not persisted."""
-    patterns = []
-    for node in graph.query(kinds={NodeKind.TEMPLATE_PATTERN}):
-        structure = json.loads(str(node.labels["patternCode"]))
-        patterns.append(
-            mining.Pattern(
-                code=(),
-                support=int(node.labels.get("support", 0)),
-                embeddings=[],
-                vertex_labels=tuple(structure["vertices"]),
-                arcs=tuple((int(u), int(v), str(k)) for (u, v, k) in structure["edges"]),
-                maximal=True,
-            )
+    return [
+        mining.Pattern.from_structure(
+            json.loads(str(node.labels["patternCode"])), int(node.labels.get("support", 0))
         )
-    return patterns
+        for node in graph.query(kinds={NodeKind.TEMPLATE_PATTERN})
+    ]
 
 
 def _estimates_from_graph(graph: PropertyGraph) -> list[PositionEstimate]:

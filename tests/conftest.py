@@ -6,6 +6,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from plantrecon import plc, synth
+from plantrecon.graph import Edge, EdgeKind, Node, NodeKind, PropertyGraph
 from plantrecon.grouping import functional_grouping
 
 
@@ -34,3 +35,21 @@ def mini_functional(mini_project, mini_tree):
 @pytest.fixture(scope="session")
 def reference_plant():
     return synth.generate(synth.reference_spec(noise_sigma_m=0.0))
+
+
+@pytest.fixture(scope="session")
+def contains_chain():
+    """Builder of a SystemRoot over one chain of ``depth`` nested FunctionalGroups."""
+
+    def build(depth: int) -> PropertyGraph:
+        graph = PropertyGraph()
+        graph.add_node(Node("SystemRoot:R", NodeKind.SYSTEM_ROOT, "R", {}))
+        parent = "SystemRoot:R"
+        for k in range(depth):
+            nid = f"FunctionalGroup:G{k}"
+            graph.add_node(Node(nid, NodeKind.FUNCTIONAL_GROUP, f"G{k}", {}))
+            graph.add_edge(Edge(EdgeKind.CONTAINS, parent, nid))
+            parent = nid
+        return graph
+
+    return build

@@ -4,6 +4,8 @@ import pytest
 
 from plantrecon import plc, synth
 from plantrecon.aml import (
+    MAX_CONTAINS_DEPTH,
+    AmlError,
     AmlSyntaxError,
     DanglingLinkError,
     InvalidGraphError,
@@ -45,6 +47,17 @@ class TestExport:
         g.add_node(Node("Sensor:S", NodeKind.SENSOR, "S", {}))
         with pytest.raises(InvalidGraphError):
             export_aml(g)
+
+    def test_deep_contains_chain_rejected(self, contains_chain):
+        # ElementTree's indent and serializer recurse per level: past the
+        # bound this would end in a RecursionError, not a data error.
+        with pytest.raises(AmlError, match="deeper than"):
+            export_aml(contains_chain(1200))
+
+    def test_chain_at_depth_bound_round_trips(self, contains_chain):
+        graph = contains_chain(MAX_CONTAINS_DEPTH)
+        back = import_aml(export_aml(graph))
+        assert {e.triple for e in back.edges()} == {e.triple for e in graph.edges()}
 
     def test_template_mapping(self, mini_functional):
         graph = mini_functional.copy()
@@ -142,6 +155,20 @@ class TestImportRoundTrip:
     def test_syntax_error(self):
         with pytest.raises(AmlSyntaxError):
             import_aml(b"<CAEXFile><broken")
+
+    def test_deep_nesting_rejected(self):
+        depth = 1200
+        opening = "".join(
+            f'<InternalElement Name="G{k}" ID="G{k}">'
+            '<RoleRequirements RefBaseRoleClassPath="PlantReconRoleLib/FunctionalGroup"/>'
+            for k in range(depth)
+        )
+        text = (
+            f'<CAEXFile><InstanceHierarchy Name="P">{opening}'
+            f'{"</InternalElement>" * depth}</InstanceHierarchy></CAEXFile>'
+        )
+        with pytest.raises(AmlSyntaxError, match="deeper than"):
+            import_aml(text.encode())
 
     def test_round_trip_random_generator_graphs(self):
         rng = random.Random(2024)

@@ -4,6 +4,7 @@ import pytest
 
 from plantrecon.graph import Edge, EdgeKind, Node, NodeKind, PropertyGraph
 from plantrecon.mining import (
+    DEFAULT_EXCLUDED_KINDS,
     MiningError,
     MiningGraph,
     Pattern,
@@ -20,23 +21,6 @@ from plantrecon.mining import (
 )
 
 from oracles import mine_oracle, mni_oracle, tiny_graphs_isomorphic
-
-# Mining projection used by the recommended pipeline configuration: besides
-# the automation hardware, the software-backing detail and the dynamics
-# nodes stay out of the pattern space.
-RECOMMENDED_EXCLUDED = frozenset(
-    {
-        NodeKind.PLC,
-        NodeKind.IO_DEVICE,
-        NodeKind.CHANNEL,
-        NodeKind.DATA_BLOCK,
-        NodeKind.FUNCTION_BLOCK_TYPE,
-        NodeKind.PHYSICAL_GROUP,
-        NodeKind.MATERIAL_TRACKER,
-        NodeKind.TEMPLATE_PATTERN,
-        NodeKind.TEMPLATE_INSTANCE,
-    }
-)
 
 PLACE_TEMPLATE = Pattern(
     code=(),
@@ -67,6 +51,15 @@ def _two_triangles():
     vlabels = ["N"] * 6
     arcs = [(0, 1, "e"), (1, 2, "e"), (2, 0, "e"), (3, 4, "e"), (4, 5, "e"), (5, 3, "e")]
     return _graph_from(vlabels, arcs)
+
+
+class TestMiningGraph:
+    def test_duplicate_edge_rejected(self):
+        # The same pair in the other direction or with another label is
+        # another edge.
+        _graph_from(["A", "B"], [(0, 1, "e"), (1, 0, "e"), (0, 1, "f")])
+        with pytest.raises(MiningError, match="duplicate"):
+            _graph_from(["A", "B"], [(0, 1, "e"), (1, 0, "e"), (0, 1, "e")])
 
 
 class TestMineSmall:
@@ -193,7 +186,7 @@ def _connected(arcs, vertices):
 
 @pytest.fixture(scope="module")
 def mini_view(mini_functional):
-    return project_for_mining(mini_functional, RECOMMENDED_EXCLUDED)
+    return project_for_mining(mini_functional, DEFAULT_EXCLUDED_KINDS)
 
 
 class TestProjectForMining:

@@ -186,6 +186,14 @@ class TestCli:
             result = runner.invoke(main, base + [cmd])
             assert result.exit_code == 0, (cmd, result.output)
 
+    def test_deep_contains_export_exit_2(self, tmp_path, contains_chain):
+        out = tmp_path / "o"
+        out.mkdir()
+        contains_chain(1200).save(out / "plant.dtgraph")
+        result = CliRunner().invoke(main, ["--out-dir", str(out), "export"])
+        assert result.exit_code == 2, result.output
+        assert "code=2 type=InvalidGraphError" in result.output
+
     def test_internal_error_exit_3(self, mini_workspace, tmp_path, monkeypatch):
         def boom(cfg):
             raise RuntimeError("unexpected")
