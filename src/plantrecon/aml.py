@@ -1,11 +1,12 @@
 """AutomationML/CAEX-style serialization of the assembled graph.
 
-The mapping is node-type-driven and frozen in :data:`DEFAULT_PROFILE`:
+The mapping is node-type-driven and fixed:
 
 * the Contains tree becomes nested ``InternalElement`` elements inside a
   single ``InstanceHierarchy`` (document order = node id order);
-* every node kind maps to a role-class path, written as a
-  ``RoleRequirements`` reference;
+* every node kind maps to a role-class path in :data:`ROLE_CLASS`,
+  written as a ``RoleRequirements`` reference; import reads the kind back
+  through its inverse :data:`KIND_OF_ROLE`;
 * node labels become typed ``Attribute`` entries (``label:<key>``);
 * every non-Contains edge becomes one ``InternalLink`` named after the
   edge kind, between two generated ``ExternalInterface`` endpoints (edge
@@ -16,7 +17,7 @@ The mapping is node-type-driven and frozen in :data:`DEFAULT_PROFILE`:
 
 All InternalLinks are attached to the top (SystemRoot) element. The
 output is deliberately tool-neutral: it follows the CAEX shape but is not
-validated against the official schema, and the profile table is the
+validated against the official schema, and the role table is the
 contract a retargeting effort would edit.
 """
 
@@ -38,6 +39,10 @@ from .graph import (
 )
 
 CAEX_SCHEMA_VERSION = "2.15"
+PROFILE_VERSION = "1.0"
+INSTANCE_HIERARCHY_NAME = "ReconstructedPlant"
+ROLE_CLASS = {kind: f"PlantReconRoleLib/{kind.value}" for kind in NodeKind}
+KIND_OF_ROLE = {path: kind for kind, path in ROLE_CLASS.items()}
 
 # The deepest Contains nesting that export and import accept, with the
 # SystemRoot at depth 0. The builder, the importer and ElementTree's
@@ -66,29 +71,6 @@ class UnknownRoleError(AmlError):
 
 class DanglingLinkError(AmlError):
     pass
-
-
-@dataclass(frozen=True)
-class AmlProfile:
-    """Node-kind to role-class mapping plus document naming."""
-
-    role_map: dict[NodeKind, str]
-    instance_hierarchy_name: str = "ReconstructedPlant"
-    version: str = "1.0"
-
-    def role_of(self, kind: NodeKind) -> str:
-        return self.role_map[kind]
-
-    def kind_of(self, role_path: str) -> NodeKind:
-        for kind, path in self.role_map.items():
-            if path == role_path:
-                return kind
-        raise UnknownRoleError(f"role class path {role_path!r} not in profile")
-
-
-DEFAULT_PROFILE = AmlProfile(
-    role_map={kind: f"PlantReconRoleLib/{kind.value}" for kind in NodeKind}
-)
 
 
 @dataclass
@@ -128,12 +110,9 @@ def _parse_attribute(elem: ET.Element) -> tuple[str, LabelValue]:
     return name, value
 
 
-def build_aml_document(graph: PropertyGraph, profile: AmlProfile = DEFAULT_PROFILE) -> ET.Element:
+def build_aml_document(graph: PropertyGraph) -> ET.Element:
     """Assemble the CAEX document model for a final, valid graph."""
     findings = graph.validate(final=True)
-    missing_roles = [k.value for k in NodeKind if k not in profile.role_map]
-    if missing_roles:
-        findings.append(f"profile lacks role mappings for {missing_roles}")
     if findings:
         raise InvalidGraphError(findings)
 
@@ -142,7 +121,7 @@ def build_aml_document(graph: PropertyGraph, profile: AmlProfile = DEFAULT_PROFI
         "CAEXFile",
         FileName=f"{root_node.name}.aml",
         SchemaVersion=CAEX_SCHEMA_VERSION,
-        ProfileVersion=profile.version,
+        ProfileVersion=PROFILE_VERSION,
     )
 
     # Template patterns double as reusable unit classes.
@@ -154,7 +133,7 @@ def build_aml_document(graph: PropertyGraph, profile: AmlProfile = DEFAULT_PROFI
             for key in sorted(tnode.labels):
                 _attribute(suc, f"label:{key}", tnode.labels[key])
 
-    hierarchy = ET.SubElement(caex, "InstanceHierarchy", Name=profile.instance_hierarchy_name)
+    hierarchy = ET.SubElement(caex, "InstanceHierarchy", Name=INSTANCE_HIERARCHY_NAME)
 
     iface_ids: dict[str, tuple[str, str]] = {}  # edge id -> (A iface id, B iface id)
     links: list[Edge] = []
@@ -181,7 +160,7 @@ def build_aml_document(graph: PropertyGraph, profile: AmlProfile = DEFAULT_PROFI
         _attribute(elem, "provenance", node.provenance.value)
         for key in sorted(node.labels):
             _attribute(elem, f"label:{key}", node.labels[key])
-        ET.SubElement(elem, "RoleRequirements", RefBaseRoleClassPath=profile.role_of(node.kind))
+        ET.SubElement(elem, "RoleRequirements", RefBaseRoleClassPath=ROLE_CLASS[node.kind])
         for counter, edge in enumerate(graph.out_edges(node.id)):
             if edge.kind is EdgeKind.CONTAINS:
                 continue
@@ -213,9 +192,9 @@ def build_aml_document(graph: PropertyGraph, profile: AmlProfile = DEFAULT_PROFI
     return caex
 
 
-def export_aml(graph: PropertyGraph, profile: AmlProfile = DEFAULT_PROFILE) -> bytes:
+def export_aml(graph: PropertyGraph) -> bytes:
     """Serialize the graph as deterministic UTF-8 CAEX-style XML."""
-    caex = build_aml_document(graph, profile)
+    caex = build_aml_document(graph)
     tree = ET.ElementTree(caex)
     ET.indent(tree)
     buf = io.BytesIO()
@@ -223,7 +202,7 @@ def export_aml(graph: PropertyGraph, profile: AmlProfile = DEFAULT_PROFILE) -> b
     return buf.getvalue() + b"\n"
 
 
-def import_aml(xml_bytes: bytes, profile: AmlProfile = DEFAULT_PROFILE) -> PropertyGraph:
+def import_aml(xml_bytes: bytes) -> PropertyGraph:
     """Rebuild a property graph from a document produced by export_aml."""
     try:
         caex = ET.parse(io.BytesIO(xml_bytes)).getroot()
@@ -279,9 +258,10 @@ def import_aml(xml_bytes: bytes, profile: AmlProfile = DEFAULT_PROFILE) -> Prope
                 links.append((child.get("Name", ""), a, b))
         if role_path is None:
             raise UnknownRoleError(f"element {nid!r} lacks a RoleRequirements entry")
-        role_kind = profile.kind_of(role_path)
+        if role_path not in KIND_OF_ROLE:
+            raise UnknownRoleError(f"role class path {role_path!r} not in the role table")
         if kind is None:
-            kind = role_kind
+            kind = KIND_OF_ROLE[role_path]
         graph.add_node(Node(nid, kind, name, dict(sorted(labels.items())), provenance))
         if parent_id is not None:
             contains.append((parent_id, nid))
@@ -311,7 +291,7 @@ def import_aml(xml_bytes: bytes, profile: AmlProfile = DEFAULT_PROFILE) -> Prope
     return graph
 
 
-def validate_aml(xml_bytes: bytes, profile: AmlProfile = DEFAULT_PROFILE) -> list[Finding]:
+def validate_aml(xml_bytes: bytes) -> list[Finding]:
     """Structural checks on an AML document; an empty list means valid."""
     findings: list[Finding] = []
     try:
@@ -324,7 +304,6 @@ def validate_aml(xml_bytes: bytes, profile: AmlProfile = DEFAULT_PROFILE) -> lis
     ids: set[str] = set()
     iface_ids: set[str] = set()
     suc_paths: set[str] = set()
-    known_roles = set(profile.role_map.values())
 
     for lib in caex.iter("SystemUnitClassLib"):
         for suc in lib.iter("SystemUnitClass"):
@@ -347,7 +326,7 @@ def validate_aml(xml_bytes: bytes, profile: AmlProfile = DEFAULT_PROFILE) -> lis
             findings.append(Finding("role", f"element {eid!r} lacks RoleRequirements", eid))
         for role in roles:
             path = role.get("RefBaseRoleClassPath", "")
-            if path not in known_roles:
+            if path not in KIND_OF_ROLE:
                 findings.append(Finding("role", f"unmapped role {path!r}", eid))
         ref = elem.get("RefBaseSystemUnitPath")
         if ref is not None and ref not in suc_paths:

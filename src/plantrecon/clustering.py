@@ -8,8 +8,9 @@ warning to that effect.
 
 Both algorithms are implemented here rather than delegated so that the
 results are bit-reproducible across runs and thread counts for a fixed
-seed. K-means uses k-means++ seeding from a PCG64 stream, Lloyd
-iterations capped at 300 or a centroid shift below 1e-9 m.
+seed. K-means uses k-means++ seeding from a PCG64 stream and keeps the
+best of 10 restarts; Lloyd iterations stop at 300 or at a centroid shift
+below 1e-9 m.
 """
 
 from __future__ import annotations
@@ -34,13 +35,15 @@ class InsufficientDataError(ClusteringError):
     pass
 
 
+KMEANS_MAX_ITER = 300
+KMEANS_TOL = 1e-9
+KMEANS_RESTARTS = 10
+
+
 @dataclass(frozen=True)
 class KMeansParams:
     k: int
     seed: int = 0
-    max_iter: int = 300
-    tol: float = 1e-9
-    n_init: int = 10
 
 
 @dataclass(frozen=True)
@@ -63,7 +66,7 @@ class ClusterResult:
         return out
 
 
-def _kmeans_once(points: np.ndarray, k: int, params: KMeansParams, rng) -> tuple[np.ndarray, float]:
+def _kmeans_once(points: np.ndarray, k: int, rng) -> tuple[np.ndarray, float]:
     n = len(points)
     # k-means++ seeding.
     centers = np.empty((k, points.shape[1]))
@@ -78,7 +81,7 @@ def _kmeans_once(points: np.ndarray, k: int, params: KMeansParams, rng) -> tuple
         centers[i] = points[rng.choice(n, p=probs)]
         dist2 = np.minimum(dist2, ((points - centers[i]) ** 2).sum(axis=1))
     labels = np.zeros(n, dtype=int)
-    for _ in range(params.max_iter):
+    for _ in range(KMEANS_MAX_ITER):
         d2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
         labels = d2.argmin(axis=1)
         new_centers = centers.copy()
@@ -92,7 +95,7 @@ def _kmeans_once(points: np.ndarray, k: int, params: KMeansParams, rng) -> tuple
                 new_centers[c] = points[far]
         shift = np.sqrt(((new_centers - centers) ** 2).sum(axis=1)).max()
         centers = new_centers
-        if shift < params.tol:
+        if shift < KMEANS_TOL:
             break
     d2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
     labels = d2.argmin(axis=1)
@@ -101,14 +104,14 @@ def _kmeans_once(points: np.ndarray, k: int, params: KMeansParams, rng) -> tuple
 
 
 def kmeans(points: np.ndarray, params: KMeansParams) -> np.ndarray:
-    """Deterministic seeded k-means (k-means++, best of n_init restarts);
+    """Deterministic seeded k-means (k-means++, best of KMEANS_RESTARTS runs);
     returns a cluster index per point."""
     k = min(params.k, len(points))
     rng = np.random.Generator(np.random.PCG64(params.seed))
     best_labels: np.ndarray | None = None
     best_inertia = math.inf
-    for _ in range(max(1, params.n_init)):
-        labels, inertia = _kmeans_once(points, k, params, rng)
+    for _ in range(KMEANS_RESTARTS):
+        labels, inertia = _kmeans_once(points, k, rng)
         if inertia < best_inertia:
             best_labels, best_inertia = labels, inertia
     assert best_labels is not None

@@ -50,7 +50,6 @@ class PipelineConfig:
     kmeans_k: int | None = None
     dbscan_eps: float | None = None
     dbscan_min_pts: int = 3
-    raw_trajectory_queries: bool = False
     min_support: int = 2
     min_nodes: int = 3
     max_nodes: int = 12
@@ -63,7 +62,7 @@ class PipelineConfig:
     _INTS = ("window_ms", "min_matches", "band", "kmeans_k", "dbscan_min_pts",
              "min_support", "min_nodes", "max_nodes", "seed")
     _FLOATS = ("dbscan_eps",)
-    _BOOLS = ("raw_trajectory_queries", "root_anchored_only")
+    _BOOLS = ("root_anchored_only",)
 
     @classmethod
     def from_dict(cls, values: dict[str, str]) -> "PipelineConfig":

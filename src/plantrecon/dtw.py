@@ -10,7 +10,7 @@ Sakoe-Chiba band restricts alignment to ``|i - j| <= band``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -94,10 +94,6 @@ class NnModel:
 
     training: list[tuple[PositionSeries, str]]
     band: int | None = None
-    labels: list[str] = field(init=False)
-
-    def __post_init__(self) -> None:
-        self.labels = sorted({label for _, label in self.training})
 
 
 def knn_train(labeled_segments: list[tuple[PositionSeries, str]], band: int | None = None) -> NnModel:

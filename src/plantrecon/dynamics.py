@@ -6,10 +6,12 @@ groups, by default with a 1-NN/DTW classifier trained on a labeled
 position data set. The emitted graph fragment uses the same stable node
 ids as the PLC analysis so the two merge cleanly.
 
-The classifier's query series for a component is, by default, the
-time-ordered series of positions matched to its events. The alternative
-reading — classifying over raw tracker trajectory snippets around each
-event — is available via ``raw_trajectory_queries``.
+Analog signals fire an event when they cross their mid-range, with a
+hysteresis band of 2 % of the observed value range. The classifier's
+query series for a component is the time-ordered series of positions
+matched to its events. Training segments (the 10 longest per class) are
+resampled to 32 points, and queries longer than 32 points are cut down
+to 32 by the same resampling.
 """
 
 from __future__ import annotations
@@ -35,6 +37,15 @@ from .traces import (
 
 logger = logging.getLogger(__name__)
 
+ANALOG_HYSTERESIS_FRACTION = 0.02
+# Every training segment is resampled to one fixed length: unnormalized
+# DTW sums per-point costs, so mixed-length training series would bias
+# the ranking toward short segments. Also bounds the 1-NN run time.
+TRAINING_SERIES_LEN = 32
+TRAINING_MAX_PER_CLASS = 10
+# How many undeclared IO tags the warning names.
+_UNDECLARED_SHOWN = 5
+
 
 @dataclass
 class DynamicsParams:
@@ -42,15 +53,8 @@ class DynamicsParams:
     min_matches: int = 5
     band: int | None = None
     mode: str = "classify"  # "classify" | "cluster"
-    analog_hysteresis_fraction: float = 0.02
-    kmeans: KMeansParams | None = None
-    dbscan: DbscanParams | None = None
-    raw_trajectory_queries: bool = False
-    # Every training segment is resampled to one fixed length: unnormalized
-    # DTW sums per-point costs, so mixed-length training series would bias
-    # the ranking toward short segments. Also bounds the 1-NN run time.
-    training_series_len: int = 32
-    training_max_per_class: int = 10
+    # Cluster mode's method; None is k-means with k = components // 4.
+    cluster: KMeansParams | DbscanParams | None = None
 
 
 @dataclass
@@ -66,13 +70,9 @@ def _signal_kind(data_type: str) -> SignalKind:
     return SignalKind.BOOL if data_type == "Bool" else SignalKind.ANALOG
 
 
-def component_event_series(
-    io_samples: list[IoSample],
-    tag_types: dict[str, str],
-    hysteresis_fraction: float,
-):
+def component_event_series(io_samples: list[IoSample], tag_types: dict[str, str]):
     """Per-tag change events; analog thresholds sit mid-range with a
-    hysteresis band sized as a fraction of the observed value range."""
+    hysteresis band of ANALOG_HYSTERESIS_FRACTION of the value range."""
     by_tag: dict[str, list[IoSample]] = {}
     for s in io_samples:
         by_tag.setdefault(s.tag, []).append(s)
@@ -86,7 +86,7 @@ def component_event_series(
             values = [s.value for s in samples]
             lo, hi = min(values), max(values)
             threshold = (lo + hi) / 2.0
-            hyst = (hi - lo) * hysteresis_fraction
+            hyst = (hi - lo) * ANALOG_HYSTERESIS_FRACTION
             series[tag] = detect_events(samples, kind, threshold, hyst)
     return series
 
@@ -107,9 +107,7 @@ def _cap(series: PositionSeries, max_len: int) -> PositionSeries:
     return _resample(series, max_len) if len(series) > max_len else series
 
 
-def training_segments(
-    labeled: list[RtlsSample], params: DynamicsParams
-) -> list[tuple[PositionSeries, str]]:
+def training_segments(labeled: list[RtlsSample]) -> list[tuple[PositionSeries, str]]:
     """Labeled (series, class) pairs, capped per class, uniform length."""
     per_class: dict[str, list[PositionSeries]] = {}
     for label, segment in split_labeled_segments(labeled):
@@ -117,29 +115,9 @@ def training_segments(
     result: list[tuple[PositionSeries, str]] = []
     for label in sorted(per_class):
         segments = sorted(per_class[label], key=len, reverse=True)
-        for segment in segments[: params.training_max_per_class]:
-            result.append((_resample(segment, params.training_series_len), label))
+        for segment in segments[:TRAINING_MAX_PER_CLASS]:
+            result.append((_resample(segment, TRAINING_SERIES_LEN), label))
     return result
-
-
-def raw_trajectory_query(
-    events, rtls: list[RtlsSample], window_ms: int, owner: str
-) -> PositionSeries:
-    """Alternate query construction: raw samples around each event."""
-    series = PositionSeries(owner_tag=owner)
-    times = [s.timestamp_ms for s in rtls]
-    from bisect import bisect_left, bisect_right
-
-    seen: set[int] = set()
-    for event in events.events:
-        lo = bisect_left(times, event.timestamp_ms - window_ms)
-        hi = bisect_right(times, event.timestamp_ms + window_ms)
-        for idx in range(lo, hi):
-            if idx not in seen:
-                seen.add(idx)
-                s = rtls[idx]
-                series.append(s.timestamp_ms, (s.x, s.y, s.z))
-    return series
 
 
 def analyze_dynamics(
@@ -157,9 +135,21 @@ def analyze_dynamics(
     table); ``tag_types`` maps tag names to their PLC data type. The
     returned fragment carries position labels, MaterialTracker nodes and
     PhysicalGroup membership, rooted at ``SystemRoot:<root_name>``.
+    An empty RTLS trace and IO tags the PLC does not declare are logged
+    as warnings.
     """
     params = params or DynamicsParams()
-    events = component_event_series(io_samples, tag_types, params.analog_hysteresis_fraction)
+    if not rtls_samples:
+        logger.warning("RTLS trace is empty: no component gets a position")
+    events = component_event_series(io_samples, tag_types)
+    undeclared = sorted(set(events) - set(tag_kinds))
+    if undeclared:
+        logger.warning(
+            "%d IO tag(s) not declared by the PLC are ignored: %s%s",
+            len(undeclared),
+            ", ".join(undeclared[:_UNDECLARED_SHOWN]),
+            ", ..." if len(undeclared) > _UNDECLARED_SHOWN else "",
+        )
 
     matched: dict[str, PositionSeries] = {}
     estimates: dict[str, PositionEstimate] = {}
@@ -175,29 +165,19 @@ def analyze_dynamics(
     assignments: dict[str, str] = {}
     clustering: ClusterResult | None = None
     if params.mode == "cluster":
-        method = params.kmeans or params.dbscan
-        if method is None:
-            method = KMeansParams(k=max(1, len(estimates) // 4), seed=0)
+        method = params.cluster or KMeansParams(k=max(1, len(estimates) // 4), seed=0)
         clustering = cluster_positions(list(estimates.values()), method)
         assignments = dict(clustering.assignments)
     else:
-        training = training_segments(labeled_samples, params)
+        training = training_segments(labeled_samples)
         if not training:
             logger.warning("no labeled training segments; components stay unassigned")
         else:
             model = knn_train(training, params.band)
             for tag in sorted(tag_kinds):
-                if estimates[tag].status is not EstimateStatus.KNOWN:
-                    continue
-                if params.raw_trajectory_queries:
-                    query = raw_trajectory_query(
-                        events[tag], rtls_samples, params.window_ms, tag
-                    )
-                else:
-                    query = matched[tag]
-                if len(query) == 0:
-                    continue
-                assignments[tag] = knn_classify(model, _cap(query, params.training_series_len))
+                if estimates[tag].status is EstimateStatus.KNOWN:
+                    query = _cap(matched[tag], TRAINING_SERIES_LEN)
+                    assignments[tag] = knn_classify(model, query)
 
     fragment = build_physical_groups(assignments, estimates, tag_kinds, root_name)
     _add_trackers(fragment, rtls_samples, root_name)
@@ -206,13 +186,11 @@ def analyze_dynamics(
 
 def build_physical_groups(
     assignments: dict[str, str],
-    estimates: dict[str, PositionEstimate] | list[PositionEstimate],
+    estimates: dict[str, PositionEstimate],
     tag_kinds: dict[str, NodeKind],
     root_name: str,
 ) -> PropertyGraph:
     """Graph fragment: PhysicalGroup nodes, membership edges, positions."""
-    if isinstance(estimates, list):
-        estimates = {e.owner_tag: e for e in estimates}
     g = PropertyGraph()
     root_id = node_id(NodeKind.SYSTEM_ROOT, root_name)
     g.add_node(Node(root_id, NodeKind.SYSTEM_ROOT, root_name, {}, Provenance.DYNAMICS_ANALYSIS))

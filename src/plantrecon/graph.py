@@ -366,47 +366,12 @@ class PropertyGraph:
 
     # -- queries -----------------------------------------------------------
 
-    def query(
-        self,
-        kinds: Iterable[NodeKind] | None = None,
-        label_eq: Mapping[str, LabelValue] | None = None,
-        has_label: Iterable[str] | None = None,
-        adjacent: Iterable[tuple[EdgeKind, str]] | None = None,
-    ) -> list[Node]:
-        """Nodes satisfying every given predicate, in deterministic id order.
-
-        ``adjacent`` entries are ``(edge kind, direction)`` pairs with
-        direction ``"in"``, ``"out"`` or ``"any"``; a node matches when it
-        has at least one such incident edge.
-        """
-        kind_set = frozenset(kinds) if kinds is not None else None
-        wanted_labels = dict(label_eq or {})
-        present = list(has_label or [])
-        adjacency = list(adjacent or [])
-        result = []
-        for nid in sorted(self._nodes):
-            node = self._nodes[nid]
-            if kind_set is not None and node.kind not in kind_set:
-                continue
-            if any(node.labels.get(k) != v for k, v in wanted_labels.items()):
-                continue
-            if any(k not in node.labels for k in present):
-                continue
-            ok = True
-            for ekind, direction in adjacency:
-                if direction not in ("in", "out", "any"):
-                    raise ValueError(f"bad adjacency direction {direction!r}")
-                hit = False
-                if direction in ("out", "any"):
-                    hit = any(e.kind is ekind for e in self._out.get(nid, []))
-                if not hit and direction in ("in", "any"):
-                    hit = any(e.kind is ekind for e in self._in.get(nid, []))
-                if not hit:
-                    ok = False
-                    break
-            if ok:
-                result.append(node)
-        return result
+    def query(self, kinds: Iterable[NodeKind] | None = None) -> list[Node]:
+        """Nodes of the given kinds, or all nodes, in deterministic id order."""
+        if kinds is None:
+            return self.nodes()
+        kind_set = frozenset(kinds)
+        return [node for node in self.nodes() if node.kind in kind_set]
 
     # -- whole-graph checks --------------------------------------------------
 
@@ -555,10 +520,20 @@ def _parse_record(raw: str, lineno: int) -> dict:
     return record
 
 
-def _require(record: dict, keys: Sequence[str], lineno: int) -> None:
-    missing = [k for k in keys if k not in record]
+_NODE_FIELDS = {"id": str, "kind": str, "name": str, "labels": dict, "provenance": str}
+_EDGE_FIELDS = {"id": str, "kind": str, "source": str, "target": str, "labels": dict}
+
+
+def _require(record: dict, fields: Mapping[str, type], lineno: int) -> None:
+    missing = [k for k in fields if k not in record]
     if missing:
         raise MalformedRecordError(f"missing fields {missing}", lineno)
+    for key, expected in fields.items():
+        if not isinstance(record[key], expected):
+            wanted = "a string" if expected is str else "an object"
+            raise MalformedRecordError(
+                f"field {key!r} must be {wanted}, got {type(record[key]).__name__}", lineno
+            )
 
 
 def load_graph(path: str | Path) -> PropertyGraph:
@@ -573,10 +548,10 @@ def load_graph(path: str | Path) -> PropertyGraph:
                 continue
             record = _parse_record(raw, lineno)
             if record["recordType"] == "node":
-                _require(record, ("id", "kind", "name", "labels", "provenance"), lineno)
+                _require(record, _NODE_FIELDS, lineno)
                 nodes.append((lineno, record))
             elif record["recordType"] == "edge":
-                _require(record, ("id", "kind", "source", "target", "labels"), lineno)
+                _require(record, _EDGE_FIELDS, lineno)
                 edges.append((lineno, record))
             else:
                 raise MalformedRecordError(

@@ -57,15 +57,23 @@ def _out(cfg: PipelineConfig, name: str) -> Path:
     return cfg.out_dir / name
 
 
+def _cluster_method(cfg: PipelineConfig) -> KMeansParams | DbscanParams | None:
+    """The configured clustering method: k-means when ``kmeans_k`` is set,
+    else DBSCAN when ``dbscan_eps`` is set, else None."""
+    if cfg.kmeans_k:
+        return KMeansParams(cfg.kmeans_k, cfg.seed)
+    if cfg.dbscan_eps:
+        return DbscanParams(cfg.dbscan_eps, cfg.dbscan_min_pts)
+    return None
+
+
 def _dynamics_params(cfg: PipelineConfig) -> dynamics.DynamicsParams:
     return dynamics.DynamicsParams(
         window_ms=cfg.window_ms,
         min_matches=cfg.min_matches,
         band=cfg.band,
         mode=cfg.mode,
-        kmeans=KMeansParams(cfg.kmeans_k, cfg.seed) if cfg.kmeans_k else None,
-        dbscan=DbscanParams(cfg.dbscan_eps, cfg.dbscan_min_pts) if cfg.dbscan_eps else None,
-        raw_trajectory_queries=cfg.raw_trajectory_queries,
+        cluster=_cluster_method(cfg),
     )
 
 
@@ -194,12 +202,8 @@ def stage_evaluate(
     truth = synth.load_ground_truth(cfg.ground_truth)
 
     clustering_assignments = None
-    if cfg.kmeans_k or cfg.dbscan_eps:
-        method = (
-            KMeansParams(cfg.kmeans_k, cfg.seed)
-            if cfg.kmeans_k
-            else DbscanParams(cfg.dbscan_eps, cfg.dbscan_min_pts)
-        )
+    method = _cluster_method(cfg)
+    if method is not None:
         estimates = _estimates_from_graph(graph)
         if any(e.status is EstimateStatus.KNOWN for e in estimates):
             clustering_assignments = cluster_positions(estimates, method).assignments

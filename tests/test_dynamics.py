@@ -1,3 +1,4 @@
+import logging
 import math
 
 import pytest
@@ -75,10 +76,11 @@ class TestMiniDynamics:
 
     def test_query_member_of_physical_after_merge(self, mini_functional, mini_dynamics):
         merged = merge(mini_functional, mini_dynamics.fragment)
-        devices = merged.query(
-            kinds={NodeKind.SENSOR, NodeKind.ACTUATOR},
-            adjacent=[(EdgeKind.MEMBER_OF_PHYSICAL, "out")],
-        )
+        devices = [
+            n for n in merged.nodes()
+            if n.kind in {NodeKind.SENSOR, NodeKind.ACTUATOR}
+            and merged.out_edges(n.id, EdgeKind.MEMBER_OF_PHYSICAL)
+        ]
         assert len(devices) == 4
 
 
@@ -95,7 +97,7 @@ class TestClusterMode:
             kinds,
             types,
             project.name,
-            DynamicsParams(mode="cluster", kmeans=KMeansParams(k=2, seed=1)),
+            DynamicsParams(mode="cluster", cluster=KMeansParams(k=2, seed=1)),
         )
         # Two spatial clusters: the two places (all components Known).
         partition = {}
@@ -107,27 +109,56 @@ class TestClusterMode:
         }
 
 
-class TestRawTrajectoryMode:
-    def test_raw_mode_still_classifies_mini(self, mini_plant):
+def _dynamics_warnings(caplog):
+    return [
+        r for r in caplog.records
+        if r.name == "plantrecon.dynamics" and r.levelno == logging.WARNING
+    ]
+
+
+class TestDegenerateInputs:
+    def test_empty_rtls_trace_warns(self, mini_plant, caplog):
+        project, kinds, types = _tag_maps(mini_plant)
+        io, _, labeled = _samples(mini_plant)
+        with caplog.at_level(logging.WARNING, logger="plantrecon.dynamics"):
+            result = analyze_dynamics(io, [], labeled, kinds, types, project.name)
+        assert result.assignments == {}
+        warnings = _dynamics_warnings(caplog)
+        assert len(warnings) == 1
+        assert "RTLS trace is empty" in warnings[0].getMessage()
+
+    def test_undeclared_io_tags_warn_once(self, mini_plant, caplog):
         project, kinds, types = _tag_maps(mini_plant)
         io, rtls, labeled = _samples(mini_plant)
-        result = analyze_dynamics(
-            io, rtls, labeled, kinds, types, project.name,
-            DynamicsParams(raw_trajectory_queries=True),
-        )
+        extra = [IoSample(1000, f"X_{i}", 1.0) for i in range(7)]
+        with caplog.at_level(logging.WARNING, logger="plantrecon.dynamics"):
+            result = analyze_dynamics(io + extra, rtls, labeled, kinds, types, project.name)
         assert result.assignments == mini_plant.ground_truth.physical_partition
+        warnings = _dynamics_warnings(caplog)
+        assert len(warnings) == 1
+        message = warnings[0].getMessage()
+        assert "7 IO tag(s) not declared by the PLC" in message
+        assert "X_0, X_1, X_2, X_3, X_4, ..." in message
+        assert "X_5" not in message
+
+    def test_clean_inputs_do_not_warn(self, mini_plant, caplog):
+        project, kinds, types = _tag_maps(mini_plant)
+        io, rtls, labeled = _samples(mini_plant)
+        with caplog.at_level(logging.WARNING, logger="plantrecon.dynamics"):
+            analyze_dynamics(io, rtls, labeled, kinds, types, project.name)
+        assert _dynamics_warnings(caplog) == []
 
 
 class TestBuildPhysicalGroups:
     def test_empty_assignments_no_groups(self):
-        g = build_physical_groups({}, [], {}, "P")
+        g = build_physical_groups({}, {}, {}, "P")
         assert g.query(kinds={NodeKind.PHYSICAL_GROUP}) == []
 
     def test_positions_written_only_for_known(self):
-        estimates = [
-            PositionEstimate("s1", (1.0, 2.0, 3.0), 9, EstimateStatus.KNOWN),
-            PositionEstimate("s2", None, 1, EstimateStatus.UNKNOWN),
-        ]
+        estimates = {
+            "s1": PositionEstimate("s1", (1.0, 2.0, 3.0), 9, EstimateStatus.KNOWN),
+            "s2": PositionEstimate("s2", None, 1, EstimateStatus.UNKNOWN),
+        }
         g = build_physical_groups(
             {"s1": "zone"},
             estimates,

@@ -1,3 +1,6 @@
+import json
+import re
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -20,6 +23,13 @@ def mini_workspace(tmp_path_factory):
     conf = synth.recommended_config(spec, out)
     write_kv_file(out / "pipeline.conf", conf)
     return out
+
+
+_ROOT_RECORD = {"recordType": "node", "id": "SystemRoot:R", "kind": "SystemRoot",
+                "name": "R", "labels": {}, "provenance": "Generator"}
+_GROUP_RECORD = {**_ROOT_RECORD, "id": "FunctionalGroup:G", "kind": "FunctionalGroup", "name": "G"}
+_CONTAINS_RECORD = {"recordType": "edge", "id": "e", "kind": "Contains",
+                    "source": "SystemRoot:R", "target": "FunctionalGroup:G", "labels": {}}
 
 
 def _config(ws: Path) -> PipelineConfig:
@@ -49,6 +59,15 @@ class TestConfig:
         p = tmp_path / "ok.conf"
         p.write_text("# comment\n\nmin_support = 3\n")
         assert PipelineConfig.load(p).min_support == 3
+
+    def test_readme_table_lists_every_key(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme.split("## Configuration", 1)[1].split("\n## ", 1)[0]
+        documented = set()
+        for line in section.splitlines():
+            if line.startswith("| `"):
+                documented.update(re.findall(r"`([a-z_]+)`", line.split("|")[1]))
+        assert documented == {f.name for f in fields(PipelineConfig)}
 
 
 class TestRunAll:
@@ -193,6 +212,41 @@ class TestCli:
         result = CliRunner().invoke(main, ["--out-dir", str(out), "export"])
         assert result.exit_code == 2, result.output
         assert "code=2 type=InvalidGraphError" in result.output
+
+    @pytest.mark.parametrize(
+        "record",
+        [
+            {**_GROUP_RECORD, "labels": 5},
+            {**_GROUP_RECORD, "labels": [["a", 1]]},
+            {**_GROUP_RECORD, "name": 5},
+            {**_GROUP_RECORD, "id": 5},
+            {**_CONTAINS_RECORD, "source": ["SystemRoot:R"]},
+        ],
+        ids=["labels-number", "labels-list", "name-number", "id-number", "edge-source-list"],
+    )
+    def test_malformed_dtgraph_record_exit_2(self, tmp_path, record):
+        out = tmp_path / "o"
+        out.mkdir()
+        lines = [json.dumps(_ROOT_RECORD), json.dumps(record)]
+        (out / "plant.dtgraph").write_text("\n".join(lines) + "\n")
+        result = CliRunner().invoke(main, ["--out-dir", str(out), "export"])
+        assert result.exit_code == 2, result.output
+        assert 'type=MalformedRecordError msg="line 2: ' in result.output
+
+    @pytest.mark.parametrize("where", ["name", "label"])
+    def test_xml_invalid_character_export_exit_2(self, tmp_path, contains_chain, where):
+        graph = contains_chain(1)
+        node = graph.node("FunctionalGroup:G0")
+        if where == "name":
+            node.name = "G\x01"
+        else:
+            node.labels["note"] = "a\x01b"
+        out = tmp_path / "o"
+        out.mkdir()
+        graph.save(out / "plant.dtgraph")
+        result = CliRunner().invoke(main, ["--out-dir", str(out), "export"])
+        assert result.exit_code == 2, result.output
+        assert "fresh export failed validation" in result.output
 
     def test_internal_error_exit_3(self, mini_workspace, tmp_path, monkeypatch):
         def boom(cfg):
