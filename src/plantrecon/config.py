@@ -35,6 +35,17 @@ def write_kv_file(path: str | Path, values: dict[str, str]) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def _parse_bool(key: str, raw: str | bool) -> bool:
+    if isinstance(raw, bool):
+        return raw
+    word = str(raw).lower()
+    if word in ("1", "true", "yes"):
+        return True
+    if word in ("0", "false", "no"):
+        return False
+    raise ConfigError(f"{key}: expected true or false, got {raw!r}")
+
+
 @dataclass
 class PipelineConfig:
     plc_xml: Path | None = None
@@ -54,7 +65,7 @@ class PipelineConfig:
     min_nodes: int = 3
     max_nodes: int = 12
     excluded_kinds: tuple[NodeKind, ...] = tuple(sorted(DEFAULT_EXCLUDED_KINDS))
-    root_anchored_only: bool = False
+    root_anchored_only: bool = True
     seed: int = 42
     log_level: str = "INFO"
 
@@ -90,7 +101,7 @@ class PipelineConfig:
                 except ValueError:
                     raise ConfigError(f"{key}: expected number, got {raw!r}") from None
             elif key in self._BOOLS:
-                setattr(self, key, str(raw).lower() in ("1", "true", "yes"))
+                setattr(self, key, _parse_bool(key, raw))
             elif key == "excluded_kinds":
                 if isinstance(raw, (tuple, list)):
                     kinds = tuple(raw)
@@ -176,9 +187,13 @@ def plant_spec_from_dict(values: dict[str, str]) -> PlantSpec:
                     raise ConfigError(
                         f"extra component {chunk!r} must be name:sensors:actuators:attach:waypoint"
                     )
-                units.append(
-                    ExtraUnit(parts[0], int(parts[1]), int(parts[2]), parts[3], parts[4])
-                )
+                try:
+                    sensors, actuators = int(parts[1]), int(parts[2])
+                except ValueError:
+                    raise ConfigError(
+                        f"extra component {chunk!r}: sensors and actuators must be integers"
+                    ) from None
+                units.append(ExtraUnit(parts[0], sensors, actuators, parts[3], parts[4]))
             kwargs[key] = tuple(units)
         else:
             try:

@@ -1,8 +1,12 @@
 """Frequent subgraph mining over the assembled graph.
 
-Patterns are connected, directed, labeled subgraphs found by gSpan-style
-search: grow canonical DFS codes along the rightmost path, prune
-non-minimal codes, and prune by support. Because everything lives in one
+Patterns are connected, directed, labeled subgraphs. The pipeline's
+default search grows only root-anchored patterns, those one vertex spans
+along Contains arcs (the plant's repeated containment units): add a
+Contains child to a pattern vertex, or close an unused arc between two
+pattern vertices, and expand each canonical DFS code once. The general
+search is gSpan: grow canonical DFS codes along the rightmost path,
+prune non-minimal codes, and prune by support. Because everything lives in one
 large graph rather than a transaction database, support is
 minimum-image-based (MNI): the number of distinct graph vertices seen at
 the pattern position with the fewest distinct images. MNI is
@@ -304,47 +308,125 @@ def _mni(embeddings: list[_Embedding]) -> int:
 
 
 def _min_code_walk(view: MiningGraph):
-    """Yield the minimal DFS code of a connected pattern graph, edge by edge."""
+    """Yield the minimal DFS code of a connected pattern graph, edge by
+    edge. Each code edge comes with one map from the code positions so far
+    to the pattern graph's vertices that realises the code."""
     seeds = _initial_codes(view)
     code = (min(seeds),)
     embeddings = seeds[code[0]]
-    yield code[0]
+    yield code[0], embeddings[0]
     while len(code) < len(view.edges):
         exts = _extension_entries(code, embeddings, view, None)
         best = min(exts, key=_extension_rank)
         embeddings = _materialize(exts[best], embeddings)
         code += (best,)
-        yield best
+        yield best, embeddings[0]
 
 
 def min_dfs_code(vertex_labels: tuple[str, ...], arcs: tuple[tuple[int, int, str], ...]) -> DfsCode:
     """Canonical (minimal) DFS code of a connected pattern graph."""
-    return tuple(_min_code_walk(_pattern_graph(vertex_labels, arcs)))
+    return tuple(ce for ce, _ in _min_code_walk(_pattern_graph(vertex_labels, arcs)))
 
 
 def _is_canonical(code: DfsCode) -> bool:
     """Stepwise minimality check with early exit at the first divergence."""
     walk = _min_code_walk(_pattern_graph(*code_to_structure(code)))
-    return all(best == ce for best, ce in zip(walk, code))
+    return all(best == ce for (best, _), ce in zip(walk, code))
 
 
-def _root_anchored(pattern: Pattern) -> bool:
-    """True when one pattern vertex reaches all others along Contains arcs."""
-    children: dict[int, list[int]] = {}
-    for (u, v, label) in pattern.arcs:
-        if label == EdgeKind.CONTAINS.value:
-            children.setdefault(u, []).append(v)
-    for start in range(pattern.vertex_count):
-        seen = {start}
-        stack = [start]
-        while stack:
-            for child in children.get(stack.pop(), []):
-                if child not in seen:
-                    seen.add(child)
-                    stack.append(child)
-        if len(seen) == pattern.vertex_count:
-            return True
-    return False
+_CONTAINS = EdgeKind.CONTAINS.value
+
+# A rooted-search extension: (i, j, edge label, new vertex label) for the
+# arc i -> j, where j is a fresh vertex exactly when it equals the
+# pattern's vertex count (the label is "" for a closing arc).
+_RootedMove = tuple[int, int, str, str]
+
+
+def _rooted_entries(
+    arcs: set[tuple[int, int, str]],
+    nverts: int,
+    embeddings: list[_Embedding],
+    out_arcs: dict,
+    vlabels: dict,
+    allow_forward: bool,
+) -> dict[_RootedMove, list[_Entry]]:
+    """Extensions of a root-anchored pattern: a fresh Contains child of any
+    vertex, or an unused arc of any label between two pattern vertices.
+    Both are enumerated from the arc's source, so every embedding meets
+    each extension once."""
+    exts: dict[_RootedMove, list[_Entry]] = {}
+    for emb_idx, vmap in enumerate(embeddings):
+        position = {v: p for p, v in enumerate(vmap)}
+        for i, image in enumerate(vmap):
+            for (nb, elabel) in out_arcs[image]:
+                j = position.get(nb)
+                if j is None:
+                    if allow_forward and elabel == _CONTAINS:
+                        exts.setdefault((i, nverts, elabel, vlabels[nb]), []).append((emb_idx, nb))
+                elif (i, j, elabel) not in arcs:
+                    exts.setdefault((i, j, elabel, ""), []).append((emb_idx, None))
+    return exts
+
+
+def _mine_rooted(g: MiningGraph, min_support: int, min_nodes: int, max_nodes: int) -> list[Pattern]:
+    """Patterns that one vertex spans along Contains arcs, grown only as such.
+
+    Every such pattern is reached through root-anchored sub-patterns: take
+    away the arcs outside one Contains spanning tree, then the tree's
+    leaves one at a time. MNI is
+    anti-monotone, so pruning by support loses none of them; each
+    canonical code is expanded once. Embeddings are found in growth order
+    and re-indexed to the canonical code's positions, so a result is the
+    pattern the general search reports for the same code.
+    """
+    results: list[Pattern] = []
+    seen: set[DfsCode] = set()
+    out_arcs = {
+        v: [(nb, elabel) for (nb, direction, elabel) in g.adjacency(v) if direction == 1]
+        for v in g.vertex_ids
+    }
+
+    def visit(labels, arcs, embeddings, support) -> None:
+        code: DfsCode = ()
+        for ce, positions in _min_code_walk(_pattern_graph(labels, arcs)):
+            code += (ce,)
+        if code in seen:
+            return
+        seen.add(code)
+        nverts = len(labels)
+        if nverts >= min_nodes:
+            code_labels, code_arcs = code_to_structure(code)
+            results.append(
+                Pattern(
+                    code=code,
+                    support=support,
+                    embeddings=sorted(tuple(vmap[v] for v in positions) for vmap in embeddings),
+                    vertex_labels=code_labels,
+                    arcs=code_arcs,
+                )
+            )
+        exts = _rooted_entries(
+            set(arcs), nverts, embeddings, out_arcs, g.vertex_labels, nverts < max_nodes
+        )
+        for move in sorted(exts):
+            entries = exts[move]
+            child_support = _entries_mni(entries, embeddings, nverts)
+            if child_support < min_support:
+                continue
+            i, j, elabel, new_label = move
+            child_labels = labels + (new_label,) if j == nverts else labels
+            child_arcs = arcs + ((i, j, elabel),)
+            visit(child_labels, child_arcs, _materialize(entries, embeddings), child_support)
+
+    seeds: dict[tuple[str, str], list[_Embedding]] = {}
+    for (src, dst, elabel) in g.edges:
+        if elabel == _CONTAINS:
+            seeds.setdefault((g.vertex_labels[src], g.vertex_labels[dst]), []).append((src, dst))
+    for labels in sorted(seeds):
+        support = _mni(seeds[labels])
+        if support >= min_support:
+            visit(labels, ((0, 1, _CONTAINS),), seeds[labels], support)
+    return results
 
 
 def mine(
@@ -355,11 +437,18 @@ def mine(
     root_anchored_only: bool = False,
 ) -> list[Pattern]:
     """All patterns with MNI support >= min_support and a vertex count in
-    [min_nodes, max_nodes], sorted by (-support, -size, code)."""
+    [min_nodes, max_nodes], sorted by (-support, -size, code).
+
+    With ``root_anchored_only`` only the patterns that one vertex spans
+    along Contains arcs, found by the rooted search instead of the
+    general one; each is the same ``Pattern`` the general search reports
+    for its code."""
     if min_support < 2:
         raise MiningError("min_support must be >= 2")
     if not (2 <= min_nodes <= max_nodes):
         raise MiningError("need 2 <= min_nodes <= max_nodes")
+    if root_anchored_only:
+        return sorted(_mine_rooted(g, min_support, min_nodes, max_nodes), key=Pattern.sort_key)
     results: list[Pattern] = []
     seeds = _initial_codes(g)
 
@@ -396,8 +485,6 @@ def mine(
             continue
         recurse((ce,), embeddings, support)
 
-    if root_anchored_only:
-        results = [p for p in results if _root_anchored(p)]
     return sorted(results, key=Pattern.sort_key)
 
 

@@ -3,7 +3,8 @@
 Everything here is deliberately written from first principles, sharing no
 code with the library paths it checks: a full-table DTW dynamic program
 over plain Python floats, exhaustive connected-subgraph enumeration with
-naive embedding counting for mining, and pair-counting ARI.
+naive embedding counting for mining, the root-anchored shape test that
+the rooted search is checked against, and pair-counting ARI.
 """
 
 from __future__ import annotations
@@ -213,6 +214,26 @@ def mine_oracle(h_vlabels, h_arcs, min_support, min_nodes, max_nodes):
                 )
             )
     return classes
+
+
+def root_anchored(pattern) -> bool:
+    """Does one pattern vertex reach every other along Contains arcs?
+    The post-filter the rooted search must agree with."""
+    children: dict = {}
+    for (u, v, label) in pattern.arcs:
+        if label == "Contains":
+            children.setdefault(u, []).append(v)
+    for start in range(pattern.vertex_count):
+        seen = {start}
+        stack = [start]
+        while stack:
+            for child in children.get(stack.pop(), []):
+                if child not in seen:
+                    seen.add(child)
+                    stack.append(child)
+        if len(seen) == pattern.vertex_count:
+            return True
+    return False
 
 
 # -- ARI ---------------------------------------------------------------------

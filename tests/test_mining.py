@@ -20,7 +20,7 @@ from plantrecon.mining import (
     write_templates_report,
 )
 
-from oracles import mine_oracle, mni_oracle, tiny_graphs_isomorphic
+from oracles import mine_oracle, mni_oracle, root_anchored, tiny_graphs_isomorphic
 
 PLACE_TEMPLATE = Pattern(
     code=(),
@@ -104,7 +104,8 @@ class TestMineSmall:
 
 
 class TestOracleEquivalence:
-    def _random_graph(self, rng: random.Random):
+    @staticmethod
+    def _random_graph(rng: random.Random, edge_labels=("x", "y")):
         n = rng.randint(3, 7)
         vlabels = [rng.choice("AB") for _ in range(n)]
         possible = [(u, v) for u in range(n) for v in range(n) if u != v]
@@ -112,7 +113,7 @@ class TestOracleEquivalence:
         m = rng.randint(n - 1, min(len(possible), n + 4))
         arcs = []
         for (u, v) in possible[:m]:
-            arcs.append((u, v, rng.choice("xy")))
+            arcs.append((u, v, rng.choice(edge_labels)))
         return vlabels, arcs
 
     def test_mine_equals_exhaustive_enumeration_on_100_graphs(self):
@@ -167,6 +168,37 @@ class TestOracleEquivalence:
         assert [(p.code, p.support, p.embeddings) for p in a] == [
             (p.code, p.support, p.embeddings) for p in b
         ]
+
+
+def _rooted_equals_post_filter(g, min_nodes, max_nodes):
+    """The rooted search against the general search filtered by the
+    root-anchored oracle, as (code, support, embeddings); returns the
+    number of rooted patterns."""
+    expected = [p for p in mine(g, 2, min_nodes, max_nodes) if root_anchored(p)]
+    rooted = mine(g, 2, min_nodes, max_nodes, root_anchored_only=True)
+    assert [(p.code, p.support, p.embeddings) for p in rooted] == [
+        (p.code, p.support, p.embeddings) for p in expected
+    ]
+    return len(rooted)
+
+
+class TestRootedSearch:
+    def test_equals_post_filter_on_random_contains_graphs(self):
+        # Contains arcs are what the rooted search grows along; the
+        # criterion-4 graphs carry none, so these mix them with "y" arcs.
+        rng = random.Random(8080)
+        graphs_with_patterns = 0
+        for _ in range(200):
+            vlabels, arcs = TestOracleEquivalence._random_graph(rng, ("Contains", "y"))
+            g = _graph_from(vlabels, arcs)
+            graphs_with_patterns += _rooted_equals_post_filter(g, 2, 12) > 0
+            for (min_nodes, max_nodes) in ((3, 3), (2, 4), (3, 4)):
+                _rooted_equals_post_filter(g, min_nodes, max_nodes)
+        assert graphs_with_patterns >= 50  # 91 of the 200 at this seed
+
+    @pytest.mark.parametrize("max_nodes", [3, 4, 12])
+    def test_equals_post_filter_on_mini_plant(self, mini_view, max_nodes):
+        assert _rooted_equals_post_filter(mini_view, 3, max_nodes) > 0
 
 
 def _connected(arcs, vertices):
