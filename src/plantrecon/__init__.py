@@ -9,7 +9,7 @@ The package is organized along the pipeline:
 ``grouping``   rule-based functional grouping
 ``traces``     IO/RTLS ingestion, event detection, position estimation
 ``dtw``        dynamic time warping and 1-NN classification
-``clustering`` seeded k-means / DBSCAN alternative
+``clustering`` seeded k-means alternative
 ``dynamics``   dynamics analysis orchestration, physical groups
 ``mining``     gSpan-style frequent subgraph mining, template marking
 ``aml``        AutomationML/CAEX export, import, validation

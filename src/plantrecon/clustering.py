@@ -6,11 +6,11 @@ trajectories have no clean spatial gaps, so the split can differ from the
 true location groups and the accuracy is generally lower. Callers get a
 warning to that effect.
 
-Both algorithms are implemented here rather than delegated so that the
-results are bit-reproducible across runs and thread counts for a fixed
-seed. K-means uses k-means++ seeding from a PCG64 stream and keeps the
-best of 10 restarts; Lloyd iterations stop at 300 or at a centroid shift
-below 1e-9 m.
+K-means is implemented here rather than delegated so that the results
+are bit-reproducible across runs and thread counts for a fixed seed. It
+uses k-means++ seeding from a PCG64 stream and keeps the best of 10
+restarts; Lloyd iterations stop at 300 or at a centroid shift below
+1e-9 m.
 """
 
 from __future__ import annotations
@@ -44,12 +44,6 @@ KMEANS_RESTARTS = 10
 class KMeansParams:
     k: int
     seed: int = 0
-
-
-@dataclass(frozen=True)
-class DbscanParams:
-    eps: float
-    min_pts: int
 
 
 @dataclass
@@ -118,36 +112,14 @@ def kmeans(points: np.ndarray, params: KMeansParams) -> np.ndarray:
     return best_labels
 
 
-def dbscan(points: np.ndarray, params: DbscanParams) -> np.ndarray:
-    """Classic density clustering; returns cluster index per point, -1 noise."""
-    n = len(points)
-    d = np.sqrt(((points[:, None, :] - points[None, :, :]) ** 2).sum(axis=2))
-    neighbors = [np.flatnonzero(d[i] <= params.eps) for i in range(n)]
-    labels = np.full(n, -1, dtype=int)
-    cluster = 0
-    for i in range(n):
-        if labels[i] != -1 or len(neighbors[i]) < params.min_pts:
-            continue
-        labels[i] = cluster
-        frontier = list(neighbors[i])
-        while frontier:
-            j = frontier.pop(0)
-            if labels[j] == -1:
-                labels[j] = cluster
-                if len(neighbors[j]) >= params.min_pts:
-                    frontier.extend(int(x) for x in neighbors[j] if labels[x] == -1)
-        cluster += 1
-    return labels
-
-
 def cluster_positions(
     estimates: list[PositionEstimate],
-    method: KMeansParams | DbscanParams,
+    method: KMeansParams,
 ) -> ClusterResult:
-    """Partition the tags with Known position estimates.
+    """Partition the tags with Known position estimates by k-means.
 
     Cluster names are ``C0``, ``C1``, ... ordered by centroid so the
-    naming is stable; DBSCAN noise points get ``noise``.
+    naming is stable.
     """
     logger.warning(
         "clustering mode: positions lie along continuous trajectories, "
@@ -161,20 +133,9 @@ def cluster_positions(
     if not known:
         raise InsufficientDataError("no Known position estimates to cluster")
     points = np.array([e.mean for e in known], dtype=float)
-    if isinstance(method, KMeansParams):
-        raw = kmeans(points, method)
-    else:
-        raw = dbscan(points, method)
+    raw = kmeans(points, method)
     # Stable naming: order clusters by their centroid tuple.
-    order = {}
-    centroids = []
-    for c in sorted(set(int(x) for x in raw)):
-        if c == -1:
-            continue
-        centroids.append((tuple(points[raw == c].mean(axis=0)), c))
-    for rank, (_, c) in enumerate(sorted(centroids)):
-        order[c] = f"C{rank}"
-    assignments = {}
-    for est, c in zip(known, raw):
-        assignments[est.owner_tag] = order.get(int(c), "noise")
+    centroids = sorted((tuple(points[raw == c].mean(axis=0)), c) for c in set(raw.tolist()))
+    order = {c: f"C{rank}" for rank, (_, c) in enumerate(centroids)}
+    assignments = {est.owner_tag: order[int(c)] for est, c in zip(known, raw)}
     return ClusterResult(assignments, rejected)

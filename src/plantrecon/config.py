@@ -35,17 +35,6 @@ def write_kv_file(path: str | Path, values: dict[str, str]) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _parse_bool(key: str, raw: str | bool) -> bool:
-    if isinstance(raw, bool):
-        return raw
-    word = str(raw).lower()
-    if word in ("1", "true", "yes"):
-        return True
-    if word in ("0", "false", "no"):
-        return False
-    raise ConfigError(f"{key}: expected true or false, got {raw!r}")
-
-
 @dataclass
 class PipelineConfig:
     plc_xml: Path | None = None
@@ -59,21 +48,16 @@ class PipelineConfig:
     min_matches: int = 5
     band: int | None = None
     kmeans_k: int | None = None
-    dbscan_eps: float | None = None
-    dbscan_min_pts: int = 3
     min_support: int = 2
     min_nodes: int = 3
     max_nodes: int = 12
     excluded_kinds: tuple[NodeKind, ...] = tuple(sorted(DEFAULT_EXCLUDED_KINDS))
-    root_anchored_only: bool = True
     seed: int = 42
     log_level: str = "INFO"
 
     _PATHS = ("plc_xml", "io_csv", "rtls_csv", "labeled_rtls_csv", "ground_truth", "out_dir")
-    _INTS = ("window_ms", "min_matches", "band", "kmeans_k", "dbscan_min_pts",
-             "min_support", "min_nodes", "max_nodes", "seed")
-    _FLOATS = ("dbscan_eps",)
-    _BOOLS = ("root_anchored_only",)
+    _INTS = ("window_ms", "min_matches", "band", "kmeans_k", "min_support", "min_nodes",
+             "max_nodes", "seed")
 
     @classmethod
     def from_dict(cls, values: dict[str, str]) -> "PipelineConfig":
@@ -81,7 +65,7 @@ class PipelineConfig:
         cfg.update(values)
         return cfg
 
-    def update(self, values: dict[str, str | int | float | bool | Path | None]) -> None:
+    def update(self, values: dict[str, str | int | Path | None]) -> None:
         known = {f.name for f in fields(self) if not f.name.startswith("_")}
         for key, raw in values.items():
             if key not in known:
@@ -95,13 +79,6 @@ class PipelineConfig:
                     setattr(self, key, int(raw))
                 except ValueError:
                     raise ConfigError(f"{key}: expected integer, got {raw!r}") from None
-            elif key in self._FLOATS:
-                try:
-                    setattr(self, key, float(raw))
-                except ValueError:
-                    raise ConfigError(f"{key}: expected number, got {raw!r}") from None
-            elif key in self._BOOLS:
-                setattr(self, key, _parse_bool(key, raw))
             elif key == "excluded_kinds":
                 if isinstance(raw, (tuple, list)):
                     kinds = tuple(raw)
@@ -125,10 +102,14 @@ class PipelineConfig:
             raise ConfigError("min_matches must be >= 1")
         if self.band is not None and self.band < 0:
             raise ConfigError("band must be non-negative")
+        if self.kmeans_k is not None and self.kmeans_k < 1:
+            raise ConfigError("kmeans_k must be >= 1")
         if self.min_support < 2:
             raise ConfigError("min_support must be >= 2")
         if not (2 <= self.min_nodes <= self.max_nodes):
             raise ConfigError("need 2 <= min_nodes <= max_nodes")
+        if self.seed < 0:
+            raise ConfigError("seed must be non-negative")
         if self.log_level.upper() not in ("DEBUG", "INFO", "WARNING", "ERROR"):
             raise ConfigError(f"unknown log_level {self.log_level!r}")
 

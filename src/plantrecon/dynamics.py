@@ -19,7 +19,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 
-from .clustering import ClusterResult, DbscanParams, KMeansParams, cluster_positions
+from .clustering import KMeansParams, cluster_positions
 from .dtw import knn_classify, knn_train
 from .graph import Edge, EdgeKind, Node, NodeKind, PropertyGraph, Provenance, node_id
 from .traces import (
@@ -53,8 +53,8 @@ class DynamicsParams:
     min_matches: int = 5
     band: int | None = None
     mode: str = "classify"  # "classify" | "cluster"
-    # Cluster mode's method; None is k-means with k = components // 4.
-    cluster: KMeansParams | DbscanParams | None = None
+    # Cluster mode's k-means parameters; None is k = components // 4, seed 0.
+    cluster: KMeansParams | None = None
 
 
 @dataclass
@@ -62,8 +62,6 @@ class DynamicsResult:
     fragment: PropertyGraph
     estimates: dict[str, PositionEstimate]
     assignments: dict[str, str]
-    matched: dict[str, PositionSeries]
-    clustering: ClusterResult | None = None
 
 
 def _signal_kind(data_type: str) -> SignalKind:
@@ -163,11 +161,9 @@ def analyze_dynamics(
         estimates[tag] = estimate_position(series, params.min_matches)
 
     assignments: dict[str, str] = {}
-    clustering: ClusterResult | None = None
     if params.mode == "cluster":
         method = params.cluster or KMeansParams(k=max(1, len(estimates) // 4), seed=0)
-        clustering = cluster_positions(list(estimates.values()), method)
-        assignments = dict(clustering.assignments)
+        assignments = cluster_positions(list(estimates.values()), method).assignments
     else:
         training = training_segments(labeled_samples)
         if not training:
@@ -181,7 +177,7 @@ def analyze_dynamics(
 
     fragment = build_physical_groups(assignments, estimates, tag_kinds, root_name)
     _add_trackers(fragment, rtls_samples, root_name)
-    return DynamicsResult(fragment, estimates, assignments, matched, clustering)
+    return DynamicsResult(fragment, estimates, assignments)
 
 
 def build_physical_groups(

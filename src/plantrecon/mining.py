@@ -1,12 +1,13 @@
 """Frequent subgraph mining over the assembled graph.
 
 Patterns are connected, directed, labeled subgraphs. The pipeline's
-default search grows only root-anchored patterns, those one vertex spans
-along Contains arcs (the plant's repeated containment units): add a
-Contains child to a pattern vertex, or close an unused arc between two
-pattern vertices, and expand each canonical DFS code once. The general
-search is gSpan: grow canonical DFS codes along the rightmost path,
-prune non-minimal codes, and prune by support. Because everything lives in one
+search grows only root-anchored patterns, those one vertex spans along
+Contains arcs (the plant's repeated containment units): add a Contains
+child to a pattern vertex, or close an unused arc between two pattern
+vertices, and expand each canonical DFS code once. The general search,
+the reference the rooted one is checked against, is gSpan: grow
+canonical DFS codes along the rightmost path, prune non-minimal codes,
+and prune by support. Because everything lives in one
 large graph rather than a transaction database, support is
 minimum-image-based (MNI): the number of distinct graph vertices seen at
 the pattern position with the fewest distinct images. MNI is
@@ -442,7 +443,8 @@ def mine(
     With ``root_anchored_only`` only the patterns that one vertex spans
     along Contains arcs, found by the rooted search instead of the
     general one; each is the same ``Pattern`` the general search reports
-    for its code."""
+    for its code. The pipeline always runs the rooted search; the
+    general search is the reference the tests check it against."""
     if min_support < 2:
         raise MiningError("min_support must be >= 2")
     if not (2 <= min_nodes <= max_nodes):

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import aml, dynamics, grouping, metrics, mining, plc, synth
-from .clustering import DbscanParams, KMeansParams, cluster_positions
+from .clustering import KMeansParams, cluster_positions
 from .config import PipelineConfig
 from .graph import NodeKind, PropertyGraph, load_graph, merge
 from .traces import (
@@ -57,14 +57,9 @@ def _out(cfg: PipelineConfig, name: str) -> Path:
     return cfg.out_dir / name
 
 
-def _cluster_method(cfg: PipelineConfig) -> KMeansParams | DbscanParams | None:
-    """The configured clustering method: k-means when ``kmeans_k`` is set,
-    else DBSCAN when ``dbscan_eps`` is set, else None."""
-    if cfg.kmeans_k:
-        return KMeansParams(cfg.kmeans_k, cfg.seed)
-    if cfg.dbscan_eps:
-        return DbscanParams(cfg.dbscan_eps, cfg.dbscan_min_pts)
-    return None
+def _cluster_method(cfg: PipelineConfig) -> KMeansParams | None:
+    """The configured k-means parameters, or None when ``kmeans_k`` is unset."""
+    return None if cfg.kmeans_k is None else KMeansParams(cfg.kmeans_k, cfg.seed)
 
 
 def _dynamics_params(cfg: PipelineConfig) -> dynamics.DynamicsParams:
@@ -133,7 +128,7 @@ def stage_mine(cfg: PipelineConfig) -> tuple[PropertyGraph, list[mining.Pattern]
         min_support=cfg.min_support,
         min_nodes=cfg.min_nodes,
         max_nodes=cfg.max_nodes,
-        root_anchored_only=cfg.root_anchored_only,
+        root_anchored_only=True,
     )
     templates = mining.select_templates(patterns)
     mining.mark_templates(merged, templates)

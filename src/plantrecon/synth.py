@@ -103,6 +103,11 @@ class PlantSpec:
             raise InvalidSpecError("levels, rows and places must all be >= 1")
         if self.tray_count < 1 or self.material_kinds < 1:
             raise InvalidSpecError("tray_count and material_kinds must be >= 1")
+        floats = (self.rtls_rate_hz, self.sim_duration_s, self.rtls_noise_sigma_m)
+        if not all(map(math.isfinite, floats)):
+            raise InvalidSpecError(
+                "rtls_rate_hz, sim_duration_s and rtls_noise_sigma_m must be finite"
+            )
         if self.rtls_rate_hz <= 0 or self.sim_duration_s <= 0:
             raise InvalidSpecError("rtls_rate_hz and sim_duration_s must be positive")
         if self.rtls_noise_sigma_m < 0:

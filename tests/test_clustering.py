@@ -1,14 +1,7 @@
 import numpy as np
 import pytest
 
-from plantrecon.clustering import (
-    DbscanParams,
-    InsufficientDataError,
-    KMeansParams,
-    cluster_positions,
-    dbscan,
-    kmeans,
-)
+from plantrecon.clustering import InsufficientDataError, KMeansParams, cluster_positions, kmeans
 from plantrecon.traces import EstimateStatus, PositionEstimate
 
 
@@ -59,23 +52,3 @@ class TestKMeans:
         result = cluster_positions(estimates, KMeansParams(k=2, seed=0))
         assert result.rejected == ["c"]
         assert set(result.assignments) == {"a", "b"}
-
-
-class TestDbscan:
-    def test_dense_clusters_and_noise(self):
-        pts = [(0.0, 0, 0), (0.1, 0, 0), (0.2, 0, 0), (5.0, 0, 0), (5.1, 0, 0), (5.2, 0, 0), (99.0, 0, 0)]
-        estimates = [_known(f"t{i}", *p) for i, p in enumerate(pts)]
-        result = cluster_positions(estimates, DbscanParams(eps=0.5, min_pts=2))
-        partition = result.partition()
-        noise = partition.pop("noise")
-        assert noise == {"t6"}
-        assert {frozenset(v) for v in partition.values()} == {
-            frozenset({"t0", "t1", "t2"}),
-            frozenset({"t3", "t4", "t5"}),
-        }
-
-    def test_labels_deterministic(self):
-        pts = np.array([[0.0, 0, 0], [0.1, 0, 0], [5.0, 0, 0], [5.1, 0, 0]])
-        a = dbscan(pts, DbscanParams(eps=0.5, min_pts=2))
-        b = dbscan(pts, DbscanParams(eps=0.5, min_pts=2))
-        assert (a == b).all()

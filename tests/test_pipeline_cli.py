@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from plantrecon import mining, synth
+from plantrecon import synth
 from plantrecon.cli import main
 from plantrecon.config import PipelineConfig, read_kv_file, write_kv_file
 from plantrecon.errors import ConfigError
@@ -59,22 +59,6 @@ class TestConfig:
         p = tmp_path / "ok.conf"
         p.write_text("# comment\n\nmin_support = 3\n")
         assert PipelineConfig.load(p).min_support == 3
-
-    def test_rooted_search_is_the_default(self):
-        assert PipelineConfig().root_anchored_only is True
-
-    @pytest.mark.parametrize(
-        "raw, value",
-        [("true", True), ("YES", True), ("1", True), (True, True),
-         ("False", False), ("no", False), ("0", False), (False, False)],
-    )
-    def test_boolean_words(self, raw, value):
-        assert PipelineConfig.from_dict({"root_anchored_only": raw}).root_anchored_only is value
-
-    @pytest.mark.parametrize("raw", ["ture", "", "2", "on"])
-    def test_boolean_typo_rejected(self, raw):
-        with pytest.raises(ConfigError, match="root_anchored_only: expected true or false"):
-            PipelineConfig.from_dict({"root_anchored_only": raw})
 
     def test_readme_table_lists_every_key(self):
         readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
@@ -132,29 +116,6 @@ class TestRunAll:
         for name, data in reference.items():
             assert (staged / name).read_bytes() == data, name
 
-    def test_root_anchored_only_false_mines_superset(self, mini_workspace, tmp_path, monkeypatch):
-        mined = {}
-        real_mine = mining.mine
-
-        def recording_mine(view, **kwargs):
-            patterns = real_mine(view, **kwargs)
-            mined[kwargs["root_anchored_only"]] = {
-                (p.code, p.support, tuple(p.embeddings)) for p in patterns
-            }
-            return patterns
-
-        monkeypatch.setattr(mining, "mine", recording_mine)
-        cfg = _config(mini_workspace)
-        cfg.out_dir = tmp_path
-        pipeline.stage_analyze_plc(cfg)
-        pipeline.stage_analyze_dynamics(cfg)
-        pipeline.stage_mine(cfg)
-        cfg.update({"root_anchored_only": "false"})
-        pipeline.stage_mine(cfg)
-        # The default config grows only rooted patterns; "false" mines
-        # every frequent subgraph, the rooted ones among them.
-        assert mined[True] < mined[False]
-
     def test_run_all_deterministic(self, mini_workspace, tmp_path):
         watched = ("plant.dtgraph", "plant.aml", "metrics.report", "templates.txt", "summary.txt",
                    "functional.dtgraph", "dynamics.dtgraph")
@@ -199,9 +160,12 @@ class TestCli:
         assert "type=ConfigError" in result.output
         assert "lift:x:2:level:lift" in result.output
 
-    def test_boolean_typo_in_config_exit_1(self, mini_workspace, tmp_path):
+    @pytest.mark.parametrize(
+        "key", ["root_anchored_only", "dbscan_eps", "dbscan_min_pts", "raw_trajectory_queries"]
+    )
+    def test_removed_key_in_config_exit_1(self, mini_workspace, tmp_path, key):
         conf = read_kv_file(mini_workspace / "pipeline.conf")
-        conf["root_anchored_only"] = "ture"
+        conf[key] = "1"
         bad = tmp_path / "bad.conf"
         write_kv_file(bad, conf)
         result = CliRunner().invoke(
@@ -209,6 +173,47 @@ class TestCli:
         )
         assert result.exit_code == 1, result.output
         assert "type=ConfigError" in result.output
+        assert f"unknown configuration key '{key}'" in result.output
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [("seed", "-1", "seed must be non-negative"),
+         ("kmeans_k", "-1", "kmeans_k must be >= 1"),
+         ("kmeans_k", "0", "kmeans_k must be >= 1")],
+    )
+    def test_bad_seed_or_kmeans_k_exit_1(self, mini_workspace, tmp_path, key, value, message):
+        conf = read_kv_file(mini_workspace / "pipeline.conf")
+        conf[key] = value
+        bad = tmp_path / "bad.conf"
+        write_kv_file(bad, conf)
+        result = CliRunner().invoke(
+            main, ["--config", str(bad), "--out-dir", str(tmp_path / "o"), "run-all"]
+        )
+        assert result.exit_code == 1, result.output
+        assert "type=ConfigError" in result.output
+        assert message in result.output
+
+    def test_synth_negative_seed_exit_1(self, tmp_path):
+        result = CliRunner().invoke(
+            main, ["--out-dir", str(tmp_path / "o"), "--seed", "-1", "synth", "--preset", "mini"]
+        )
+        assert result.exit_code == 1, result.output
+        assert "seed must be non-negative" in result.output
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("rtls_rate_hz", "nan"), ("rtls_rate_hz", "inf"), ("sim_duration_s", "inf"),
+         ("sim_duration_s", "nan"), ("rtls_noise_sigma_m", "inf"), ("rtls_noise_sigma_m", "nan")],
+    )
+    def test_synth_non_finite_spec_exit_1(self, tmp_path, key, value):
+        spec_file = tmp_path / "plantspec.conf"
+        spec_file.write_text(f"levels = 1\n{key} = {value}\n")
+        result = CliRunner().invoke(
+            main, ["--out-dir", str(tmp_path / "o"), "synth", "--spec", str(spec_file)]
+        )
+        assert result.exit_code == 1, result.output
+        assert "type=InvalidSpecError" in result.output
+        assert "must be finite" in result.output
 
     def test_run_all_happy_path(self, mini_workspace, tmp_path):
         runner = CliRunner()
