@@ -3,8 +3,8 @@
 Clustering is the opt-in alternative to 1-NN classification: it needs no
 labeled training data, but positions sampled along continuous material
 trajectories have no clean spatial gaps, so the split can differ from the
-true location groups and the accuracy is generally lower. Callers get a
-warning to that effect.
+true location groups and the accuracy is generally lower. Cluster-mode
+dynamics analysis logs a warning to that effect.
 
 K-means is implemented here rather than delegated so that the results
 are bit-reproducible across runs and thread counts for a fixed seed. It
@@ -15,7 +15,6 @@ restarts; Lloyd iterations stop at 300 or at a centroid shift below
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 
@@ -23,8 +22,6 @@ import numpy as np
 
 from .errors import DataError
 from .traces import EstimateStatus, PositionEstimate
-
-logger = logging.getLogger(__name__)
 
 
 class ClusteringError(DataError):
@@ -121,10 +118,6 @@ def cluster_positions(
     Cluster names are ``C0``, ``C1``, ... ordered by centroid so the
     naming is stable.
     """
-    logger.warning(
-        "clustering mode: positions lie along continuous trajectories, "
-        "the split may differ from the true location groups"
-    )
     known = sorted(
         (e for e in estimates if e.status is EstimateStatus.KNOWN),
         key=lambda e: e.owner_tag,

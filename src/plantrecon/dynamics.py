@@ -19,6 +19,8 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 
+import numpy as np
+
 from .clustering import KMeansParams, cluster_positions
 from .dtw import knn_classify, knn_train
 from .graph import Edge, EdgeKind, Node, NodeKind, PropertyGraph, Provenance, node_id
@@ -28,6 +30,7 @@ from .traces import (
     PositionEstimate,
     PositionSeries,
     RtlsSample,
+    RtlsTrace,
     SignalKind,
     detect_events,
     estimate_position,
@@ -105,7 +108,7 @@ def _cap(series: PositionSeries, max_len: int) -> PositionSeries:
     return _resample(series, max_len) if len(series) > max_len else series
 
 
-def training_segments(labeled: list[RtlsSample]) -> list[tuple[PositionSeries, str]]:
+def training_segments(labeled: RtlsTrace) -> list[tuple[PositionSeries, str]]:
     """Labeled (series, class) pairs, capped per class, uniform length."""
     per_class: dict[str, list[PositionSeries]] = {}
     for label, segment in split_labeled_segments(labeled):
@@ -120,8 +123,8 @@ def training_segments(labeled: list[RtlsSample]) -> list[tuple[PositionSeries, s
 
 def analyze_dynamics(
     io_samples: list[IoSample],
-    rtls_samples: list[RtlsSample],
-    labeled_samples: list[RtlsSample],
+    rtls: RtlsTrace | list[RtlsSample],
+    labeled: RtlsTrace | list[RtlsSample],
     tag_kinds: dict[str, NodeKind],
     tag_types: dict[str, str],
     root_name: str,
@@ -133,11 +136,16 @@ def analyze_dynamics(
     table); ``tag_types`` maps tag names to their PLC data type. The
     returned fragment carries position labels, MaterialTracker nodes and
     PhysicalGroup membership, rooted at ``SystemRoot:<root_name>``.
-    An empty RTLS trace and IO tags the PLC does not declare are logged
-    as warnings.
+    The two RTLS traces may also be given as lists of samples. An empty
+    RTLS trace, IO tags the PLC does not declare and cluster mode are
+    logged as warnings.
     """
     params = params or DynamicsParams()
-    if not rtls_samples:
+    if isinstance(rtls, list):
+        rtls = RtlsTrace.from_samples(rtls)
+    if isinstance(labeled, list):
+        labeled = RtlsTrace.from_samples(labeled)
+    if not len(rtls):
         logger.warning("RTLS trace is empty: no component gets a position")
     events = component_event_series(io_samples, tag_types)
     undeclared = sorted(set(events) - set(tag_kinds))
@@ -156,16 +164,20 @@ def analyze_dynamics(
         if ev is None or not ev.events:
             series = PositionSeries(owner_tag=tag)
         else:
-            series = match_events(ev, rtls_samples, params.window_ms)
+            series = match_events(ev, rtls, params.window_ms)
         matched[tag] = series
         estimates[tag] = estimate_position(series, params.min_matches)
 
     assignments: dict[str, str] = {}
     if params.mode == "cluster":
+        logger.warning(
+            "clustering mode: positions lie along continuous trajectories, "
+            "the split may differ from the true location groups"
+        )
         method = params.cluster or KMeansParams(k=max(1, len(estimates) // 4), seed=0)
         assignments = cluster_positions(list(estimates.values()), method).assignments
     else:
-        training = training_segments(labeled_samples)
+        training = training_segments(labeled)
         if not training:
             logger.warning("no labeled training segments; components stay unassigned")
         else:
@@ -176,7 +188,7 @@ def analyze_dynamics(
                     assignments[tag] = knn_classify(model, query)
 
     fragment = build_physical_groups(assignments, estimates, tag_kinds, root_name)
-    _add_trackers(fragment, rtls_samples, root_name)
+    _add_trackers(fragment, rtls, root_name)
     return DynamicsResult(fragment, estimates, assignments)
 
 
@@ -220,20 +232,22 @@ def build_physical_groups(
     return g
 
 
-def _add_trackers(g: PropertyGraph, rtls_samples: list[RtlsSample], root_name: str) -> None:
+def _add_trackers(g: PropertyGraph, rtls: RtlsTrace, root_name: str) -> None:
+    """One MaterialTracker node per tracker, at its last recorded position."""
     root_id = node_id(NodeKind.SYSTEM_ROOT, root_name)
-    last: dict[str, RtlsSample] = {}
-    for s in rtls_samples:
-        last[s.tracker_id] = s
-    for tracker in sorted(last):
-        s = last[tracker]
+    # The first occurrence in the reversed trace is the last one.
+    codes, first_reversed = np.unique(rtls.tracker_codes[::-1], return_index=True)
+    last = len(rtls) - 1 - first_reversed
+    for code, row in zip(codes.tolist(), last.tolist()):
+        tracker = rtls.tracker_names[code]
+        x, y, z = rtls.points[row].tolist()
         tid = node_id(NodeKind.MATERIAL_TRACKER, tracker)
         g.add_node(
             Node(
                 tid,
                 NodeKind.MATERIAL_TRACKER,
                 tracker,
-                {"domain": "mechanic", "position.x": s.x, "position.y": s.y, "position.z": s.z},
+                {"domain": "mechanic", "position.x": x, "position.y": y, "position.z": z},
                 Provenance.DYNAMICS_ANALYSIS,
             )
         )

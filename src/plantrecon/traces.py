@@ -6,6 +6,10 @@ File formats (UTF-8 CSV, ``.`` decimal point, one sample per row):
 * RTLS trace header: ``timestamp_ms,tracker_id,x_m,y_m,z_m`` with an
   optional trailing ``location_label`` column (training data only).
 
+An IO trace loads as a list of ``IoSample``. An RTLS trace, which is two
+orders of magnitude longer, loads as one ``RtlsTrace`` of numpy columns,
+time-sorted once at load, so event matching is a binary search per event.
+
 The correlation chain is: signal samples -> change events -> per-event
 nearest-in-time material position -> per-component mean position.
 """
@@ -14,9 +18,12 @@ from __future__ import annotations
 
 import csv
 import logging
-from bisect import bisect_left, bisect_right
+import math
+from array import array
 from dataclasses import dataclass, field
 from enum import Enum
+
+import numpy as np
 
 from .errors import DataError
 
@@ -25,6 +32,11 @@ logger = logging.getLogger(__name__)
 
 class TraceError(DataError):
     pass
+
+
+# Timestamps are int64 columns; below this magnitude the difference of
+# any two also fits in int64.
+_TIMESTAMP_LIMIT_MS = 2**62
 
 
 class MalformedRowError(TraceError):
@@ -48,6 +60,76 @@ class RtlsSample:
     y: float
     z: float
     location_label: str | None = None
+
+
+@dataclass(frozen=True, eq=False)
+class RtlsTrace:
+    """An RTLS trace as numpy columns, one entry per sample, time-sorted.
+
+    ``tracker_codes`` index ``tracker_names`` and ``label_codes`` index
+    ``label_names``, with -1 for an unlabeled sample. Both name tuples are
+    sorted, so code order is name order. Samples with equal timestamps
+    keep their input order.
+    """
+
+    timestamps_ms: np.ndarray  # int64, shape (N,)
+    points: np.ndarray  # float64, shape (N, 3): x, y, z in m
+    tracker_codes: np.ndarray  # intp, shape (N,)
+    label_codes: np.ndarray  # intp, shape (N,)
+    tracker_names: tuple[str, ...]
+    label_names: tuple[str, ...]
+
+    def __len__(self) -> int:
+        return len(self.timestamps_ms)
+
+    @classmethod
+    def from_samples(cls, samples: list[RtlsSample]) -> RtlsTrace:
+        """The trace of ``samples``, stably sorted by timestamp; an empty
+        label counts as unlabeled."""
+        trackers: dict[str | None, int] = {}
+        labels: dict[str | None, int] = {}
+        return _sorted_trace(
+            [s.timestamp_ms for s in samples],
+            [v for s in samples for v in (s.x, s.y, s.z)],
+            [trackers.setdefault(s.tracker_id, len(trackers)) for s in samples],
+            trackers,
+            [labels.setdefault(s.location_label or None, len(labels)) for s in samples],
+            labels,
+        )
+
+
+def _name_order(codes, first_seen: dict[str | None, int]) -> tuple[np.ndarray, tuple[str, ...]]:
+    """Renumber first-seen codes into the order of the sorted names; the
+    code of None becomes -1."""
+    names = sorted(n for n in first_seen if n is not None)
+    rank = {n: r for r, n in enumerate(names)}
+    remap = np.array([rank.get(n, -1) for n in first_seen], dtype=np.intp)
+    return remap[np.asarray(codes, dtype=np.intp)], tuple(names)
+
+
+def _sorted_trace(
+    timestamps,
+    coords,
+    tracker_codes,
+    trackers: dict[str | None, int],
+    label_codes,
+    labels: dict[str | None, int],
+) -> RtlsTrace:
+    """Columns from per-sample sequences, sorted once. ``coords`` is flat
+    x, y, z; the codes are first-seen indices into ``trackers`` and
+    ``labels``."""
+    ts = np.asarray(timestamps, dtype=np.int64)
+    order = np.argsort(ts, kind="stable")
+    tracker_codes, tracker_names = _name_order(tracker_codes, trackers)
+    label_codes, label_names = _name_order(label_codes, labels)
+    return RtlsTrace(
+        ts[order],
+        np.asarray(coords, dtype=float).reshape(-1, 3)[order],
+        tracker_codes[order],
+        label_codes[order],
+        tracker_names,
+        label_names,
+    )
 
 
 class EventDirection(str, Enum):
@@ -141,6 +223,8 @@ def load_io_trace(path) -> list[IoSample]:
             tag = row[1]
             if not tag:
                 raise MalformedRowError("empty tag name", rowno)
+            if not -_TIMESTAMP_LIMIT_MS < ts < _TIMESTAMP_LIMIT_MS:
+                raise MalformedRowError("timestamp magnitude must be below 2**62 ms", rowno)
             if tag in last_ts and ts < last_ts[tag]:
                 monotonic = False
             last_ts[tag] = ts
@@ -152,19 +236,28 @@ def load_io_trace(path) -> list[IoSample]:
     return samples
 
 
-def load_rtls_trace(path) -> list[RtlsSample]:
-    """Load and time-sort an RTLS trace; the label column is optional."""
+def load_rtls_trace(path) -> RtlsTrace:
+    """Load and time-sort an RTLS trace; the label column is optional.
+
+    Rows are parsed one by one, so a malformed row is reported by its
+    number; non-monotonic input is only a warning.
+    """
     fh, reader, labeled = _open_csv(
         path, ["timestamp_ms", "tracker_id", "x_m", "y_m", "z_m"], ["location_label"]
     )
-    samples: list[RtlsSample] = []
-    monotonic = True
-    last = None
+    want = 6 if labeled else 5
+    # Raw values and first-seen name codes only: no Python object per row
+    # outlives its row.
+    timestamps = array("q")
+    coords = array("d")
+    tracker_codes = array("q")
+    label_codes = array("q")
+    trackers: dict[str | None, int] = {}
+    labels: dict[str | None, int] = {None: 0}  # code 0: unlabeled
     with fh:
         for rowno, row in enumerate(reader, start=2):
             if not row:
                 continue
-            want = 6 if labeled else 5
             if len(row) != want:
                 raise MalformedRowError(f"expected {want} fields, got {len(row)}", rowno)
             try:
@@ -172,21 +265,24 @@ def load_rtls_trace(path) -> list[RtlsSample]:
                 x, y, z = float(row[2]), float(row[3]), float(row[4])
             except ValueError as exc:
                 raise MalformedRowError(str(exc), rowno) from None
-            for v in (x, y, z):
-                if v != v or v in (float("inf"), float("-inf")):
-                    raise MalformedRowError("non-finite coordinate", rowno)
+            if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
+                raise MalformedRowError("non-finite coordinate", rowno)
             if not row[1]:
                 raise MalformedRowError("empty tracker id", rowno)
-            label = (row[5] or None) if labeled else None
-            if last is not None and ts < last:
-                monotonic = False
-            last = ts
-            samples.append(RtlsSample(ts, row[1], x, y, z, label))
-    if not monotonic:
+            if not -_TIMESTAMP_LIMIT_MS < ts < _TIMESTAMP_LIMIT_MS:
+                raise MalformedRowError("timestamp magnitude must be below 2**62 ms", rowno)
+            timestamps.append(ts)
+            coords.extend((x, y, z))
+            tracker_codes.append(trackers.setdefault(row[1], len(trackers)))
+            label_codes.append(labels.setdefault(row[5] or None, len(labels)) if labeled else 0)
+    ts = np.frombuffer(timestamps, dtype=np.int64)
+    if np.any(ts[1:] < ts[:-1]):
         logger.warning("%s: non-monotonic timestamps, sorting", path)
-    samples.sort(key=lambda s: s.timestamp_ms)
-    logger.info("%s: %d RTLS samples", path, len(samples))
-    return samples
+    trace = _sorted_trace(
+        ts, np.frombuffer(coords), tracker_codes, trackers, label_codes, labels
+    )
+    logger.info("%s: %d RTLS samples", path, len(trace))
+    return trace
 
 
 class SignalKind(str, Enum):
@@ -207,6 +303,11 @@ def detect_events(
     fires when the value passes ``threshold + hysteresis`` coming from
     below ``threshold - hysteresis`` or vice versa, so noise inside the
     hysteresis band never fires.
+
+    The samples must be time-sorted. ``load_io_trace`` sorts, but this
+    function and ``dynamics.analyze_dynamics`` take plain lists from any
+    caller, so unsorted samples raise ``TraceError`` instead of yielding
+    wrong events. The check is one pass over one tag's samples.
     """
     if not samples:
         return EventSeries(tag="", events=[])
@@ -250,32 +351,40 @@ def detect_events(
 
 def match_events(
     events: EventSeries,
-    rtls: list[RtlsSample],
+    rtls: RtlsTrace,
     window_ms: int = 500,
 ) -> PositionSeries:
     """Attach the nearest-in-time material position to each signal event.
 
     Any tracker may supply the position. Events with no sample within
     ``window_ms`` are skipped. Ties on time distance are broken by the
-    earlier sample, then by lexicographically smaller tracker id.
+    earlier sample, then by lexicographically smaller tracker id, then by
+    trace order.
     """
-    series = PositionSeries(owner_tag=events.tag)
-    if not rtls:
-        return series
-    if any(b.timestamp_ms < a.timestamp_ms for a, b in zip(rtls, rtls[1:])):
-        raise TraceError("RTLS samples must be sorted by timestamp")
-    times = [s.timestamp_ms for s in rtls]
-    for event in events.events:
-        lo = bisect_left(times, event.timestamp_ms - window_ms)
-        hi = bisect_right(times, event.timestamp_ms + window_ms)
-        if lo >= hi:
-            continue
-        best = min(
-            rtls[lo:hi],
-            key=lambda s: (abs(s.timestamp_ms - event.timestamp_ms), s.timestamp_ms, s.tracker_id),
-        )
-        series.append(event.timestamp_ms, (best.x, best.y, best.z))
-    return series
+    n = len(rtls)
+    if n == 0 or not events.events:
+        return PositionSeries(owner_tag=events.tag)
+    times = rtls.timestamps_ms
+    at = np.array([e.timestamp_ms for e in events.events], dtype=np.int64)
+    # The samples just before (or at) and just after each event hold the
+    # nearest time; an equal distance goes to the earlier one.
+    after = np.searchsorted(times, at, side="right")
+    t_before = times[np.maximum(after - 1, 0)]
+    t_after = times[np.minimum(after, n - 1)]
+    use_after = (after < n) & ((after == 0) | (t_after - at < at - t_before))
+    nearest = np.where(use_after, t_after, t_before)
+    keep = np.abs(nearest - at) <= window_ms
+    at, nearest = at[keep], nearest[keep]
+    first = np.searchsorted(times, nearest, side="left")
+    last = np.searchsorted(times, nearest, side="right")
+    chosen = first.copy()
+    for k in np.flatnonzero(last - first > 1).tolist():
+        # Several samples share the nearest time: smallest tracker code
+        # (name order), then the first of them in the trace.
+        chosen[k] += int(np.argmin(rtls.tracker_codes[first[k]:last[k]]))
+    return PositionSeries(
+        events.tag, at.tolist(), [tuple(p) for p in rtls.points[chosen].tolist()]
+    )
 
 
 def estimate_position(series: PositionSeries, min_matches: int = 5) -> PositionEstimate:
@@ -291,29 +400,27 @@ def estimate_position(series: PositionSeries, min_matches: int = 5) -> PositionE
     )
 
 
-def split_labeled_segments(samples: list[RtlsSample]) -> list[tuple[str, PositionSeries]]:
+def split_labeled_segments(trace: RtlsTrace) -> list[tuple[str, PositionSeries]]:
     """Cut a labeled RTLS trace into per-(tracker, label) runs.
 
     A training segment is a maximal run of consecutive samples of one
-    tracker carrying the same non-empty label; unlabeled samples separate
-    runs.
+    tracker carrying the same label; unlabeled samples separate runs.
+    Segments come in tracker name order, then in time order.
     """
-    by_tracker: dict[str, list[RtlsSample]] = {}
-    for s in samples:
-        by_tracker.setdefault(s.tracker_id, []).append(s)
     segments: list[tuple[str, PositionSeries]] = []
-    for tracker in sorted(by_tracker):
-        run_label: str | None = None
-        run: PositionSeries | None = None
-        for s in by_tracker[tracker]:
-            label = s.location_label
-            if label != run_label or label is None:
-                if run is not None and len(run) > 0:
-                    segments.append((run_label, run))  # type: ignore[arg-type]
-                run = PositionSeries(owner_tag=tracker) if label else None
-                run_label = label
-            if run is not None:
-                run.append(s.timestamp_ms, (s.x, s.y, s.z))
-        if run is not None and len(run) > 0:
-            segments.append((run_label, run))  # type: ignore[arg-type]
+    for code, tracker in enumerate(trace.tracker_names):
+        rows = np.flatnonzero(trace.tracker_codes == code)
+        labels = trace.label_codes[rows]
+        bounds = [0, *(np.flatnonzero(labels[1:] != labels[:-1]) + 1).tolist(), len(rows)]
+        for start, end in zip(bounds, bounds[1:]):
+            label = int(labels[start])
+            if label < 0:
+                continue
+            run = rows[start:end]
+            series = PositionSeries(
+                tracker,
+                trace.timestamps_ms[run].tolist(),
+                [tuple(p) for p in trace.points[run].tolist()],
+            )
+            segments.append((trace.label_names[label], series))
     return segments

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -8,8 +9,10 @@ from plantrecon.dtw import (
     BandTooNarrowError,
     EmptySeriesError,
     EmptyTrainingSetError,
+    SeriesError,
     dtw_distance,
     knn_classify,
+    knn_distances,
     knn_train,
 )
 from plantrecon.traces import PositionSeries
@@ -172,3 +175,60 @@ class TestKnn:
         model_t = knn_train([(translate(s), label) for s, label in training])
         after = [knn_classify(model_t, translate(q)) for q in queries]
         assert before == after
+
+
+def _scalar_knn(training, query, band):
+    """Per-pair reference: dtw_distance of every training series with the
+    band widened to the length difference, then the (distance, label)
+    tie-break of knn_classify."""
+    distances = []
+    best_label, best = None, math.inf
+    for series, label in training:
+        pair_band = band
+        if pair_band is not None and pair_band < abs(len(series) - len(query)):
+            pair_band = abs(len(series) - len(query))
+        d = dtw_distance(query, series, pair_band)
+        distances.append(d)
+        if d < best or (d == best and (best_label is None or label < best_label)):
+            best_label, best = label, d
+    return best_label, distances
+
+
+class TestBatchedEqualsScalar:
+    @pytest.mark.parametrize("dims", [1, 3])
+    @pytest.mark.parametrize("band", [None, 0, 2, 60])
+    def test_random_mixed_length_training_sets(self, dims, band):
+        rng = random.Random(1000 * dims + (band or 0) + (band is None))
+        for _ in range(15):
+            training = []
+            for _ in range(rng.randint(1, 12)):
+                series = _random_series(rng, dims)
+                training.append((series, rng.choice("abcd")))
+                if rng.random() < 0.3:
+                    # The same series under another label: an exact tie.
+                    training.append((list(series), rng.choice("abcd")))
+            model = knn_train(training, band)
+            for _ in range(4):
+                if rng.random() < 0.25:
+                    query = list(rng.choice(training)[0])
+                else:
+                    query = _random_series(rng, dims)
+                label, distances = _scalar_knn(training, query, band)
+                assert knn_distances(model, query) == distances
+                assert knn_classify(model, query) == label
+
+    def test_tied_labels_pick_the_smallest(self):
+        series = [(0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (2.0, 0.0, 0.0)]
+        far = [(9.0, 0.0, 0.0), (9.0, 0.0, 0.0)]
+        model = knn_train([(series, "c"), (far, "a"), (list(series), "b"), (series, "d")])
+        query = [(0.5, 0.0, 0.0), (1.5, 0.0, 0.0)]
+        distances = knn_distances(model, query)
+        assert distances[0] == distances[2] == distances[3]
+        assert knn_classify(model, query) == _scalar_knn(model.training, query, None)[0] == "b"
+
+    def test_dimension_mismatch(self):
+        model = knn_train([([(0.0, 0.0, 0.0)], "x")])
+        with pytest.raises(SeriesError):
+            knn_classify(model, [1.0])
+        with pytest.raises(SeriesError):
+            knn_train([([(0.0, 0.0, 0.0)], "x"), ([1.0], "y")])

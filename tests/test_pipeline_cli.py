@@ -1,4 +1,5 @@
 import json
+import logging
 import re
 from dataclasses import fields
 from pathlib import Path
@@ -127,6 +128,34 @@ class TestRunAll:
             pipeline.run_all(cfg)
             outs.append({name: (out / name).read_bytes() for name in watched})
         assert outs[0] == outs[1]
+
+
+def _clustering_warnings(caplog):
+    return [
+        r for r in caplog.records
+        if r.levelno == logging.WARNING and "clustering mode" in r.getMessage()
+    ]
+
+
+class TestClusteringWarning:
+    def test_classify_run_all_does_not_warn(self, mini_workspace, tmp_path, caplog):
+        cfg = _config(mini_workspace)
+        cfg.out_dir = tmp_path
+        assert cfg.mode == "classify" and cfg.kmeans_k is not None
+        with caplog.at_level(logging.WARNING):
+            report = pipeline.run_all(cfg).report
+        assert report is not None and report.clustering_ari is not None
+        assert _clustering_warnings(caplog) == []
+
+    def test_cluster_run_all_warns_once(self, mini_workspace, tmp_path, caplog):
+        cfg = _config(mini_workspace)
+        cfg.out_dir = tmp_path
+        cfg.mode = "cluster"
+        with caplog.at_level(logging.WARNING):
+            pipeline.run_all(cfg)
+        warnings = _clustering_warnings(caplog)
+        assert len(warnings) == 1
+        assert warnings[0].name == "plantrecon.dynamics"
 
 
 class TestCli:

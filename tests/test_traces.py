@@ -1,12 +1,20 @@
+import logging
+import random
+
 import pytest
 
+from plantrecon.dynamics import analyze_dynamics
+from plantrecon.graph import NodeKind
 from plantrecon.traces import (
     EstimateStatus,
     EventDirection,
+    EventSeries,
     IoSample,
     MalformedRowError,
     PositionSeries,
     RtlsSample,
+    RtlsTrace,
+    SignalEvent,
     SignalKind,
     detect_events,
     estimate_position,
@@ -22,7 +30,15 @@ def _io(rows):
 
 
 def _rtls(rows):
-    return [RtlsSample(*r) for r in rows]
+    return RtlsTrace.from_samples([RtlsSample(*r) for r in rows])
+
+
+def _label(trace, row):
+    code = int(trace.label_codes[row])
+    return None if code < 0 else trace.label_names[code]
+
+
+RTLS_HEADER = "timestamp_ms,tracker_id,x_m,y_m,z_m\n"
 
 
 class TestLoadIo:
@@ -39,6 +55,13 @@ class TestLoadIo:
         with pytest.raises(MalformedRowError) as info:
             load_io_trace(p)
         assert info.value.row == 2
+
+    def test_timestamp_out_of_range(self, tmp_path):
+        p = tmp_path / "io.csv"
+        p.write_text("timestamp_ms,tag,value\n1,a,0.0\n-4611686018427387904,a,1.0\n")
+        with pytest.raises(MalformedRowError) as info:
+            load_io_trace(p)
+        assert info.value.row == 3
 
     def test_bad_header(self, tmp_path):
         p = tmp_path / "io.csv"
@@ -67,20 +90,96 @@ class TestLoadRtls:
         p = tmp_path / "rtls.csv"
         p.write_text("timestamp_ms,tracker_id,x_m,y_m,z_m\n1,t1,0.0,1.0,2.0\n")
         samples = load_rtls_trace(p)
-        assert samples[0].location_label is None
+        assert _label(samples, 0) is None
         p2 = tmp_path / "labeled.csv"
         p2.write_text(
             "timestamp_ms,tracker_id,x_m,y_m,z_m,location_label\n1,t1,0.0,1.0,2.0,zoneA\n2,t1,0.0,1.0,2.0,\n"
         )
         samples = load_rtls_trace(p2)
-        assert samples[0].location_label == "zoneA"
-        assert samples[1].location_label is None
+        assert _label(samples, 0) == "zoneA"
+        assert _label(samples, 1) is None
 
     def test_non_finite_coordinate_rejected(self, tmp_path):
         p = tmp_path / "rtls.csv"
         p.write_text("timestamp_ms,tracker_id,x_m,y_m,z_m\n1,t1,nan,1.0,2.0\n")
         with pytest.raises(MalformedRowError):
             load_rtls_trace(p)
+
+
+    @pytest.mark.parametrize(
+        ("body", "row", "message"),
+        [
+            ("1,t1,0.0,1.0\n", 2, "expected 5 fields, got 4"),
+            ("1,t1,0.0,1.0,2.0\n\n2,t1,0.0,1.0,2.0,x\n", 4, "expected 5 fields, got 6"),
+            ("1,t1,0.0,1.0,2.0\n1.5,t1,0.0,1.0,2.0\n", 3, "invalid literal for int()"),
+            ("1,t1,0.0,1.0,2.0\n2,t1,0.0,y,2.0\n", 3, "could not convert string to float: 'y'"),
+            ("1,t1,0.0,1.0,2.0\n2,t1,0.0,1.0,inf\n", 3, "non-finite coordinate"),
+            ("1,,0.0,1.0,2.0\n", 2, "empty tracker id"),
+            ("1,t1,0.0,1.0,2.0\n4611686018427387904,t1,0.0,1.0,2.0\n", 3, "timestamp magnitude"),
+            # The first malformed row is reported, whatever the later ones hold.
+            ("1,t1,nan,1.0,2.0\n2,t1\n", 2, "non-finite coordinate"),
+        ],
+    )
+    def test_malformed_row_reported_by_number(self, tmp_path, body, row, message):
+        p = tmp_path / "rtls.csv"
+        p.write_text(RTLS_HEADER + body)
+        with pytest.raises(MalformedRowError) as info:
+            load_rtls_trace(p)
+        assert info.value.row == row
+        assert str(info.value).startswith(f"row {row}: {message}")
+
+    def test_non_monotonic_sorted_with_warning(self, tmp_path, caplog):
+        p = tmp_path / "rtls.csv"
+        p.write_text(RTLS_HEADER + "5,t1,1.0,0.0,0.0\n1,t2,2.0,0.0,0.0\n")
+        with caplog.at_level("WARNING"):
+            trace = load_rtls_trace(p)
+        assert trace.timestamps_ms.tolist() == [1, 5]
+        assert [trace.tracker_names[c] for c in trace.tracker_codes] == ["t2", "t1"]
+        assert trace.points.tolist() == [[2.0, 0.0, 0.0], [1.0, 0.0, 0.0]]
+        assert any("non-monotonic" in r.message for r in caplog.records)
+
+    def test_monotonic_file_does_not_warn(self, tmp_path, caplog):
+        p = tmp_path / "rtls.csv"
+        p.write_text(RTLS_HEADER + "1,t1,1.0,0.0,0.0\n1,t2,2.0,0.0,0.0\n")
+        with caplog.at_level("WARNING"):
+            load_rtls_trace(p)
+        assert not any("non-monotonic" in r.message for r in caplog.records)
+
+    def test_equal_timestamps_keep_file_order(self, tmp_path):
+        p = tmp_path / "rtls.csv"
+        p.write_text(
+            RTLS_HEADER
+            + "7,t1,1.0,0.0,0.0\n7,t2,5.0,0.0,0.0\n7,t1,2.0,0.0,0.0\n3,t1,9.0,0.0,0.0\n"
+        )
+        trace = load_rtls_trace(p)
+        assert trace.timestamps_ms.tolist() == [3, 7, 7, 7]
+        assert trace.points[:, 0].tolist() == [9.0, 1.0, 5.0, 2.0]
+        # The MaterialTracker position is the last sample in that order.
+        fragment = analyze_dynamics([], trace, [], {}, {}, "P").fragment
+        trackers = fragment.query(kinds={NodeKind.MATERIAL_TRACKER})
+        assert [(n.name, n.labels["position.x"]) for n in trackers] == [("t1", 2.0), ("t2", 5.0)]
+
+    def test_codes_follow_name_order(self, tmp_path):
+        p = tmp_path / "labeled.csv"
+        p.write_text(
+            "timestamp_ms,tracker_id,x_m,y_m,z_m,location_label\n"
+            "1,tb,0.0,0.0,0.0,Z\n2,ta,0.0,0.0,0.0,\n3,tb,0.0,0.0,0.0,A\n"
+        )
+        trace = load_rtls_trace(p)
+        assert trace.tracker_names == ("ta", "tb")
+        assert trace.tracker_codes.tolist() == [1, 0, 1]
+        assert trace.label_names == ("A", "Z")
+        assert trace.label_codes.tolist() == [1, -1, 0]
+
+    def test_from_samples_equals_load(self, tmp_path, mini_plant):
+        paths = mini_plant.write_outputs(tmp_path)
+        loaded = load_rtls_trace(paths["labeled_rtls_csv"])
+        built = RtlsTrace.from_samples([RtlsSample(*r) for r in mini_plant.rtls_rows])
+        assert len(loaded) == len(built) == len(mini_plant.rtls_rows)
+        for column in ("timestamps_ms", "points", "tracker_codes", "label_codes"):
+            assert getattr(loaded, column).tolist() == getattr(built, column).tolist()
+        assert loaded.tracker_names == built.tracker_names
+        assert loaded.label_names == built.label_names
 
 
 class TestDetectEvents:
@@ -137,6 +236,41 @@ class TestMatchEvents:
             ]
         )
         assert match_events(events, rtls, 500).points == [(4.0, 0.0, 0.0)]
+
+    def test_equal_distance_and_equal_timestamps_across_three_trackers(self):
+        events = EventSeries("a", [SignalEvent(1000, EventDirection.RISING)])
+        rtls = _rtls(
+            [
+                (990, "t3", 1.0, 0.0, 0.0, None),
+                (990, "t2", 2.0, 0.0, 0.0, None),
+                (990, "t1", 3.0, 0.0, 0.0, None),
+                (990, "t1", 4.0, 0.0, 0.0, None),
+                (1010, "t0", 5.0, 0.0, 0.0, None),
+            ]
+        )
+        # Equal |dt|: the earlier samples; of those the smallest tracker id,
+        # and of its two samples the first.
+        assert match_events(events, rtls, 500).points == [(3.0, 0.0, 0.0)]
+
+    def test_equals_nearest_by_linear_scan(self):
+        rng = random.Random(11)
+        for _ in range(200):
+            samples = [
+                RtlsSample(rng.randint(0, 60), rng.choice(["t1", "t2", "t3"]), float(k), 0.0, 0.0)
+                for k in range(rng.randint(0, 12))
+            ]
+            times = sorted(rng.sample(range(-20, 80), rng.randint(1, 8)))
+            events = EventSeries("a", [SignalEvent(t, EventDirection.RISING) for t in times])
+            window = rng.randint(0, 15)
+            ordered = sorted(samples, key=lambda s: s.timestamp_ms)
+            expected = []
+            for t in times:
+                near = [s for s in ordered if abs(s.timestamp_ms - t) <= window]
+                if near:
+                    best = min(near, key=lambda s: (abs(s.timestamp_ms - t), s.timestamp_ms, s.tracker_id))
+                    expected.append((t, (best.x, best.y, best.z)))
+            series = match_events(events, RtlsTrace.from_samples(samples), window)
+            assert list(zip(series.timestamps_ms, series.points)) == expected
 
     def test_mini_every_sensor_event_matched(self, mini_plant, tmp_path):
         paths = mini_plant.write_outputs(tmp_path)
