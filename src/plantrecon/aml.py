@@ -19,6 +19,10 @@ All InternalLinks are attached to the top (SystemRoot) element. The
 output is deliberately tool-neutral: it follows the CAEX shape but is not
 validated against the official schema, and the role table is the
 contract a retargeting effort would edit.
+
+There is one reader, :func:`import_aml`. Its checks are the validation:
+:func:`validate_aml` reports the reason it rejects a document, so a
+document validates exactly when it imports.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ from .errors import DataError
 from .graph import (
     Edge,
     EdgeKind,
+    GraphError,
     LabelValue,
     Node,
     NodeKind,
@@ -52,32 +57,34 @@ MAX_CONTAINS_DEPTH = 500
 
 
 class AmlError(DataError):
-    pass
+    code = "structure"  # the validate_aml finding code
 
 
 class InvalidGraphError(AmlError):
     def __init__(self, findings: list[str]):
         super().__init__("; ".join(findings))
-        self.findings = findings
 
 
 class AmlSyntaxError(AmlError):
-    pass
+    code = "syntax"
+
+
+class AmlIdError(AmlError):
+    code = "id"  # an element or interface ID is missing or repeated
 
 
 class UnknownRoleError(AmlError):
-    pass
+    code = "role"
 
 
 class DanglingLinkError(AmlError):
-    pass
+    code = "link"  # a link side or system unit class path names nothing
 
 
 @dataclass
 class Finding:
     code: str
     message: str
-    element_id: str | None = None
 
 
 def _attribute(parent: ET.Element, name: str, value: LabelValue) -> None:
@@ -203,14 +210,20 @@ def export_aml(graph: PropertyGraph) -> bytes:
 
 
 def import_aml(xml_bytes: bytes) -> PropertyGraph:
-    """Rebuild a property graph from a document produced by export_aml."""
+    """Rebuild a property graph from a document produced by export_aml;
+    the first problem found raises an AmlError (or a GraphError)."""
     try:
         caex = ET.parse(io.BytesIO(xml_bytes)).getroot()
-    except ET.ParseError as exc:
+    except (ET.ParseError, LookupError, ValueError) as exc:  # or an unusable declared encoding
         raise AmlSyntaxError(str(exc)) from None
     if caex.tag != "CAEXFile":
         raise AmlSyntaxError("root element must be CAEXFile")
 
+    suc_paths = {
+        f"{lib.get('Name')}/{suc.get('Name')}"
+        for lib in caex.iter("SystemUnitClassLib")
+        for suc in lib.iter("SystemUnitClass")
+    }
     graph = PropertyGraph()
     iface_owner: dict[str, str] = {}
     iface_labels: dict[str, dict[str, LabelValue]] = {}
@@ -221,11 +234,16 @@ def import_aml(xml_bytes: bytes) -> PropertyGraph:
         nid = elem.get("ID")
         name = elem.get("Name", "")
         if nid is None:
-            raise AmlSyntaxError(f"InternalElement {name!r} lacks an ID")
+            raise AmlIdError(f"InternalElement {name!r} lacks an ID")
+        if graph.has_node(nid):
+            raise AmlIdError(f"duplicate ID {nid!r}")
         if depth > MAX_CONTAINS_DEPTH:
             raise AmlSyntaxError(
                 f"InternalElement nesting deeper than {MAX_CONTAINS_DEPTH} levels at {nid!r}"
             )
+        ref = elem.get("RefBaseSystemUnitPath")
+        if ref is not None and ref not in suc_paths:
+            raise DanglingLinkError(f"element {nid!r}: unknown system unit class {ref!r}")
         kind: NodeKind | None = None
         provenance = Provenance.IMPORT
         labels: dict[str, LabelValue] = {}
@@ -244,7 +262,9 @@ def import_aml(xml_bytes: bytes) -> PropertyGraph:
             elif child.tag == "ExternalInterface":
                 iid = child.get("ID")
                 if iid is None:
-                    raise AmlSyntaxError(f"interface without ID under {nid!r}")
+                    raise AmlIdError(f"interface without ID under {nid!r}")
+                if iid in iface_owner:
+                    raise AmlIdError(f"duplicate interface ID {iid!r}")
                 iface_owner[iid] = nid
                 parsed = dict(_parse_attribute(a) for a in child if a.tag == "Attribute")
                 iface_labels[iid] = {
@@ -272,9 +292,12 @@ def import_aml(xml_bytes: bytes) -> PropertyGraph:
     hierarchies = [c for c in caex if c.tag == "InstanceHierarchy"]
     if len(hierarchies) != 1:
         raise AmlSyntaxError(f"expected one InstanceHierarchy, found {len(hierarchies)}")
-    for elem in hierarchies[0]:
-        if elem.tag == "InternalElement":
-            walk(elem, None, 0)
+    try:
+        for elem in hierarchies[0]:
+            if elem.tag == "InternalElement":
+                walk(elem, None, 0)
+    except ValueError as exc:  # a nodeKind, provenance, xs:integer or xs:double value
+        raise AmlSyntaxError(f"bad attribute value: {exc}") from None
 
     for parent_id, child_id in contains:
         graph.add_edge(Edge(EdgeKind.CONTAINS, parent_id, child_id))
@@ -292,58 +315,12 @@ def import_aml(xml_bytes: bytes) -> PropertyGraph:
 
 
 def validate_aml(xml_bytes: bytes) -> list[Finding]:
-    """Structural checks on an AML document; an empty list means valid."""
-    findings: list[Finding] = []
+    """The reason :func:`import_aml` rejects the document, as one finding;
+    an empty list when it imports."""
     try:
-        caex = ET.parse(io.BytesIO(xml_bytes)).getroot()
-    except ET.ParseError as exc:
-        return [Finding("syntax", str(exc))]
-    if caex.tag != "CAEXFile":
-        return [Finding("syntax", "root element must be CAEXFile")]
-
-    ids: set[str] = set()
-    iface_ids: set[str] = set()
-    suc_paths: set[str] = set()
-
-    for lib in caex.iter("SystemUnitClassLib"):
-        for suc in lib.iter("SystemUnitClass"):
-            suc_paths.add(f"{lib.get('Name')}/{suc.get('Name')}")
-
-    hierarchies = [c for c in caex if c.tag == "InstanceHierarchy"]
-    if len(hierarchies) != 1:
-        findings.append(Finding("structure", f"expected one InstanceHierarchy, found {len(hierarchies)}"))
-
-    for elem in caex.iter("InternalElement"):
-        eid = elem.get("ID")
-        if eid is None:
-            findings.append(Finding("id", f"element {elem.get('Name')!r} lacks an ID"))
-            continue
-        if eid in ids:
-            findings.append(Finding("id", f"duplicate ID {eid!r}", eid))
-        ids.add(eid)
-        roles = [c for c in elem if c.tag == "RoleRequirements"]
-        if not roles:
-            findings.append(Finding("role", f"element {eid!r} lacks RoleRequirements", eid))
-        for role in roles:
-            path = role.get("RefBaseRoleClassPath", "")
-            if path not in KIND_OF_ROLE:
-                findings.append(Finding("role", f"unmapped role {path!r}", eid))
-        ref = elem.get("RefBaseSystemUnitPath")
-        if ref is not None and ref not in suc_paths:
-            findings.append(Finding("template", f"unknown system unit class {ref!r}", eid))
-        for iface in elem:
-            if iface.tag == "ExternalInterface":
-                iid = iface.get("ID")
-                if iid is None:
-                    findings.append(Finding("id", f"interface without ID under {eid!r}", eid))
-                elif iid in iface_ids:
-                    findings.append(Finding("id", f"duplicate interface ID {iid!r}", eid))
-                else:
-                    iface_ids.add(iid)
-
-    for link in caex.iter("InternalLink"):
-        for side in ("RefPartnerSideA", "RefPartnerSideB"):
-            ref = link.get(side)
-            if ref is None or ref not in iface_ids:
-                findings.append(Finding("link", f"link {link.get('Name')!r}: {side} unresolved"))
-    return findings
+        import_aml(xml_bytes)
+    except AmlError as exc:
+        return [Finding(exc.code, str(exc))]
+    except GraphError as exc:
+        return [Finding("graph", str(exc))]
+    return []

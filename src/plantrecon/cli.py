@@ -8,7 +8,6 @@ stderr: ``plantrecon: error code=<n> type=<ExceptionName> msg="..."``.
 from __future__ import annotations
 
 import logging
-import time
 
 import click
 
@@ -26,7 +25,8 @@ logger = logging.getLogger(__name__)
 
 
 def _fail(exc: BaseException) -> "click.exceptions.Exit":
-    if isinstance(exc, (InputError, FileNotFoundError)):
+    # An absent or undecodable file is unusable input, like a bad config.
+    if isinstance(exc, (InputError, FileNotFoundError, UnicodeDecodeError)):
         code = 1
     elif isinstance(exc, DataError):
         code = 2
@@ -174,9 +174,7 @@ def cmd_evaluate(ctx):
     """Score the assembled graph against the generator's ground truth."""
 
     def run(cfg: PipelineConfig):
-        start = time.perf_counter()
         report = pipeline.stage_evaluate(cfg)
-        report.runtime_seconds = time.perf_counter() - start
         click.echo(report.to_text(), nl=False)
 
     _stage_command(ctx, run)

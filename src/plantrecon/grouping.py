@@ -10,7 +10,9 @@ The rule set is deliberately small and isolated here so it can be swapped:
   Tags accessed by no block land in the top group, with a warning.
 * R5 — the call graph induces the FunctionalGroup containment: one group
   per call node; an instance called from several places is placed under
-  the lowest common ancestor of its callers' groups.
+  the lowest common ancestor of its callers' groups. Groups are built in
+  ``CallTree.order``, the call tree's topological order, so every
+  caller's group exists before its callees' groups.
 
 None of the rules look at names, so the grouping is invariant under a
 consistent renaming of blocks and tags.
@@ -53,23 +55,6 @@ def _node(kind: NodeKind, name: str, nid: str | None = None, **labels) -> Node:
     return Node(nid or node_id(kind, name), kind, name, lbl, Provenance.PLC_ANALYSIS)
 
 
-def _topological_order(tree: CallTree) -> list[str]:
-    indeg = {n: len(tree.parents[n]) for n in tree.nodes}
-    ready = sorted(n for n, d in indeg.items() if d == 0)
-    order: list[str] = []
-    while ready:
-        node = ready.pop(0)
-        order.append(node)
-        for child in tree.children[node]:
-            indeg[child] -= 1
-            if indeg[child] == 0:
-                lo = 0
-                while lo < len(ready) and ready[lo] < child:
-                    lo += 1
-                ready.insert(lo, child)
-    return order
-
-
 def effective_group_parents(tree: CallTree) -> dict[str, str | None]:
     """Single group parent per call node, applying the R5 rules.
 
@@ -87,7 +72,7 @@ def effective_group_parents(tree: CallTree) -> dict[str, str | None]:
             cur = eff[cur]
         return out
 
-    for name in _topological_order(tree):
+    for name in tree.order:
         callers = tree.parents[name]
         if not callers:
             eff[name] = None
@@ -120,7 +105,7 @@ def functional_grouping(project: PlcProject, tree: CallTree) -> PropertyGraph:
     eff = effective_group_parents(tree)
     group_of: dict[str, str] = {}
     path_of: dict[str, str] = {}
-    for name in _topological_order(tree):
+    for name in tree.order:
         parent = eff[name]
         if parent is None:
             parent_group, parent_path = top_id, ""

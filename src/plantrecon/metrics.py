@@ -10,6 +10,7 @@ expected repeated structures.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 from .errors import DataError
@@ -18,65 +19,42 @@ from .mining import Pattern, patterns_isomorphic
 from .synth import GroundTruth
 
 
-class MetricsError(DataError):
+class UniverseMismatchError(DataError):
     pass
 
 
-class UniverseMismatchError(MetricsError):
-    pass
-
-
-def _check_universe(a: dict[str, str], b: dict[str, str]) -> None:
+def _pair_counts(a: dict[str, str], b: dict[str, str]) -> tuple[int, int, int]:
+    """Element pairs grouped together in both partitions, in ``a``, and in ``b``."""
     if set(a) != set(b):
         only_a = sorted(set(a) - set(b))[:5]
         only_b = sorted(set(b) - set(a))[:5]
         raise UniverseMismatchError(
             f"partitions cover different elements (e.g. {only_a} vs {only_b})"
         )
+    cells = Counter((group, b[element]) for element, group in a.items())
+    return tuple(
+        sum(math.comb(c, 2) for c in sizes.values())
+        for sizes in (cells, Counter(a.values()), Counter(b.values()))
+    )
 
 
 def ari(partition_a: dict[str, str], partition_b: dict[str, str]) -> float:
     """Adjusted Rand index via the standard contingency formula."""
-    _check_universe(partition_a, partition_b)
-    n = len(partition_a)
-    if n == 0:
-        return 1.0
-    table: dict[tuple[str, str], int] = {}
-    a_sizes: dict[str, int] = {}
-    b_sizes: dict[str, int] = {}
-    for element, la in partition_a.items():
-        lb = partition_b[element]
-        table[(la, lb)] = table.get((la, lb), 0) + 1
-        a_sizes[la] = a_sizes.get(la, 0) + 1
-        b_sizes[lb] = b_sizes.get(lb, 0) + 1
-    sum_cells = sum(math.comb(c, 2) for c in table.values())
-    sum_a = sum(math.comb(c, 2) for c in a_sizes.values())
-    sum_b = sum(math.comb(c, 2) for c in b_sizes.values())
-    pairs = math.comb(n, 2)
+    sum_cells, sum_a, sum_b = _pair_counts(partition_a, partition_b)
+    pairs = math.comb(len(partition_a), 2)
     expected = sum_a * sum_b / pairs if pairs else 0.0
     maximum = (sum_a + sum_b) / 2.0
     if maximum == expected:
         # Degenerate partitions (all-singleton or single-cluster on both
-        # sides): agreement is total iff the tables coincide.
+        # sides, or no elements): agreement is total iff the tables coincide.
         return 1.0 if sum_cells == maximum else 0.0
     return (sum_cells - expected) / (maximum - expected)
 
 
 def pairwise_f1(truth: dict[str, str], predicted: dict[str, str]) -> float:
     """F1 over same-group element pairs (truth = recall side)."""
-    _check_universe(truth, predicted)
-    elements = sorted(truth)
-    tp = fp = fn = 0
-    for i, x in enumerate(elements):
-        for y in elements[i + 1:]:
-            same_t = truth[x] == truth[y]
-            same_p = predicted[x] == predicted[y]
-            if same_t and same_p:
-                tp += 1
-            elif same_p:
-                fp += 1
-            elif same_t:
-                fn += 1
+    tp, same_t, same_p = _pair_counts(truth, predicted)
+    fp, fn = same_p - tp, same_t - tp
     if tp == 0:
         return 1.0 if fp == 0 and fn == 0 else 0.0
     precision = tp / (tp + fp)
@@ -84,13 +62,11 @@ def pairwise_f1(truth: dict[str, str], predicted: dict[str, str]) -> float:
     return 2 * precision * recall / (precision + recall)
 
 
-def _as_pattern(structure: dict | Pattern) -> Pattern:
-    if isinstance(structure, Pattern):
-        return structure
+def _as_pattern(structure: dict) -> Pattern:
     return Pattern.from_structure(structure, int(structure.get("support", 0)))
 
 
-def template_recovery(expected: list[dict | Pattern], mined: list[Pattern]) -> float:
+def template_recovery(expected: list[dict], mined: list[Pattern]) -> float:
     """Fraction of expected templates found among the mined maximal
     patterns with matching structure and support."""
     if not expected:
@@ -111,15 +87,11 @@ class MetricsReport:
     pairwise_f1: float
     classification_accuracy: float
     template_recovery: float
-    runtime_seconds: float
     clustering_ari: float | None = None
 
     def to_text(self) -> str:
-        """Deterministic ``metrics.report`` body.
-
-        The wall-clock runtime is reported separately (timings file): its
-        value changes run to run and would break byte-determinism here.
-        """
+        """Deterministic ``metrics.report`` body; wall-clock times go to
+        ``timings.txt`` only."""
         lines = [
             f"ari = {self.ari!r}",
             f"classification_accuracy = {self.classification_accuracy!r}",
@@ -154,7 +126,6 @@ def evaluate(
     graph: PropertyGraph,
     templates: list[Pattern],
     ground_truth: GroundTruth,
-    runtime_seconds: float,
     clustering_assignments: dict[str, str] | None = None,
 ) -> MetricsReport:
     """Score a finished pipeline run against the generator's ground truth."""
@@ -180,6 +151,5 @@ def evaluate(
         pairwise_f1=pairwise_f1(truth_functional, mined_functional),
         classification_accuracy=accuracy,
         template_recovery=template_recovery(ground_truth.templates, templates),
-        runtime_seconds=runtime_seconds,
         clustering_ari=clustering_ari,
     )

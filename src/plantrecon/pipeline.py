@@ -187,9 +187,7 @@ def _estimates_from_graph(graph: PropertyGraph) -> list[PositionEstimate]:
 
 
 def stage_evaluate(
-    cfg: PipelineConfig,
-    graph: PropertyGraph | None = None,
-    runtime_seconds: float = 0.0,
+    cfg: PipelineConfig, graph: PropertyGraph | None = None
 ) -> metrics.MetricsReport:
     cfg.require("ground_truth")
     if graph is None:
@@ -203,9 +201,7 @@ def stage_evaluate(
         if any(e.status is EstimateStatus.KNOWN for e in estimates):
             clustering_assignments = cluster_positions(estimates, method).assignments
 
-    report = metrics.evaluate(
-        graph, templates_from_graph(graph), truth, runtime_seconds, clustering_assignments
-    )
+    report = metrics.evaluate(graph, templates_from_graph(graph), truth, clustering_assignments)
     _out(cfg, "metrics.report").write_text(report.to_text(), encoding="utf-8")
     return report
 
@@ -225,8 +221,6 @@ def run_all(cfg: PipelineConfig) -> RunResult:
     graph, _ = timed("mine", stage_mine, cfg)
     timed("export", stage_export, cfg, graph)
     if cfg.ground_truth is not None:
-        result.report = timed(
-            "evaluate", lambda: stage_evaluate(cfg, graph, result.total_seconds())
-        )
+        result.report = timed("evaluate", stage_evaluate, cfg, graph)
     _out(cfg, "timings.txt").write_text(result.timing_text(), encoding="utf-8")
     return result

@@ -35,10 +35,14 @@ is the key semantic:
 Digital addresses are ``%I<byte>.<bit>`` / ``%Q<byte>.<bit>`` (bit 0-7),
 analog word addresses are ``%IW<n>`` / ``%QW<n>``. Unknown elements and
 attributes are rejected, not ignored.
+
+``build_call_tree`` makes the one pass over the call graph: a topological
+sort that also finds recursion and gives the grouping stage its order.
 """
 
 from __future__ import annotations
 
+import heapq
 import io
 import re
 import xml.etree.ElementTree as ET
@@ -301,6 +305,8 @@ def parse_project(xml_bytes: bytes | str) -> PlcProject:
     except ET.ParseError as exc:
         line, column = exc.position
         raise XmlSyntaxError(exc.msg if hasattr(exc, "msg") else str(exc), line, column) from None
+    except (LookupError, ValueError) as exc:  # an unknown or unsupported declared encoding
+        raise XmlSyntaxError(str(exc), 1, 0) from None
     if root.tag != "PlcProject":
         raise SchemaViolationError("root element must be <PlcProject>", root.tag)
     ra = _attrs(root, ("name",))
@@ -477,7 +483,8 @@ class CallTree:
 
     Shared instances make this a DAG rather than a strict tree; they are
     listed in ``shared`` and handled by the grouping stage via a lowest
-    common ancestor placement.
+    common ancestor placement. ``order`` lists every node after all its
+    callers, taking the smallest ready name first.
     """
 
     roots: list[str]
@@ -485,6 +492,7 @@ class CallTree:
     children: dict[str, list[str]]
     parents: dict[str, list[str]]
     shared: set[str]
+    order: list[str]
 
     def depth(self) -> int:
         best = 0
@@ -497,7 +505,12 @@ class CallTree:
 
 
 def build_call_tree(project: PlcProject) -> CallTree:
-    """Derive the call graph from a prepared project, rejecting recursion."""
+    """Derive the call graph from a prepared project, rejecting recursion.
+
+    One topological pass (Kahn's algorithm, smallest ready name first)
+    orders the nodes; a node it never reaches lies on or below a call
+    cycle.
+    """
     if not project.prepared:
         raise PlcError("project must be prepared before building the call tree")
     obs = sorted(b.name for b in project.organization_blocks())
@@ -512,35 +525,34 @@ def build_call_tree(project: PlcProject) -> CallTree:
         children[n] = sorted(set(children[n]))
         parents[n] = sorted(set(parents[n]))
 
-    # Cycle detection via iterative DFS with colors.
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color = {n: WHITE for n in nodes}
-    for start in nodes:
-        if color[start] != WHITE:
-            continue
-        stack: list[tuple[str, int]] = [(start, 0)]
-        path = [start]
-        color[start] = GRAY
-        while stack:
-            node, idx = stack[-1]
-            if idx < len(children[node]):
-                stack[-1] = (node, idx + 1)
-                nxt = children[node][idx]
-                if color[nxt] == GRAY:
-                    cycle = path[path.index(nxt):] + [nxt]
-                    raise RecursiveCallError(cycle)
-                if color[nxt] == WHITE:
-                    color[nxt] = GRAY
-                    stack.append((nxt, 0))
-                    path.append(nxt)
-            else:
-                color[node] = BLACK
-                stack.pop()
-                path.pop()
+    waiting = {n: len(parents[n]) for n in nodes}
+    ready = [n for n in nodes if not waiting[n]]
+    heapq.heapify(ready)
+    order: list[str] = []
+    while ready:
+        node = heapq.heappop(ready)
+        order.append(node)
+        for child in children[node]:
+            waiting[child] -= 1
+            if not waiting[child]:
+                heapq.heappush(ready, child)
+    if len(order) < len(nodes):
+        # Every node left over has a caller left over: walking up through
+        # them from the smallest one must repeat a name, closing a cycle.
+        left = {n for n, w in waiting.items() if w}
+        node = min(left)
+        walk: list[str] = []
+        at: dict[str, int] = {}
+        while node not in at:
+            at[node] = len(walk)
+            walk.append(node)
+            node = next(p for p in parents[node] if p in left)
+        raise RecursiveCallError([node, *reversed(walk[at[node]:])])
     return CallTree(
         roots=obs,
         nodes=nodes,
         children=children,
         parents=parents,
         shared=set(project.shared_instances),
+        order=order,
     )

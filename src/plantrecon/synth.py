@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
-from .errors import InputError
+from .errors import DataError, InputError
 from .graph import EdgeKind, NodeKind
 from .mining import DEFAULT_EXCLUDED_KINDS
 from .plc import (
@@ -57,6 +57,10 @@ ROW_ENTRY_X = 2.0
 
 
 class InvalidSpecError(InputError):
+    pass
+
+
+class GroundTruthError(DataError):
     pass
 
 
@@ -527,6 +531,16 @@ class GroundTruth:
     counts: dict[str, int]
 
 
+# Pipeline configuration key -> file name, for every file write_outputs writes.
+PLANT_FILES = {
+    "plc_xml": "plant.plcproject.xml",
+    "io_csv": "io.csv",
+    "rtls_csv": "rtls.csv",
+    "labeled_rtls_csv": "rtls_labeled.csv",
+    "ground_truth": "groundtruth.json",
+}
+
+
 @dataclass
 class GeneratedPlant:
     spec: PlantSpec
@@ -569,13 +583,7 @@ class GeneratedPlant:
     def write_outputs(self, out_dir: str | Path) -> dict[str, Path]:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        paths = {
-            "plc_xml": out / "plant.plcproject.xml",
-            "io_csv": out / "io.csv",
-            "rtls_csv": out / "rtls.csv",
-            "labeled_rtls_csv": out / "rtls_labeled.csv",
-            "ground_truth": out / "groundtruth.json",
-        }
+        paths = {key: out / name for key, name in PLANT_FILES.items()}
         paths["plc_xml"].write_bytes(self.plc_xml)
         paths["io_csv"].write_text(self.io_csv(), encoding="utf-8")
         paths["rtls_csv"].write_text(self.rtls_csv(False), encoding="utf-8")
@@ -708,9 +716,6 @@ def generate(spec: PlantSpec) -> GeneratedPlant:
 
     io_events.sort(key=lambda e: (e[0], e[1]))
 
-    zone_labels = sorted(
-        {z for z in st.physical_zone.values() if z != "OFFLINE"}
-    )
     counts = {
         "sensors": len(st.sensor_names),
         "actuators": len(st.actuator_names),
@@ -724,30 +729,23 @@ def generate(spec: PlantSpec) -> GeneratedPlant:
         physical_partition=dict(sorted(st.physical_zone.items())),
         true_positions=dict(sorted(st.true_position.items())),
         templates=_expected_templates(spec, st),
-        zone_labels=zone_labels,
+        zone_labels=_zone_labels(st),
         counts=counts,
     )
     return GeneratedPlant(spec, project, plc_xml, io_events, rtls_rows, ground_truth, missions)
 
 
+def _zone_labels(st: _Structure) -> list[str]:
+    """The location labels a tray can be seen at: every zone but OFFLINE."""
+    return sorted({z for z in st.physical_zone.values() if z != "OFFLINE"})
+
+
 def recommended_config(spec: PlantSpec, out_dir: str | Path) -> dict[str, str]:
-    """Pipeline configuration matched to a generated plant's ground truth."""
+    """Pipeline configuration matched to a generated plant's ground truth:
+    one k-means cluster per zone label that ``generate`` reports."""
     out = Path(out_dir)
-    total_rows = spec.levels * spec.rows_per_level
-    zone_count = total_rows if spec.location_granularity is Granularity.ROW else max(
-        1, total_rows * spec.places_per_row
-    )
-    zone_count += sum(
-        (spec.levels if u.attach == "level" else 1)
-        for u in spec.extra_components
-        if u.waypoint != "none"
-    )
     return {
-        "plc_xml": str(out / "plant.plcproject.xml"),
-        "io_csv": str(out / "io.csv"),
-        "rtls_csv": str(out / "rtls.csv"),
-        "labeled_rtls_csv": str(out / "rtls_labeled.csv"),
-        "ground_truth": str(out / "groundtruth.json"),
+        **{key: str(out / name) for key, name in PLANT_FILES.items()},
         "out_dir": str(out),
         "mode": "classify",
         "seed": str(spec.seed),
@@ -755,12 +753,61 @@ def recommended_config(spec: PlantSpec, out_dir: str | Path) -> dict[str, str]:
         "min_nodes": "3",
         "max_nodes": str(max(12, 2 + 4 * spec.places_per_row)),
         "excluded_kinds": ",".join(sorted(k.value for k in DEFAULT_EXCLUDED_KINDS)),
-        "kmeans_k": str(zone_count),
+        "kmeans_k": str(len(_zone_labels(_build_structure(spec)))),
     }
 
 
+def _is_list(value, is_item) -> bool:
+    return isinstance(value, list) and all(map(is_item, value))
+
+
+def _is_map(value, is_item) -> bool:
+    return isinstance(value, dict) and all(map(is_item, value.values()))
+
+
+def _is_str(value) -> bool:
+    return type(value) is str
+
+
+def _is_template(value) -> bool:
+    """String vertices, [source, target, label] edges between them, int support."""
+    if not isinstance(value, dict) or not _is_list(value.get("vertices"), _is_str):
+        return False
+    ends = range(len(value["vertices"]))
+    return type(value.get("support", 0)) is int and _is_list(
+        value.get("edges"),
+        lambda e: isinstance(e, list) and len(e) == 3 and e[0] in ends and e[1] in ends
+        and _is_str(e[2]),
+    )
+
+
+# groundtruth.json key -> (what its value must be, the check).
+_GROUND_TRUTH_SHAPE = {
+    "functionalPartition": ("an object of strings", lambda v: _is_map(v, _is_str)),
+    "physicalPartition": ("an object of strings", lambda v: _is_map(v, _is_str)),
+    "truePositions": ("an object of [x, y, z] numbers", lambda v: _is_map(
+        v, lambda p: _is_list(p, lambda c: type(c) in (int, float)) and len(p) == 3
+    )),
+    "templates": ("a list of template structures", lambda v: _is_list(v, _is_template)),
+    "zoneLabels": ("a list of strings", lambda v: _is_list(v, _is_str)),
+    "counts": ("an object of integers", lambda v: _is_map(v, lambda n: type(n) is int)),
+}
+
+
 def load_ground_truth(path: str | Path) -> GroundTruth:
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    """Read ``groundtruth.json``; a file of the wrong shape raises
+    ``GroundTruthError`` naming the first problem."""
+    try:
+        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise GroundTruthError(f"{path}: not JSON: {exc}") from None
+    if not isinstance(payload, dict):
+        raise GroundTruthError(f"{path}: must be a JSON object, got {type(payload).__name__}")
+    for key, (shape, ok) in _GROUND_TRUTH_SHAPE.items():
+        if key not in payload:
+            raise GroundTruthError(f"{path}: missing {key!r}")
+        if not ok(payload[key]):
+            raise GroundTruthError(f"{path}: {key!r} must be {shape}")
     return GroundTruth(
         functional_partition=payload["functionalPartition"],
         physical_partition=payload["physicalPartition"],

@@ -39,6 +39,13 @@ class TraceError(DataError):
 _TIMESTAMP_LIMIT_MS = 2**62
 
 
+def _int64_times(values: list[int]) -> np.ndarray:
+    """API callers' timestamps as int64, held to the loaders' bound."""
+    if any(not -_TIMESTAMP_LIMIT_MS < t < _TIMESTAMP_LIMIT_MS for t in values):
+        raise TraceError("timestamp magnitude must be below 2**62 ms")
+    return np.array(values, dtype=np.int64)
+
+
 class MalformedRowError(TraceError):
     def __init__(self, message: str, row: int):
         super().__init__(f"row {row}: {message}")
@@ -89,7 +96,7 @@ class RtlsTrace:
         trackers: dict[str | None, int] = {}
         labels: dict[str | None, int] = {}
         return _sorted_trace(
-            [s.timestamp_ms for s in samples],
+            _int64_times([s.timestamp_ms for s in samples]),
             [v for s in samples for v in (s.x, s.y, s.z)],
             [trackers.setdefault(s.tracker_id, len(trackers)) for s in samples],
             trackers,
@@ -365,7 +372,7 @@ def match_events(
     if n == 0 or not events.events:
         return PositionSeries(owner_tag=events.tag)
     times = rtls.timestamps_ms
-    at = np.array([e.timestamp_ms for e in events.events], dtype=np.int64)
+    at = _int64_times([e.timestamp_ms for e in events.events])
     # The samples just before (or at) and just after each event hold the
     # nearest time; an equal distance goes to the earlier one.
     after = np.searchsorted(times, at, side="right")

@@ -260,3 +260,24 @@ def ari_oracle(partition_a: dict, partition_b: dict) -> float:
     if den == 0:
         return 1.0 if a_only == 0 and b_only == 0 else 0.0
     return num / den
+
+
+def pairwise_f1_oracle(truth: dict, predicted: dict) -> float:
+    """Pairwise F1 by direct pair counting, in the same float arithmetic as
+    ``metrics.pairwise_f1``."""
+    assert set(truth) == set(predicted)
+    tp = fp = fn = 0
+    for x, y in combinations(sorted(truth), 2):
+        same_t = truth[x] == truth[y]
+        same_p = predicted[x] == predicted[y]
+        if same_t and same_p:
+            tp += 1
+        elif same_p:
+            fp += 1
+        elif same_t:
+            fn += 1
+    if tp == 0:
+        return 1.0 if fp == 0 and fn == 0 else 0.0
+    precision = tp / (tp + fp)
+    recall = tp / (tp + fn)
+    return 2 * precision * recall / (precision + recall)

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -6,8 +7,10 @@ from plantrecon import plc, synth
 from plantrecon.aml import (
     MAX_CONTAINS_DEPTH,
     AmlError,
+    AmlIdError,
     AmlSyntaxError,
     DanglingLinkError,
+    Finding,
     InvalidGraphError,
     UnknownRoleError,
     export_aml,
@@ -16,7 +19,23 @@ from plantrecon.aml import (
 )
 from plantrecon.graph import Edge, EdgeKind, Node, NodeKind, PropertyGraph
 from plantrecon.grouping import functional_grouping
-from plantrecon.mining import mine, mark_templates, project_for_mining, select_templates
+from plantrecon.mining import (
+    DEFAULT_EXCLUDED_KINDS,
+    mark_templates,
+    mine,
+    project_for_mining,
+    select_templates,
+)
+
+
+@pytest.fixture(scope="module")
+def marked_mini_aml(mini_functional):
+    """The mini functional graph with its templates marked, exported."""
+    graph = mini_functional.copy()
+    view = project_for_mining(graph, DEFAULT_EXCLUDED_KINDS)
+    patterns = mine(view, min_support=2, min_nodes=3, max_nodes=12, root_anchored_only=True)
+    mark_templates(graph, select_templates(patterns))
+    return export_aml(graph)
 
 
 def _element_count(xml_bytes):
@@ -217,3 +236,33 @@ class TestValidate:
         text = xml_bytes.decode().replace('RefPartnerSideA="Reads:', 'RefPartnerSideA="Ghost:', 1)
         findings = validate_aml(text.encode())
         assert any(f.code == "link" for f in findings)
+
+    @pytest.mark.parametrize(
+        "pattern, repl, error, code",
+        [
+            (r"<Value>Sensor</Value>", "<Value>Bogus</Value>", AmlSyntaxError, "syntax"),
+            (r"<Value>PlcAnalysis</Value>", "<Value>Nope</Value>", AmlSyntaxError, "syntax"),
+            (r'(channelIndex" AttributeDataType="xs:integer">\s*<Value>)', r"\1x",
+             AmlSyntaxError, "syntax"),
+            (r"encoding=.utf-8.", 'encoding="Atf-8"', AmlSyntaxError, "syntax"),
+            (r"<InstanceHierarchy ", "<InstanceHierarchy/><InstanceHierarchy ", AmlSyntaxError,
+             "syntax"),
+            (r'ID="Sensor:S_occ_1_1"', 'ID="Sensor:S_occ_1_2"', AmlIdError, "id"),
+            (r'(ID="TypedBy:SoftwareComponent:DB_Place_1_)2', r"\g<1>1", AmlIdError, "id"),
+            (r' ID="Actuator:A_eject_1_1"', "", AmlIdError, "id"),
+            (r'RefPartnerSideA="Reads:', 'RefPartnerSideA="Ghost:', DanglingLinkError, "link"),
+            (r'RefBaseSystemUnitPath="TemplateLibrary/', 'RefBaseSystemUnitPath="Elsewhere/',
+             DanglingLinkError, "link"),
+            (r'RefBaseRoleClassPath="PlantReconRoleLib/Sensor"',
+             'RefBaseRoleClassPath="SomeVendorLib/Sensor"', UnknownRoleError, "role"),
+        ],
+        ids=["node-kind", "provenance", "integer", "encoding", "two-hierarchies",
+             "duplicate-id", "duplicate-interface-id", "missing-id", "unresolved-link",
+             "unknown-system-unit-class", "unknown-role"],
+    )
+    def test_finding_is_the_import_error(self, marked_mini_aml, pattern, repl, error, code):
+        text, count = re.subn(pattern, repl, marked_mini_aml.decode(), count=1)
+        assert count == 1
+        with pytest.raises(error) as info:
+            import_aml(text.encode())
+        assert validate_aml(text.encode()) == [Finding(code, str(info.value))]

@@ -12,6 +12,7 @@ from plantrecon.traces import (
     IoSample,
     PositionEstimate,
     RtlsSample,
+    TraceError,
 )
 
 
@@ -147,6 +148,19 @@ class TestDegenerateInputs:
         with caplog.at_level(logging.WARNING, logger="plantrecon.dynamics"):
             analyze_dynamics(io, rtls, labeled, kinds, types, project.name)
         assert _dynamics_warnings(caplog) == []
+
+
+    @pytest.mark.parametrize("which", ["io", "rtls"])
+    def test_timestamp_beyond_bound_raises(self, mini_plant, which):
+        project, kinds, types = _tag_maps(mini_plant)
+        io, rtls, labeled = _samples(mini_plant)
+        tag = io[-1].tag
+        if which == "io":
+            io = io + [IoSample(2**63 + 5, tag, 1.0 - io[-1].value)]
+        else:
+            rtls = rtls + [RtlsSample(2**63, "tray01", 0.0, 0.0, 0.0)]
+        with pytest.raises(TraceError, match="below 2\\*\\*62 ms"):
+            analyze_dynamics(io, rtls, labeled, kinds, types, project.name)
 
 
 class TestBuildPhysicalGroups:

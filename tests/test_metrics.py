@@ -13,7 +13,7 @@ from plantrecon.metrics import (
 )
 from plantrecon.mining import Pattern
 
-from oracles import ari_oracle
+from oracles import ari_oracle, pairwise_f1_oracle
 
 
 class TestAri:
@@ -35,6 +35,9 @@ class TestAri:
     def test_universe_mismatch(self):
         with pytest.raises(UniverseMismatchError):
             ari({"a": "1"}, {"b": "1"})
+
+    def test_empty_partitions(self):
+        assert ari({}, {}) == 1.0
 
     def test_oracle_equivalence_random_partitions(self):
         rng = random.Random(11)
@@ -73,6 +76,19 @@ class TestPairwiseF1:
     def test_all_singletons_equal(self):
         p = {"a": "1", "b": "2", "c": "3"}
         assert pairwise_f1(p, dict(p)) == 1.0
+
+    def test_universe_mismatch(self):
+        with pytest.raises(UniverseMismatchError):
+            pairwise_f1({"a": "1"}, {"b": "1"})
+
+    def test_equals_pair_loop_exactly(self):
+        rng = random.Random(12)
+        for _ in range(500):
+            elements = [f"e{i}" for i in range(rng.randint(0, 25))]
+            groups = rng.randint(1, 6)
+            a = {e: str(rng.randrange(groups)) for e in elements}
+            b = {e: str(rng.randrange(groups)) for e in elements}
+            assert pairwise_f1(a, b) == pairwise_f1_oracle(a, b)
 
 
 class TestTemplateRecovery:
@@ -121,7 +137,6 @@ class TestReportText:
             pairwise_f1=1.0,
             classification_accuracy=0.98,
             template_recovery=1.0,
-            runtime_seconds=12.345,
             clustering_ari=0.4,
         )
         text = report.to_text()

@@ -291,6 +291,53 @@ class TestCli:
         assert result.exit_code == 2
         assert "code=2" in result.output
 
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            ("not json", "not JSON"),
+            ("[1,2]", "must be a JSON object, got list"),
+            ("no physicalPartition", "missing 'physicalPartition'"),
+        ],
+        ids=["not-json", "list", "missing-key"],
+    )
+    def test_malformed_ground_truth_exit_2(self, mini_workspace, tmp_path, content, message):
+        truth = tmp_path / "groundtruth.json"
+        if content == "no physicalPartition":
+            payload = json.loads((mini_workspace / "groundtruth.json").read_text())
+            del payload["physicalPartition"]
+            content = json.dumps(payload)
+        truth.write_text(content)
+        conf = read_kv_file(mini_workspace / "pipeline.conf")
+        conf["ground_truth"] = str(truth)
+        bad = tmp_path / "bad.conf"
+        write_kv_file(bad, conf)
+        result = CliRunner().invoke(
+            main, ["--config", str(bad), "--out-dir", str(tmp_path / "o"), "run-all"]
+        )
+        assert result.exit_code == 2, result.output
+        assert "type=GroundTruthError" in result.output
+        assert message in result.output
+
+    def test_undecodable_config_exit_1(self, mini_workspace, tmp_path):
+        bad = tmp_path / "bad.conf"
+        bad.write_bytes((mini_workspace / "pipeline.conf").read_bytes() + b"# caf\xe9\n")
+        result = CliRunner().invoke(main, ["--config", str(bad), "analyze-plc"])
+        assert result.exit_code == 1, result.output
+        assert "code=1 type=UnicodeDecodeError" in result.output
+
+    def test_undecodable_trace_exit_1(self, mini_workspace, tmp_path):
+        rtls = tmp_path / "rtls.csv"
+        rtls.write_bytes((mini_workspace / "rtls.csv").read_bytes() + b"0,tr\xffy,0,0,0\n")
+        conf = read_kv_file(mini_workspace / "pipeline.conf")
+        conf["rtls_csv"] = str(rtls)
+        bad = tmp_path / "bad.conf"
+        write_kv_file(bad, conf)
+        result = CliRunner().invoke(
+            main, ["--config", str(bad), "--out-dir", str(tmp_path / "o"), "analyze-dynamics"]
+        )
+        assert result.exit_code == 1, result.output
+        assert "code=1 type=UnicodeDecodeError" in result.output
+
     def test_individual_commands(self, mini_workspace, tmp_path):
         out = tmp_path / "steps"
         runner = CliRunner()

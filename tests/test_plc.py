@@ -66,6 +66,12 @@ class TestParse:
             parse_project("<PlcProject name='x'><Blocks>")
         assert info.value.line >= 1
 
+    @pytest.mark.parametrize("encoding", ["Atf-8", "utf-7", "rot13"])
+    def test_unusable_declared_encoding(self, encoding):
+        xml = MINI_LIKE_XML.replace('encoding="utf-8"', f'encoding="{encoding}"')
+        with pytest.raises(XmlSyntaxError, match="line 1, column 0"):
+            parse_project(xml)
+
     def test_bit_address_out_of_range(self):
         xml = MINI_LIKE_XML.replace('address="%I0.0"', 'address="%I0.9"').replace(
             'channel="0"/>', 'channel="9"/>', 1
@@ -207,7 +213,7 @@ class TestCallTree:
             '<DataBlock name="DB_Row_1" ofType="FB_Row">'
             '<Call callee="FB_Row" instanceDb="DB_Row_1"/>',
         )
-        with pytest.raises(RecursiveCallError):
+        with pytest.raises(RecursiveCallError, match="chain: DB_Row_1 -> DB_Row_1$"):
             build_call_tree(prepare(parse_project(xml)))
 
     def test_mutual_recursion_rejected(self):
@@ -216,8 +222,35 @@ class TestCallTree:
             '<DataBlock name="DB_Place_1_2" ofType="FB_Place">'
             '<Call callee="FB_Row" instanceDb="DB_Row_1"/>',
         )
-        with pytest.raises(RecursiveCallError):
+        with pytest.raises(
+            RecursiveCallError, match="chain: DB_Row_1 -> DB_Place_1_2 -> DB_Row_1$"
+        ):
             build_call_tree(prepare(parse_project(xml)))
+
+    def test_three_cycle_reported_in_call_order(self):
+        xml = MINI_LIKE_XML.replace(
+            '<DataBlock name="DB_Place_1_1" ofType="FB_Place">',
+            '<DataBlock name="DB_Place_1_1" ofType="FB_Place">'
+            '<Call callee="FB_Z" instanceDb="DB_Z"/>',
+        ).replace(
+            "</Blocks>",
+            '<FunctionBlock name="FB_Z"/><DataBlock name="DB_Z" ofType="FB_Z">'
+            '<Call callee="FB_Row" instanceDb="DB_Row_1"/></DataBlock></Blocks>',
+        )
+        project = prepare(parse_project(xml))
+        with pytest.raises(RecursiveCallError) as info:
+            build_call_tree(project)
+        cycle = info.value.cycle
+        assert len(cycle) == 4 and cycle[0] == cycle[-1]
+        assert set(cycle) == {"DB_Row_1", "DB_Place_1_1", "DB_Z"}
+        assert all(edge in project.call_edges for edge in zip(cycle, cycle[1:]))
+
+    def test_order_lists_callers_first(self, reference_plant):
+        tree = build_call_tree(prepare(parse_project(reference_plant.plc_xml)))
+        assert sorted(tree.order) == sorted(tree.nodes)
+        position = {name: k for k, name in enumerate(tree.order)}
+        for name in tree.nodes:
+            assert all(position[p] < position[name] for p in tree.parents[name])
 
     def test_reference_depth_three_controller_levels(self, reference_plant):
         project = prepare(parse_project(reference_plant.plc_xml))

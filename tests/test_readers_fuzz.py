@@ -1,0 +1,142 @@
+"""Mutation fuzzing of every file reader: a damaged input file must end in
+an error the CLI maps to exit 1 (unusable input) or 2 (bad data), never
+in an internal error.
+
+The inputs are the mini plant's own files, mutated by byte replacement,
+truncation and line duplication. Hypothesis runs derandomized, so every
+run draws the same examples.
+"""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from plantrecon import aml, dynamics, grouping, metrics, pipeline, plc, synth
+from plantrecon.cli import _fail
+from plantrecon.config import PipelineConfig, write_kv_file
+from plantrecon.graph import NodeKind, load_graph
+from plantrecon.traces import load_io_trace, load_rtls_trace
+
+FUZZ = settings(derandomize=True, max_examples=150, deadline=None, database=None)
+
+
+@pytest.fixture(scope="module")
+def plant_dir(tmp_path_factory):
+    """The mini plant's inputs and the outputs of one run-all over them."""
+    out = tmp_path_factory.mktemp("fuzz_plant")
+    spec = synth.mini_spec()
+    synth.generate(spec).write_outputs(out)
+    write_kv_file(out / "pipeline.conf", synth.recommended_config(spec, out))
+    pipeline.run_all(PipelineConfig.load(out / "pipeline.conf"))
+    return out
+
+
+@st.composite
+def mutations(draw, data: bytes) -> bytes:
+    # Positions come from a seeded Random: hypothesis' own integers favour
+    # the ends of a range, and most of a file lies between them.
+    rnd = draw(st.randoms(use_true_random=False))
+    for _ in range(draw(st.integers(1, 3))):
+        op = draw(st.sampled_from(["replace", "truncate", "duplicate"]))
+        if op == "replace" and data:
+            at = rnd.randrange(len(data))
+            data = data[:at] + bytes([rnd.randrange(256)]) + data[at + 1:]
+        elif op == "truncate":
+            data = data[: rnd.randrange(len(data) + 1)]
+        else:
+            lines = data.split(b"\n")
+            at = rnd.randrange(len(lines))
+            lines.insert(at, lines[at])
+            data = b"\n".join(lines)
+    return data
+
+
+def _assert_exit_1_or_2(exc: Exception) -> None:
+    code = _fail(exc).exit_code
+    assert code in (1, 2), f"exit {code}: {type(exc).__name__}: {exc}"
+
+
+def _exits_1_or_2(read, *args) -> None:
+    """Run ``read``; an exception it raises must map to exit 1 or 2."""
+    try:
+        read(*args)
+    except Exception as exc:
+        _assert_exit_1_or_2(exc)
+
+
+def _mutated_file(plant_dir, name: str, data: bytes):
+    path = plant_dir / f"mutated-{name}"
+    path.write_bytes(data)
+    return path
+
+
+def _plc_inputs(plant_dir):
+    project = plc.parse_project((plant_dir / "plant.plcproject.xml").read_bytes())
+    kinds = {t.name: (NodeKind.SENSOR if t.is_input else NodeKind.ACTUATOR) for t in project.tags}
+    return project, kinds, {t.name: t.data_type.value for t in project.tags}
+
+
+def _analyze_plc(xml_bytes: bytes) -> None:
+    project = plc.prepare(plc.parse_project(xml_bytes))
+    grouping.functional_grouping(project, plc.build_call_tree(project))
+
+
+class TestReaderFuzz:
+    @FUZZ
+    @given(data=st.data())
+    def test_plc_xml(self, plant_dir, data):
+        original = (plant_dir / "plant.plcproject.xml").read_bytes()
+        _exits_1_or_2(_analyze_plc, data.draw(mutations(original)))
+
+    @pytest.mark.parametrize("name", ["io.csv", "rtls.csv", "rtls_labeled.csv"])
+    @FUZZ
+    @given(data=st.data())
+    def test_trace_csv(self, plant_dir, name, data):
+        project, kinds, types = _plc_inputs(plant_dir)
+        path = _mutated_file(plant_dir, name, data.draw(mutations((plant_dir / name).read_bytes())))
+        files = {n: plant_dir / n for n in ("io.csv", "rtls.csv", "rtls_labeled.csv")}
+        files[name] = path
+
+        def analyze():
+            dynamics.analyze_dynamics(
+                load_io_trace(files["io.csv"]),
+                load_rtls_trace(files["rtls.csv"]),
+                load_rtls_trace(files["rtls_labeled.csv"]),
+                kinds,
+                types,
+                project.name,
+            )
+
+        _exits_1_or_2(analyze)
+
+    @pytest.mark.parametrize("name", ["functional.dtgraph", "plant.dtgraph"])
+    @FUZZ
+    @given(data=st.data())
+    def test_dtgraph(self, plant_dir, name, data):
+        path = _mutated_file(plant_dir, name, data.draw(mutations((plant_dir / name).read_bytes())))
+        _exits_1_or_2(load_graph, path)
+
+    @FUZZ
+    @given(data=st.data())
+    def test_aml_validates_exactly_when_it_imports(self, plant_dir, data):
+        doc = data.draw(mutations((plant_dir / "plant.aml").read_bytes()))
+        try:
+            aml.import_aml(doc)
+        except Exception as exc:
+            _assert_exit_1_or_2(exc)
+            assert [f.message for f in aml.validate_aml(doc)] == [str(exc)]
+        else:
+            assert aml.validate_aml(doc) == []
+
+    @FUZZ
+    @given(data=st.data())
+    def test_ground_truth_json(self, plant_dir, data):
+        original = (plant_dir / "groundtruth.json").read_bytes()
+        path = _mutated_file(plant_dir, "groundtruth.json", data.draw(mutations(original)))
+        graph = load_graph(plant_dir / "plant.dtgraph")
+
+        def evaluate():
+            truth = synth.load_ground_truth(path)
+            metrics.evaluate(graph, pipeline.templates_from_graph(graph), truth)
+
+        _exits_1_or_2(evaluate)

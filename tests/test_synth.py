@@ -1,3 +1,4 @@
+import json
 import math
 
 import pytest
@@ -7,6 +8,7 @@ from plantrecon.config import plant_spec_from_dict, plant_spec_to_dict
 from plantrecon.synth import (
     ExtraUnit,
     Granularity,
+    GroundTruthError,
     InvalidSpecError,
     PlantSpec,
     generate,
@@ -75,8 +77,32 @@ class TestMiniGeneration:
         for path in paths.values():
             assert path.exists()
         gt = load_ground_truth(paths["ground_truth"])
-        assert gt.functional_partition == mini_plant.ground_truth.functional_partition
-        assert gt.templates == mini_plant.ground_truth.templates
+        assert gt == mini_plant.ground_truth
+
+
+class TestLoadGroundTruth:
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("functionalPartition", {"S": 1}),
+            ("physicalPartition", ["S"]),
+            ("truePositions", {"S": [1.0, 2.0]}),
+            ("truePositions", {"S": 3.0}),
+            ("templates", [{"vertices": ["Sensor"], "edges": [[0, 1, "Contains"]]}]),
+            ("templates", [{"vertices": ["Sensor"], "edges": [[0, 0, "Contains", 1]]}]),
+            ("templates", [{"vertices": ["Sensor"], "edges": [], "support": "3"}]),
+            ("templates", {"vertices": []}),
+            ("zoneLabels", "L1"),
+            ("counts", {"sensors": 2.5}),
+        ],
+    )
+    def test_wrong_shape_names_the_key(self, tmp_path, mini_plant, key, value):
+        payload = json.loads(mini_plant.ground_truth_json())
+        payload[key] = value
+        path = tmp_path / "groundtruth.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(GroundTruthError, match=f"'{key}' must be"):
+            load_ground_truth(path)
 
 
 class TestPaperScaleGeneration:
@@ -120,6 +146,38 @@ class TestPaperScaleGeneration:
     def test_labeled_zones_match_truth_vocabulary(self, reference_plant):
         zones = {z for (*_x, z) in reference_plant.rtls_rows if z}
         assert zones == set(reference_plant.ground_truth.zone_labels)
+
+
+class TestRecommendedConfig:
+    @pytest.mark.parametrize(
+        "granularity, units",
+        [
+            (Granularity.PLACE, ()),
+            (Granularity.ROW, ()),
+            (Granularity.LEVEL, ()),
+            (Granularity.ROW, (ExtraUnit("feed", 1, 1, "level", "infeed"),)),
+            (Granularity.PLACE, (ExtraUnit("lift", 1, 1, "level", "lift"),
+                                 ExtraUnit("panel", 1, 0, "system", "none"))),
+        ],
+        ids=["place", "row", "level", "row-level-infeed", "place-lift-panel"],
+    )
+    def test_kmeans_k_is_the_zone_label_count(self, tmp_path, granularity, units):
+        spec = PlantSpec(
+            levels=2,
+            rows_per_level=2,
+            places_per_row=2,
+            location_granularity=granularity,
+            extra_components=units,
+            sim_duration_s=200.0,
+        )
+        plant = generate(spec)
+        conf = synth.recommended_config(spec, tmp_path)
+        assert int(conf["kmeans_k"]) == len(plant.ground_truth.zone_labels)
+
+    def test_file_keys_name_the_written_files(self, tmp_path, mini_plant):
+        paths = mini_plant.write_outputs(tmp_path)
+        conf = synth.recommended_config(mini_plant.spec, tmp_path)
+        assert {key: conf[key] for key in paths} == {k: str(p) for k, p in paths.items()}
 
 
 class TestSpecConfigRoundTrip:

@@ -16,6 +16,7 @@ from plantrecon.traces import (
     RtlsTrace,
     SignalEvent,
     SignalKind,
+    TraceError,
     detect_events,
     estimate_position,
     load_io_trace,
@@ -205,6 +206,28 @@ class TestDetectEvents:
         samples = _io([(i, "a", v) for i, v in enumerate(values)])
         events = detect_events(samples, SignalKind.ANALOG, threshold=5.0, hysteresis=1.0)
         assert len(events.events) == 1  # only the decisive excursion fires
+
+
+class TestTimestampBound:
+    """API callers' timestamps are held to the loaders' 2**62 ms bound."""
+
+    @pytest.mark.parametrize("ts", [2**62, 2**63 + 5, -(2**62)])
+    def test_match_events(self, ts):
+        trace = _rtls([(0, "t1", 0.0, 0.0, 0.0, None)])
+        events = EventSeries("a", [SignalEvent(ts, EventDirection.RISING)])
+        with pytest.raises(TraceError, match="below 2\\*\\*62 ms"):
+            match_events(events, trace, 500)
+
+    @pytest.mark.parametrize("ts", [2**62, 2**63, -(2**63) - 1])
+    def test_from_samples(self, ts):
+        with pytest.raises(TraceError, match="below 2\\*\\*62 ms"):
+            _rtls([(0, "t1", 0.0, 0.0, 0.0, None), (ts, "t1", 1.0, 0.0, 0.0, None)])
+
+    def test_largest_allowed_timestamp(self):
+        ts = 2**62 - 1
+        trace = _rtls([(ts, "t1", 1.0, 0.0, 0.0, None)])
+        events = EventSeries("a", [SignalEvent(ts, EventDirection.RISING)])
+        assert match_events(events, trace, 500).points == [(1.0, 0.0, 0.0)]
 
 
 class TestMatchEvents:
