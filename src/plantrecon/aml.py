@@ -293,6 +293,9 @@ def import_aml(xml_bytes: bytes) -> PropertyGraph:
     if len(hierarchies) != 1:
         raise AmlSyntaxError(f"expected one InstanceHierarchy, found {len(hierarchies)}")
     try:
+        # Only checked: template labels are read from the TemplatePattern elements.
+        for attr in caex.iterfind(".//SystemUnitClass/Attribute"):
+            _parse_attribute(attr)
         for elem in hierarchies[0]:
             if elem.tag == "InternalElement":
                 walk(elem, None, 0)

@@ -44,7 +44,7 @@ class EmptyTrainingSetError(SeriesError):
 
 def _as_matrix(series) -> np.ndarray:
     if isinstance(series, PositionSeries):
-        data = np.asarray(series.points, dtype=float)
+        data = series.points
     else:
         data = np.asarray(series, dtype=float)
     if data.size == 0:

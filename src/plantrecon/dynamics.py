@@ -46,6 +46,7 @@ ANALOG_HYSTERESIS_FRACTION = 0.02
 # the ranking toward short segments. Also bounds the 1-NN run time.
 TRAINING_SERIES_LEN = 32
 TRAINING_MAX_PER_CLASS = 10
+_POSITION_LABELS = ("position.x", "position.y", "position.z")
 # How many undeclared IO tags the warning names.
 _UNDECLARED_SHOWN = 5
 
@@ -93,15 +94,12 @@ def component_event_series(io_samples: list[IoSample], tag_types: dict[str, str]
 
 
 def _resample(series: PositionSeries, length: int) -> PositionSeries:
-    """Nearest-index resampling to exactly ``length`` points (n >= 1)."""
+    """Nearest-index resampling to exactly ``length`` >= 2 points (n >= 1)."""
     n = len(series)
     if n == length:
         return series
-    out = PositionSeries(owner_tag=series.owner_tag)
-    for i in range(length):
-        j = i * (n - 1) // (length - 1) if length > 1 else 0
-        out.append(series.timestamps_ms[j], series.points[j])
-    return out
+    rows = np.arange(length) * (n - 1) // (length - 1)
+    return PositionSeries(series.owner_tag, series.timestamps_ms[rows], series.points[rows])
 
 
 def _cap(series: PositionSeries, max_len: int) -> PositionSeries:
@@ -217,12 +215,7 @@ def build_physical_groups(
         est = estimates.get(tag)
         label_map = {}
         if est is not None and est.status is EstimateStatus.KNOWN and est.mean is not None:
-            label_map = {
-                "position.x": est.mean[0],
-                "position.y": est.mean[1],
-                "position.z": est.mean[2],
-                "matchCount": est.match_count,
-            }
+            label_map = {**dict(zip(_POSITION_LABELS, est.mean)), "matchCount": est.match_count}
         if not label_map and tag not in assignments:
             continue
         tid = node_id(kind, tag)
@@ -230,6 +223,22 @@ def build_physical_groups(
         if tag in assignments:
             g.add_edge(Edge(EdgeKind.MEMBER_OF_PHYSICAL, tid, group_ids[assignments[tag]]))
     return g
+
+
+def stored_estimates(graph: PropertyGraph) -> list[PositionEstimate]:
+    """The Known position estimates that ``build_physical_groups`` stored
+    on a graph's Sensor and Actuator nodes, in node id order; ``load_graph``
+    has checked the labels' types."""
+    return [
+        PositionEstimate(
+            node.name,
+            tuple(node.labels[key] for key in _POSITION_LABELS),
+            node.labels.get("matchCount", 0),
+            EstimateStatus.KNOWN,
+        )
+        for node in graph.query(kinds={NodeKind.SENSOR, NodeKind.ACTUATOR})
+        if all(key in node.labels for key in _POSITION_LABELS)
+    ]
 
 
 def _add_trackers(g: PropertyGraph, rtls: RtlsTrace, root_name: str) -> None:
@@ -240,14 +249,14 @@ def _add_trackers(g: PropertyGraph, rtls: RtlsTrace, root_name: str) -> None:
     last = len(rtls) - 1 - first_reversed
     for code, row in zip(codes.tolist(), last.tolist()):
         tracker = rtls.tracker_names[code]
-        x, y, z = rtls.points[row].tolist()
+        position = dict(zip(_POSITION_LABELS, rtls.points[row].tolist()))
         tid = node_id(NodeKind.MATERIAL_TRACKER, tracker)
         g.add_node(
             Node(
                 tid,
                 NodeKind.MATERIAL_TRACKER,
                 tracker,
-                {"domain": "mechanic", "position.x": x, "position.y": y, "position.z": z},
+                {"domain": "mechanic", **position},
                 Provenance.DYNAMICS_ANALYSIS,
             )
         )

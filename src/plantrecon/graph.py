@@ -15,6 +15,7 @@ key                       type     meaning
 ========================  =======  =====================================
 ``domain``                str      mechanic | electric | software
 ``position.x/.y/.z``      float    estimated position in meters
+``matchCount``            int      events matched for the position
 ``address``               str      IO address of a field device
 ``channelIndex``          int      channel index on an IO device
 ``dataType``              str      PLC data type of the backing tag
@@ -24,9 +25,13 @@ key                       type     meaning
 ``members``               str      member node ids of a template instance
 ========================  =======  =====================================
 
+A reserved label of another type, a bool included, and a damaged
+``patternCode`` (``mining.stored_template``) are data errors (exit 2).
+
 Persistence is newline-delimited JSON records (``*.dtgraph``): one object
 per line, node records before edge records, keys sorted, UTF-8. Record
-order must not matter on load.
+order must not matter on load. An edge's id is derived from its kind and
+endpoints (``edge_id``); a record whose stored id differs is refused.
 
 Concurrency: single writer, any number of concurrent readers; instances
 may be handed between threads but must not be mutated concurrently.
@@ -158,6 +163,7 @@ _RESERVED_LABEL_TYPES: dict[str, type | tuple[type, ...]] = {
     "templateId": str,
     "support": int,
     "channelIndex": int,
+    "matchCount": int,
 }
 
 
@@ -165,14 +171,12 @@ def _check_labels(labels: Mapping[str, LabelValue], owner: str) -> None:
     for key, value in labels.items():
         if not isinstance(key, str) or not key:
             raise KindViolationError(f"{owner}: label keys must be non-empty strings")
-        if isinstance(value, bool):
-            continue  # bool before int: bool is an int subclass
-        if not isinstance(value, (str, int, float)):
+        if not isinstance(value, (str, int, float)):  # bool is an int subclass
             raise KindViolationError(
                 f"{owner}: label {key!r} has non-scalar value {value!r}"
             )
         expected = _RESERVED_LABEL_TYPES.get(key)
-        if expected is not None and not isinstance(value, expected):
+        if expected is not None and (isinstance(value, bool) or not isinstance(value, expected)):
             raise KindViolationError(
                 f"{owner}: reserved label {key!r} must be {expected}, got {type(value).__name__}"
             )
@@ -201,22 +205,23 @@ class Node:
 
 @dataclass
 class Edge:
+    """A directed edge; its id is ``edge_id`` of its kind and endpoints."""
+
     kind: EdgeKind
     source: str
     target: str
     labels: Labels = field(default_factory=dict)
-    id: str = ""
+    id: str = field(init=False)
 
     def __post_init__(self) -> None:
-        if not self.id:
-            self.id = edge_id(self.kind, self.source, self.target)
+        self.id = edge_id(self.kind, self.source, self.target)
 
     @property
     def triple(self) -> tuple[EdgeKind, str, str]:
         return (self.kind, self.source, self.target)
 
     def copy(self) -> "Edge":
-        return Edge(self.kind, self.source, self.target, dict(self.labels), self.id)
+        return Edge(self.kind, self.source, self.target, dict(self.labels))
 
 
 def make_node(
@@ -572,15 +577,10 @@ def load_graph(path: str | Path) -> PropertyGraph:
             raise MalformedRecordError(str(exc), lineno) from None
     for lineno, rec in edges:
         try:
-            graph.add_edge(
-                Edge(
-                    kind=EdgeKind(rec["kind"]),
-                    source=rec["source"],
-                    target=rec["target"],
-                    labels=dict(rec["labels"]),
-                    id=rec["id"],
-                )
-            )
+            edge = Edge(EdgeKind(rec["kind"]), rec["source"], rec["target"], dict(rec["labels"]))
+            if rec["id"] != edge.id:
+                raise GraphError(f"edge id {rec['id']!r} must be {edge.id!r}")
+            graph.add_edge(edge)
         except (ValueError, GraphError) as exc:
             raise MalformedRecordError(str(exc), lineno) from None
     return graph

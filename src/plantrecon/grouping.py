@@ -32,7 +32,7 @@ from .graph import (
     lowest_common_ancestor,
     node_id,
 )
-from .plc import BlockType, CallTree, PlcProject
+from .plc import BlockType, CallTree, IoTag, PlcProject
 
 logger = logging.getLogger(__name__)
 
@@ -53,6 +53,11 @@ def _node(kind: NodeKind, name: str, nid: str | None = None, **labels) -> Node:
     lbl = {"domain": _DOMAIN[kind]} if kind in _DOMAIN else {}
     lbl.update(labels)
     return Node(nid or node_id(kind, name), kind, name, lbl, Provenance.PLC_ANALYSIS)
+
+
+def field_device_kind(tag: IoTag) -> NodeKind:
+    """R3: the node kind of a tag's field device, in both analyses."""
+    return NodeKind.SENSOR if tag.is_input else NodeKind.ACTUATOR
 
 
 def effective_group_parents(tree: CallTree) -> dict[str, str | None]:
@@ -170,7 +175,7 @@ def functional_grouping(project: PlcProject, tree: CallTree) -> PropertyGraph:
         for access in accesses:
             accessors_of.setdefault(access.tag, set()).add(owner)
     for tag in sorted(project.tags, key=lambda t: t.name):
-        kind = NodeKind.SENSOR if tag.is_input else NodeKind.ACTUATOR
+        kind = field_device_kind(tag)
         tid = node_id(kind, tag.name)
         g.add_node(
             _node(

@@ -172,6 +172,34 @@ class Pattern:
         )
 
 
+def is_structure(value) -> bool:
+    """String vertices, [source, target, label] edges between them and an
+    optional int support: what ``Pattern.structure_json`` writes, and a
+    ground-truth template."""
+    vertices = value.get("vertices") if isinstance(value, dict) else None
+    if not isinstance(vertices, list) or not all(type(v) is str for v in vertices):
+        return False
+    ends = range(len(vertices))
+    return type(value.get("support", 0)) is int and isinstance(value.get("edges"), list) and all(
+        isinstance(e, list) and len(e) == 3 and e[0] in ends and e[1] in ends and type(e[2]) is str
+        for e in value["edges"]
+    )
+
+
+def stored_template(node: Node) -> Pattern:
+    """The template a TemplatePattern node stores: the structure in its
+    ``patternCode`` label and its ``support``, as a pattern with no code
+    and no embeddings. A missing or damaged ``patternCode`` raises
+    ``MiningError``."""
+    try:
+        structure = json.loads(str(node.labels["patternCode"]))
+    except (KeyError, json.JSONDecodeError) as exc:
+        raise MiningError(f"{node.id}: patternCode missing or not JSON ({exc})") from None
+    if not is_structure(structure):
+        raise MiningError(f"{node.id}: patternCode is not a template structure")
+    return Pattern.from_structure(structure, node.labels.get("support", 0))
+
+
 def code_to_structure(code: DfsCode) -> tuple[tuple[str, ...], tuple[tuple[int, int, str], ...]]:
     """Vertex labels and directed arcs of the pattern a DFS code describes."""
     labels: dict[int, str] = {}
@@ -672,16 +700,13 @@ def summarize(graph: PropertyGraph) -> GraphSummary:
     every instance are folded into the instance node, and the remaining
     node and edge counts are stated. The stored graph is not modified.
     """
-    template_nodes = graph.query(kinds={NodeKind.TEMPLATE_PATTERN})
-
-    def order_key(n: Node):
-        structure = json.loads(str(n.labels.get("patternCode", '{"vertices": []}')))
-        return (len(structure["vertices"]), str(n.labels.get("templateId", n.name)))
-
+    templates = [
+        (stored_template(n), str(n.labels.get("templateId", n.name)), n)
+        for n in graph.query(kinds={NodeKind.TEMPLATE_PATTERN})
+    ]
     removed: set[str] = set()
     collapses = []
-    for tnode in sorted(template_nodes, key=order_key):
-        structure = json.loads(str(tnode.labels["patternCode"]))
+    for pattern, template_id, tnode in sorted(templates, key=lambda t: (t[0].vertex_count, t[1])):
         instances = [graph.node(e.source) for e in graph.in_edges(tnode.id, EdgeKind.INSTANCE_OF)]
         fresh: set[str] = set()
         for inst in instances:
@@ -692,9 +717,9 @@ def summarize(graph: PropertyGraph) -> GraphSummary:
         removed |= fresh
         collapses.append(
             TemplateCollapse(
-                template_id=str(tnode.labels.get("templateId", tnode.name)),
-                support=int(tnode.labels.get("support", 0)),
-                pattern_vertices=len(structure["vertices"]),
+                template_id=template_id,
+                support=pattern.support,
+                pattern_vertices=pattern.vertex_count,
                 instance_count=len(instances),
                 nodes_removed=len(fresh),
             )

@@ -18,7 +18,6 @@ Stage outputs inside ``out_dir``:
 
 from __future__ import annotations
 
-import json
 import logging
 import time
 from dataclasses import dataclass, field
@@ -28,12 +27,7 @@ from . import aml, dynamics, grouping, metrics, mining, plc, synth
 from .clustering import KMeansParams, cluster_positions
 from .config import PipelineConfig
 from .graph import NodeKind, PropertyGraph, load_graph, merge
-from .traces import (
-    EstimateStatus,
-    PositionEstimate,
-    load_io_trace,
-    load_rtls_trace,
-)
+from .traces import load_io_trace, load_rtls_trace
 
 logger = logging.getLogger(__name__)
 
@@ -86,9 +80,7 @@ def stage_analyze_plc(cfg: PipelineConfig) -> PropertyGraph:
 def stage_analyze_dynamics(cfg: PipelineConfig) -> PropertyGraph:
     cfg.require("plc_xml", "io_csv", "rtls_csv")
     project = plc.parse_project(cfg.plc_xml.read_bytes())
-    tag_kinds = {
-        t.name: (NodeKind.SENSOR if t.is_input else NodeKind.ACTUATOR) for t in project.tags
-    }
+    tag_kinds = {t.name: grouping.field_device_kind(t) for t in project.tags}
     tag_types = {t.name: t.data_type.value for t in project.tags}
     io_samples = load_io_trace(cfg.io_csv)
     rtls_samples = load_rtls_trace(cfg.rtls_csv)
@@ -156,34 +148,7 @@ def stage_export(cfg: PipelineConfig, graph: PropertyGraph | None = None) -> byt
 def templates_from_graph(graph: PropertyGraph) -> list[mining.Pattern]:
     """Recover the structure and support of the marked templates from a
     stored graph; embeddings are not persisted."""
-    return [
-        mining.Pattern.from_structure(
-            json.loads(str(node.labels["patternCode"])), int(node.labels.get("support", 0))
-        )
-        for node in graph.query(kinds={NodeKind.TEMPLATE_PATTERN})
-    ]
-
-
-def _estimates_from_graph(graph: PropertyGraph) -> list[PositionEstimate]:
-    estimates = []
-    for node in graph.query(kinds={NodeKind.SENSOR, NodeKind.ACTUATOR}):
-        labels = node.labels
-        if all(f"position.{axis}" in labels for axis in "xyz"):
-            estimates.append(
-                PositionEstimate(
-                    node.name,
-                    (
-                        float(labels["position.x"]),
-                        float(labels["position.y"]),
-                        float(labels["position.z"]),
-                    ),
-                    int(labels.get("matchCount", 0)),
-                    EstimateStatus.KNOWN,
-                )
-            )
-        else:
-            estimates.append(PositionEstimate(node.name, None, 0, EstimateStatus.UNKNOWN))
-    return estimates
+    return [mining.stored_template(n) for n in graph.query(kinds={NodeKind.TEMPLATE_PATTERN})]
 
 
 def stage_evaluate(
@@ -197,8 +162,8 @@ def stage_evaluate(
     clustering_assignments = None
     method = _cluster_method(cfg)
     if method is not None:
-        estimates = _estimates_from_graph(graph)
-        if any(e.status is EstimateStatus.KNOWN for e in estimates):
+        estimates = dynamics.stored_estimates(graph)
+        if estimates:
             clustering_assignments = cluster_positions(estimates, method).assignments
 
     report = metrics.evaluate(graph, templates_from_graph(graph), truth, clustering_assignments)

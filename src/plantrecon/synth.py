@@ -26,11 +26,12 @@ import math
 import random
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from pathlib import Path
 
 from .errors import DataError, InputError
 from .graph import EdgeKind, NodeKind
-from .mining import DEFAULT_EXCLUDED_KINDS
+from .mining import DEFAULT_EXCLUDED_KINDS, is_structure
 from .plc import (
     Block,
     BlockType,
@@ -44,6 +45,7 @@ from .plc import (
     AccessMode,
     serialize_project,
 )
+from .traces import IO_COLUMNS, RTLS_COLUMNS, RTLS_LABEL_COLUMN
 
 PROJECT_NAME = "SynthPlant"
 TRAY_SPEED_M_PER_S = 0.5
@@ -552,20 +554,22 @@ class GeneratedPlant:
     mission_count: int
 
     def io_csv(self) -> str:
-        lines = ["timestamp_ms,tag,value"]
+        lines = [",".join(IO_COLUMNS)]
         lines += [f"{t},{tag},{v!r}" for (t, tag, v) in self.io_rows]
         return "\n".join(lines) + "\n"
 
+    @cached_property
+    def _rtls_lines(self) -> list[str]:
+        """The header and each row's RTLS_COLUMNS, rendered once for both traces."""
+        return [",".join(RTLS_COLUMNS)] + [
+            f"{t},{tracker},{x!r},{y!r},{z!r}" for (t, tracker, x, y, z, _) in self.rtls_rows
+        ]
+
     def rtls_csv(self, labeled: bool) -> str:
-        header = "timestamp_ms,tracker_id,x_m,y_m,z_m"
+        lines = self._rtls_lines
         if labeled:
-            header += ",location_label"
-        lines = [header]
-        for (t, tracker, x, y, z, zone) in self.rtls_rows:
-            line = f"{t},{tracker},{x!r},{y!r},{z!r}"
-            if labeled:
-                line += f",{zone or ''}"
-            lines.append(line)
+            zones = [RTLS_LABEL_COLUMN] + [row[5] or "" for row in self.rtls_rows]
+            lines = [f"{line},{zone}" for line, zone in zip(lines, zones)]
         return "\n".join(lines) + "\n"
 
     def ground_truth_json(self) -> str:
@@ -769,18 +773,6 @@ def _is_str(value) -> bool:
     return type(value) is str
 
 
-def _is_template(value) -> bool:
-    """String vertices, [source, target, label] edges between them, int support."""
-    if not isinstance(value, dict) or not _is_list(value.get("vertices"), _is_str):
-        return False
-    ends = range(len(value["vertices"]))
-    return type(value.get("support", 0)) is int and _is_list(
-        value.get("edges"),
-        lambda e: isinstance(e, list) and len(e) == 3 and e[0] in ends and e[1] in ends
-        and _is_str(e[2]),
-    )
-
-
 # groundtruth.json key -> (what its value must be, the check).
 _GROUND_TRUTH_SHAPE = {
     "functionalPartition": ("an object of strings", lambda v: _is_map(v, _is_str)),
@@ -788,7 +780,7 @@ _GROUND_TRUTH_SHAPE = {
     "truePositions": ("an object of [x, y, z] numbers", lambda v: _is_map(
         v, lambda p: _is_list(p, lambda c: type(c) in (int, float)) and len(p) == 3
     )),
-    "templates": ("a list of template structures", lambda v: _is_list(v, _is_template)),
+    "templates": ("a list of template structures", lambda v: _is_list(v, is_structure)),
     "zoneLabels": ("a list of strings", lambda v: _is_list(v, _is_str)),
     "counts": ("an object of integers", lambda v: _is_map(v, lambda n: type(n) is int)),
 }

@@ -1,6 +1,7 @@
 """Recorded IO and material-position traces: ingestion and correlation.
 
-File formats (UTF-8 CSV, ``.`` decimal point, one sample per row):
+File formats (UTF-8 CSV, ``.`` decimal point, one sample per row; the
+column names below are defined here, for the loaders and the generator):
 
 * IO trace header: ``timestamp_ms,tag,value``
 * RTLS trace header: ``timestamp_ms,tracker_id,x_m,y_m,z_m`` with an
@@ -11,7 +12,9 @@ orders of magnitude longer, loads as one ``RtlsTrace`` of numpy columns,
 time-sorted once at load, so event matching is a binary search per event.
 
 The correlation chain is: signal samples -> change events -> per-event
-nearest-in-time material position -> per-component mean position.
+nearest-in-time material position -> per-component mean position. The
+matched positions stay numpy columns (``PositionSeries``) from the RTLS
+trace to the mean position and the DTW classifier.
 """
 
 from __future__ import annotations
@@ -33,6 +36,10 @@ logger = logging.getLogger(__name__)
 class TraceError(DataError):
     pass
 
+
+IO_COLUMNS = ("timestamp_ms", "tag", "value")
+RTLS_COLUMNS = ("timestamp_ms", "tracker_id", "x_m", "y_m", "z_m")
+RTLS_LABEL_COLUMN = "location_label"
 
 # Timestamps are int64 columns; below this magnitude the difference of
 # any two also fits in int64.
@@ -160,20 +167,25 @@ class EventSeries:
         return len(self.events)
 
 
-@dataclass
+@dataclass(eq=False)
 class PositionSeries:
-    """Time-ordered positions attributed to one component (or tracker)."""
+    """Time-ordered positions attributed to one component (or tracker),
+    as two columns with one entry per position, like ``RtlsTrace``:
+    ``timestamps_ms`` (int64, shape (n,)) and ``points`` (float64, shape
+    (n, 3): x, y, z in m). The constructor converts sequences, such as a
+    list of timestamps and a list of (x, y, z) tuples."""
 
     owner_tag: str
-    timestamps_ms: list[int] = field(default_factory=list)
-    points: list[tuple[float, float, float]] = field(default_factory=list)
+    timestamps_ms: np.ndarray = ()
+    points: np.ndarray = ()
+
+    def __post_init__(self) -> None:
+        self.timestamps_ms = np.asarray(self.timestamps_ms, dtype=np.int64)
+        # C order: estimate_position's axis-0 sum then adds the rows in order.
+        self.points = np.ascontiguousarray(self.points, dtype=float).reshape(-1, 3)
 
     def __len__(self) -> int:
         return len(self.points)
-
-    def append(self, timestamp_ms: int, point: tuple[float, float, float]) -> None:
-        self.timestamps_ms.append(timestamp_ms)
-        self.points.append(point)
 
 
 class EstimateStatus(str, Enum):
@@ -189,7 +201,7 @@ class PositionEstimate:
     status: EstimateStatus
 
 
-def _open_csv(path, expected_header: list[str], optional: list[str]):
+def _open_csv(path, expected_header: tuple[str, ...], optional: tuple[str, ...]):
     fh = open(path, encoding="utf-8", newline="")
     reader = csv.reader(fh)
     try:
@@ -197,9 +209,9 @@ def _open_csv(path, expected_header: list[str], optional: list[str]):
     except StopIteration:
         fh.close()
         raise MalformedRowError("empty file, header expected", 1) from None
-    base = header[: len(expected_header)]
-    extra = header[len(expected_header):]
-    if base != expected_header or extra not in ([], optional):
+    base = tuple(header[: len(expected_header)])
+    extra = tuple(header[len(expected_header):])
+    if base != expected_header or extra not in ((), optional):
         fh.close()
         raise MalformedRowError(
             f"header must be {','.join(expected_header)}"
@@ -212,7 +224,7 @@ def _open_csv(path, expected_header: list[str], optional: list[str]):
 
 def load_io_trace(path) -> list[IoSample]:
     """Load and time-sort an IO trace; non-monotonic input is only a warning."""
-    fh, reader, _ = _open_csv(path, ["timestamp_ms", "tag", "value"], [])
+    fh, reader, _ = _open_csv(path, IO_COLUMNS, ())
     samples: list[IoSample] = []
     monotonic = True
     with fh:
@@ -249,9 +261,7 @@ def load_rtls_trace(path) -> RtlsTrace:
     Rows are parsed one by one, so a malformed row is reported by its
     number; non-monotonic input is only a warning.
     """
-    fh, reader, labeled = _open_csv(
-        path, ["timestamp_ms", "tracker_id", "x_m", "y_m", "z_m"], ["location_label"]
-    )
+    fh, reader, labeled = _open_csv(path, RTLS_COLUMNS, (RTLS_LABEL_COLUMN,))
     want = 6 if labeled else 5
     # Raw values and first-seen name codes only: no Python object per row
     # outlives its row.
@@ -389,22 +399,16 @@ def match_events(
         # Several samples share the nearest time: smallest tracker code
         # (name order), then the first of them in the trace.
         chosen[k] += int(np.argmin(rtls.tracker_codes[first[k]:last[k]]))
-    return PositionSeries(
-        events.tag, at.tolist(), [tuple(p) for p in rtls.points[chosen].tolist()]
-    )
+    return PositionSeries(events.tag, at, rtls.points[chosen])
 
 
 def estimate_position(series: PositionSeries, min_matches: int = 5) -> PositionEstimate:
     """Arithmetic-mean position; Unknown when too few events matched."""
-    n = len(series.points)
+    n = len(series)
     if n < min_matches:
         return PositionEstimate(series.owner_tag, None, n, EstimateStatus.UNKNOWN)
-    sx = sum(p[0] for p in series.points)
-    sy = sum(p[1] for p in series.points)
-    sz = sum(p[2] for p in series.points)
-    return PositionEstimate(
-        series.owner_tag, (sx / n, sy / n, sz / n), n, EstimateStatus.KNOWN
-    )
+    mean = tuple((series.points.sum(axis=0) / n).tolist())
+    return PositionEstimate(series.owner_tag, mean, n, EstimateStatus.KNOWN)
 
 
 def split_labeled_segments(trace: RtlsTrace) -> list[tuple[str, PositionSeries]]:
@@ -424,10 +428,6 @@ def split_labeled_segments(trace: RtlsTrace) -> list[tuple[str, PositionSeries]]
             if label < 0:
                 continue
             run = rows[start:end]
-            series = PositionSeries(
-                tracker,
-                trace.timestamps_ms[run].tolist(),
-                [tuple(p) for p in trace.points[run].tolist()],
-            )
+            series = PositionSeries(tracker, trace.timestamps_ms[run], trace.points[run])
             segments.append((trace.label_names[label], series))
     return segments

@@ -244,6 +244,8 @@ class TestValidate:
             (r"<Value>PlcAnalysis</Value>", "<Value>Nope</Value>", AmlSyntaxError, "syntax"),
             (r'(channelIndex" AttributeDataType="xs:integer">\s*<Value>)', r"\1x",
              AmlSyntaxError, "syntax"),
+            (r'(label:support" AttributeDataType="xs:integer">\s*<Value>)', r"\1x",
+             AmlSyntaxError, "syntax"),
             (r"encoding=.utf-8.", 'encoding="Atf-8"', AmlSyntaxError, "syntax"),
             (r"<InstanceHierarchy ", "<InstanceHierarchy/><InstanceHierarchy ", AmlSyntaxError,
              "syntax"),
@@ -256,9 +258,9 @@ class TestValidate:
             (r'RefBaseRoleClassPath="PlantReconRoleLib/Sensor"',
              'RefBaseRoleClassPath="SomeVendorLib/Sensor"', UnknownRoleError, "role"),
         ],
-        ids=["node-kind", "provenance", "integer", "encoding", "two-hierarchies",
-             "duplicate-id", "duplicate-interface-id", "missing-id", "unresolved-link",
-             "unknown-system-unit-class", "unknown-role"],
+        ids=["node-kind", "provenance", "integer", "library-integer", "encoding",
+             "two-hierarchies", "duplicate-id", "duplicate-interface-id", "missing-id",
+             "unresolved-link", "unknown-system-unit-class", "unknown-role"],
     )
     def test_finding_is_the_import_error(self, marked_mini_aml, pattern, repl, error, code):
         text, count = re.subn(pattern, repl, marked_mini_aml.decode(), count=1)

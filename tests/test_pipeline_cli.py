@@ -37,6 +37,41 @@ def _config(ws: Path) -> PipelineConfig:
     return PipelineConfig.load(ws / "pipeline.conf")
 
 
+@pytest.fixture(scope="module")
+def mini_run(mini_workspace, tmp_path_factory):
+    """The outputs of one run-all over the mini workspace."""
+    out = tmp_path_factory.mktemp("mini_run")
+    result = CliRunner().invoke(
+        main, ["--config", str(mini_workspace / "pipeline.conf"), "--out-dir", str(out), "run-all"]
+    )
+    assert result.exit_code == 0, result.output
+    return out
+
+
+def _first_labels(records: list[dict], key: str) -> dict:
+    return next(r["labels"] for r in records if key in r["labels"])
+
+
+def _pattern_code_not_json(records):
+    labels = _first_labels(records, "patternCode")
+    labels["patternCode"] = "{" + labels["patternCode"]
+
+
+def _pattern_edge_to_vertex_99(records):
+    labels = _first_labels(records, "patternCode")
+    structure = json.loads(labels["patternCode"])
+    structure["edges"][0][1] = 99
+    labels["patternCode"] = json.dumps(structure, sort_keys=True)
+
+
+def _match_count_not_int(records):
+    _first_labels(records, "matchCount")["matchCount"] = "x"
+
+
+def _foreign_edge_id(records):
+    next(r for r in records if r["recordType"] == "edge")["id"] = "Contains:elsewhere"
+
+
 class TestConfig:
     def test_load_and_defaults(self, mini_workspace):
         cfg = _config(mini_workspace)
@@ -373,6 +408,38 @@ class TestCli:
         result = CliRunner().invoke(main, ["--out-dir", str(out), "export"])
         assert result.exit_code == 2, result.output
         assert 'type=MalformedRecordError msg="line 2: ' in result.output
+
+    @pytest.mark.parametrize(
+        "damage, error, message",
+        [
+            (_pattern_code_not_json, "MiningError", "patternCode missing or not JSON"),
+            (_pattern_edge_to_vertex_99, "MiningError", "patternCode is not a template structure"),
+            (_match_count_not_int, "MalformedRecordError", "reserved label 'matchCount' must be"),
+            (_foreign_edge_id, "MalformedRecordError", "edge id 'Contains:elsewhere' must be"),
+        ],
+        ids=["pattern-code-not-json", "pattern-edge-to-vertex-99", "match-count-not-int",
+             "foreign-edge-id"],
+    )
+    def test_damaged_stored_graph_evaluate_exit_2(
+        self, mini_workspace, mini_run, tmp_path, damage, error, message
+    ):
+        lines = (mini_run / "plant.dtgraph").read_text().splitlines()
+        records = [json.loads(line) for line in lines]
+        damage(records)
+        out = tmp_path / "o"
+        out.mkdir()
+        (out / "plant.dtgraph").write_text(
+            "".join(json.dumps(r, sort_keys=True) + "\n" for r in records)
+        )
+        result = CliRunner().invoke(
+            main, ["--config", str(mini_workspace / "pipeline.conf"), "--out-dir", str(out),
+                   "evaluate"]
+        )
+        assert result.exit_code == 2, result.output
+        errors = [line for line in result.output.splitlines() if line.startswith("plantrecon: ")]
+        assert len(errors) == 1, result.output
+        assert errors[0].startswith(f'plantrecon: error code=2 type={error} msg="')
+        assert message in errors[0]
 
     @pytest.mark.parametrize("where", ["name", "label"])
     def test_xml_invalid_character_export_exit_2(self, tmp_path, contains_chain, where):

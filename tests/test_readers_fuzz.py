@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from plantrecon import aml, dynamics, grouping, metrics, pipeline, plc, synth
+from plantrecon import aml, dynamics, grouping, metrics, mining, pipeline, plc, synth
 from plantrecon.cli import _fail
 from plantrecon.config import PipelineConfig, write_kv_file
 from plantrecon.graph import NodeKind, load_graph
@@ -114,7 +114,15 @@ class TestReaderFuzz:
     @given(data=st.data())
     def test_dtgraph(self, plant_dir, name, data):
         path = _mutated_file(plant_dir, name, data.draw(mutations((plant_dir / name).read_bytes())))
-        _exits_1_or_2(load_graph, path)
+
+        def read():
+            # load_graph, then the readers of stored labels that evaluate runs.
+            graph = load_graph(path)
+            pipeline.templates_from_graph(graph)
+            mining.summarize(graph)
+            dynamics.stored_estimates(graph)
+
+        _exits_1_or_2(read)
 
     @FUZZ
     @given(data=st.data())

@@ -227,7 +227,7 @@ class TestTimestampBound:
         ts = 2**62 - 1
         trace = _rtls([(ts, "t1", 1.0, 0.0, 0.0, None)])
         events = EventSeries("a", [SignalEvent(ts, EventDirection.RISING)])
-        assert match_events(events, trace, 500).points == [(1.0, 0.0, 0.0)]
+        assert match_events(events, trace, 500).points.tolist() == [[1.0, 0.0, 0.0]]
 
 
 class TestMatchEvents:
@@ -235,7 +235,7 @@ class TestMatchEvents:
         events = detect_events(_io([(900, "a", 0.0), (1000, "a", 1.0)]))
         rtls = _rtls([(990, "t1", 1.0, 0.0, 0.0, None), (1030, "t1", 2.0, 0.0, 0.0, None)])
         series = match_events(events, rtls, 500)
-        assert series.points == [(1.0, 0.0, 0.0)]
+        assert series.points.tolist() == [[1.0, 0.0, 0.0]]
 
     def test_event_outside_window_skipped(self):
         events = detect_events(_io([(0, "a", 0.0), (1000, "a", 1.0)]))
@@ -251,14 +251,14 @@ class TestMatchEvents:
                 (1010, "t1", 2.0, 0.0, 0.0, None),
             ]
         )
-        assert match_events(events, rtls, 500).points == [(1.0, 0.0, 0.0)]
+        assert match_events(events, rtls, 500).points.tolist() == [[1.0, 0.0, 0.0]]
         rtls = _rtls(
             [
                 (1000, "t2", 3.0, 0.0, 0.0, None),
                 (1000, "t1", 4.0, 0.0, 0.0, None),
             ]
         )
-        assert match_events(events, rtls, 500).points == [(4.0, 0.0, 0.0)]
+        assert match_events(events, rtls, 500).points.tolist() == [[4.0, 0.0, 0.0]]
 
     def test_equal_distance_and_equal_timestamps_across_three_trackers(self):
         events = EventSeries("a", [SignalEvent(1000, EventDirection.RISING)])
@@ -273,7 +273,7 @@ class TestMatchEvents:
         )
         # Equal |dt|: the earlier samples; of those the smallest tracker id,
         # and of its two samples the first.
-        assert match_events(events, rtls, 500).points == [(3.0, 0.0, 0.0)]
+        assert match_events(events, rtls, 500).points.tolist() == [[3.0, 0.0, 0.0]]
 
     def test_equals_nearest_by_linear_scan(self):
         rng = random.Random(11)
@@ -293,7 +293,8 @@ class TestMatchEvents:
                     best = min(near, key=lambda s: (abs(s.timestamp_ms - t), s.timestamp_ms, s.tracker_id))
                     expected.append((t, (best.x, best.y, best.z)))
             series = match_events(events, RtlsTrace.from_samples(samples), window)
-            assert list(zip(series.timestamps_ms, series.points)) == expected
+            points = [tuple(p) for p in series.points.tolist()]
+            assert list(zip(series.timestamps_ms.tolist(), points)) == expected
 
     def test_mini_every_sensor_event_matched(self, mini_plant, tmp_path):
         paths = mini_plant.write_outputs(tmp_path)
