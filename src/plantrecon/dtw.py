@@ -43,10 +43,7 @@ class EmptyTrainingSetError(SeriesError):
 
 
 def _as_matrix(series) -> np.ndarray:
-    if isinstance(series, PositionSeries):
-        data = series.points
-    else:
-        data = np.asarray(series, dtype=float)
+    data = series.points if isinstance(series, PositionSeries) else np.asarray(series, dtype=float)
     if data.size == 0:
         raise EmptySeriesError("series must be non-empty")
     if data.ndim == 1:

@@ -164,6 +164,7 @@ _RESERVED_LABEL_TYPES: dict[str, type | tuple[type, ...]] = {
     "support": int,
     "channelIndex": int,
     "matchCount": int,
+    "patternCode": str,
 }
 
 

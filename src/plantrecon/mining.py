@@ -192,7 +192,7 @@ def stored_template(node: Node) -> Pattern:
     and no embeddings. A missing or damaged ``patternCode`` raises
     ``MiningError``."""
     try:
-        structure = json.loads(str(node.labels["patternCode"]))
+        structure = json.loads(node.labels["patternCode"])
     except (KeyError, json.JSONDecodeError) as exc:
         raise MiningError(f"{node.id}: patternCode missing or not JSON ({exc})") from None
     if not is_structure(structure):

@@ -6,7 +6,7 @@ import importlib
 import importlib.util
 from pathlib import Path
 
-from plantrecon import pipeline, synth
+from plantrecon import dtw, dynamics, pipeline, synth, traces
 from plantrecon.config import PipelineConfig, write_kv_file
 
 TRACING = Path(__file__).parents[1] / "perfbench" / "tracing.py"
@@ -38,10 +38,40 @@ def test_every_trace_target_resolves_to_a_callable():
     assert unresolved == []
 
 
-def test_trace_counters_apply_to_real_results(tmp_path, monkeypatch):
+def test_trace_counters_apply_to_real_results(tmp_path, mini_plant):
+    """The counters of the dynamics layers read the program's real return
+    values and arguments without raising, which a traced run would
+    otherwise report only as ``unavailable``, and count exactly."""
+    tracing = _load_tracing()
+    counters = {name: counter for name, _, _, counter in tracing.TARGETS}
+    tracer = tracing.Tracer()
+
+    def traced(name, fn):
+        return tracer.wrap(name, fn, counters[name])
+
+    load_rtls = traced("traces.load_rtls_trace", traces.load_rtls_trace)
+    match = traced("traces.match_events", traces.match_events)
+    classify = traced("dtw.knn_classify", dtw.knn_classify)
+
+    paths = mini_plant.write_outputs(tmp_path)
+    rtls = load_rtls(paths["rtls_csv"])
+    assert tracer.counts["traces.rtls_samples"] == mini_plant.ground_truth.counts["rtlsSamples"]
+
+    io = traces.load_io_trace(paths["io_csv"])
+    events = traces.detect_events([s for s in io if s.tag == "S_occ_1_1"])
+    series = match(events, rtls, 500)
+    assert tracer.counts["traces.matched_positions"] == len(series) > 0
+
+    model = dtw.knn_train(dynamics.training_segments(traces.load_rtls_trace(paths["labeled_rtls_csv"])))
+    classify(model, series)
+    assert tracer.counts["dtw.pairs"] == len(model.training)
+    assert tracer.counts["dtw.cells"] == len(series) * sum(len(s) for s, _ in model.training)
+    assert tracer.unavailable == set()
+
+
+def test_every_counter_counts_in_a_mini_run_all(tmp_path, monkeypatch):
     """Every counter reads the program's real return values and arguments
-    without raising, which a traced run would otherwise report only as
-    ``unavailable``, and each one counts in a mini run-all."""
+    without raising, and each one counts in a mini run-all."""
     tracing = _load_tracing()
     tracer = tracing.Tracer()
     for name, module_name, attribute, counter in tracing.TARGETS:
