@@ -14,7 +14,7 @@ ontology TBox, which is deliberately minimal):
 key                       type     meaning
 ========================  =======  =====================================
 ``domain``                str      mechanic | electric | software
-``position.x/.y/.z``      float    estimated position in meters
+``position.x/.y/.z``      float    estimated position in meters, finite
 ``matchCount``            int      events matched for the position
 ``address``               str      IO address of a field device
 ``channelIndex``          int      channel index on an IO device
@@ -25,8 +25,9 @@ key                       type     meaning
 ``members``               str      member node ids of a template instance
 ========================  =======  =====================================
 
-A reserved label of another type, a bool included, and a damaged
-``patternCode`` (``mining.stored_template``) are data errors (exit 2).
+A reserved label of another type, a bool included, a position that is
+NaN or infinite, and a damaged ``patternCode`` (``mining.stored_template``)
+are data errors (exit 2).
 
 Persistence is newline-delimited JSON records (``*.dtgraph``): one object
 per line, node records before edge records, keys sorted, UTF-8. Record
@@ -40,6 +41,7 @@ may be handed between threads but must not be mutated concurrently.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -180,6 +182,10 @@ def _check_labels(labels: Mapping[str, LabelValue], owner: str) -> None:
         if expected is not None and (isinstance(value, bool) or not isinstance(value, expected)):
             raise KindViolationError(
                 f"{owner}: reserved label {key!r} must be {expected}, got {type(value).__name__}"
+            )
+        if expected is float and not math.isfinite(value):
+            raise KindViolationError(
+                f"{owner}: reserved label {key!r} must be finite, got {value!r}"
             )
 
 

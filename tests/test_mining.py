@@ -170,12 +170,13 @@ class TestOracleEquivalence:
         ]
 
 
-def _rooted_equals_post_filter(g, min_nodes, max_nodes):
-    """The rooted search against the general search filtered by the
-    root-anchored oracle, as (code, support, embeddings); returns the
-    number of rooted patterns."""
-    expected = [p for p in mine(g, 2, min_nodes, max_nodes) if root_anchored(p)]
-    rooted = mine(g, 2, min_nodes, max_nodes, root_anchored_only=True)
+def _rooted_equals_post_filter(g, min_nodes, max_nodes, min_support=2):
+    """The rooted search against ``select_templates`` over the general
+    search filtered by the root-anchored oracle, as (code, support,
+    embeddings); returns the number of rooted patterns."""
+    general = mine(g, min_support, min_nodes, max_nodes)
+    expected = select_templates([p for p in general if root_anchored(p)])
+    rooted = mine(g, min_support, min_nodes, max_nodes, root_anchored_only=True)
     assert [(p.code, p.support, p.embeddings) for p in rooted] == [
         (p.code, p.support, p.embeddings) for p in expected
     ]
@@ -185,20 +186,77 @@ def _rooted_equals_post_filter(g, min_nodes, max_nodes):
 class TestRootedSearch:
     def test_equals_post_filter_on_random_contains_graphs(self):
         # Contains arcs are what the rooted search grows along; the
-        # criterion-4 graphs carry none, so these mix them with "y" arcs.
-        rng = random.Random(8080)
-        graphs_with_patterns = 0
-        for _ in range(200):
-            vlabels, arcs = TestOracleEquivalence._random_graph(rng, ("Contains", "y"))
-            g = _graph_from(vlabels, arcs)
-            graphs_with_patterns += _rooted_equals_post_filter(g, 2, 12) > 0
-            for (min_nodes, max_nodes) in ((3, 3), (2, 4), (3, 4)):
-                _rooted_equals_post_filter(g, min_nodes, max_nodes)
-        assert graphs_with_patterns >= 50  # 91 of the 200 at this seed
+        # criterion-4 graphs carry none, so these mix them with "y" and
+        # "z" arcs.
+        graphs_with_patterns = []
+        for edge_labels in (("Contains", "y"), ("Contains", "y", "z")):
+            rng = random.Random(8080)
+            count = 0
+            for _ in range(200):
+                vlabels, arcs = TestOracleEquivalence._random_graph(rng, edge_labels)
+                g = _graph_from(vlabels, arcs)
+                count += _rooted_equals_post_filter(g, 2, 12) > 0
+                _rooted_equals_post_filter(g, 2, 12, min_support=3)
+                for min_support in (2, 3):
+                    for (min_nodes, max_nodes) in ((3, 3), (2, 4), (3, 4)):
+                        _rooted_equals_post_filter(g, min_nodes, max_nodes, min_support)
+            graphs_with_patterns.append(count)
+        # 91 and 53 of the 200 at this seed.
+        assert graphs_with_patterns[0] >= 50 and graphs_with_patterns[1] >= 40
 
     @pytest.mark.parametrize("max_nodes", [3, 4, 12])
     def test_equals_post_filter_on_mini_plant(self, mini_view, max_nodes):
         assert _rooted_equals_post_filter(mini_view, 3, max_nodes) > 0
+
+    def test_new_parent_above_a_spanning_non_root(self):
+        # Two copies of A and B holding each other, with a W above B. The
+        # A <-> B cycle grows from A, and its one equal-support
+        # super-pattern adds the W above B, which spans the cycle but is
+        # not the vertex the cycle grew from.
+        g = _graph_from(
+            ["A", "B", "W", "A", "B", "W"],
+            [
+                (0, 1, "Contains"), (1, 0, "Contains"), (2, 1, "Contains"),
+                (3, 4, "Contains"), (4, 3, "Contains"), (5, 4, "Contains"),
+            ],
+        )
+        assert _rooted_equals_post_filter(g, 2, 3) == 1
+        [closed] = mine(g, 2, 2, 3, root_anchored_only=True)
+        assert sorted(closed.vertex_labels) == ["A", "B", "W"] and closed.edge_count == 3
+        # Without room for W the cycle itself is closed, and so is W -> B.
+        capped = mine(g, 2, 2, 2, root_anchored_only=True)
+        assert sorted((sorted(p.vertex_labels), p.edge_count) for p in capped) == [
+            (["A", "B"], 2), (["B", "W"], 1)
+        ]
+
+    def test_common_parent_of_the_root(self):
+        # A forest of two Row -> Place -> Sensor chains: the Place and its
+        # Sensor are no template, because every Place has a Row above it.
+        g = _graph_from(
+            ["Row", "Place", "Sensor", "Row", "Place", "Sensor"],
+            [(0, 1, "Contains"), (1, 2, "Contains"), (3, 4, "Contains"), (4, 5, "Contains")],
+        )
+        assert _rooted_equals_post_filter(g, 2, 3) == 1
+        [chain] = mine(g, 2, 2, 3, root_anchored_only=True)
+        assert sorted(chain.vertex_labels) == ["Place", "Row", "Sensor"]
+        # Without room for the Row, both pairs are closed.
+        capped = mine(g, 2, 2, 2, root_anchored_only=True)
+        assert sorted(sorted(p.vertex_labels) for p in capped) == [
+            ["Place", "Row"], ["Place", "Sensor"]
+        ]
+
+    def test_select_templates_keeps_every_rooted_pattern(self, mini_view):
+        rooted = mine(mini_view, 2, 3, 12, root_anchored_only=True)
+        assert len(rooted) == 3
+        assert select_templates(rooted) == rooted
+
+    def test_empty_graph(self):
+        assert mine(project_for_mining(PropertyGraph()), root_anchored_only=True) == []
+
+    def test_no_contains_arcs(self):
+        g = _graph_from(["A", "B", "A", "B"], [(0, 1, "Reads"), (2, 3, "Reads")])
+        assert len(mine(g, 2, 2, 4)) == 1
+        assert mine(g, 2, 2, 4, root_anchored_only=True) == []
 
 
 def _connected(arcs, vertices):

@@ -1,5 +1,6 @@
 import json
 import logging
+import math
 import re
 from dataclasses import fields
 from pathlib import Path
@@ -66,6 +67,13 @@ def _pattern_edge_to_vertex_99(records):
 
 def _match_count_not_int(records):
     _first_labels(records, "matchCount")["matchCount"] = "x"
+
+
+def _position_not_finite(value):
+    def damage(records):
+        _first_labels(records, "position.x")["position.x"] = value
+
+    return damage
 
 
 def _foreign_edge_id(records):
@@ -416,9 +424,13 @@ class TestCli:
             (_pattern_edge_to_vertex_99, "MiningError", "patternCode is not a template structure"),
             (_match_count_not_int, "MalformedRecordError", "reserved label 'matchCount' must be"),
             (_foreign_edge_id, "MalformedRecordError", "edge id 'Contains:elsewhere' must be"),
+            (_position_not_finite(math.nan), "MalformedRecordError",
+             "reserved label 'position.x' must be finite, got nan"),
+            (_position_not_finite(math.inf), "MalformedRecordError",
+             "reserved label 'position.x' must be finite, got inf"),
         ],
         ids=["pattern-code-not-json", "pattern-edge-to-vertex-99", "match-count-not-int",
-             "foreign-edge-id"],
+             "foreign-edge-id", "position-nan", "position-infinity"],
     )
     def test_damaged_stored_graph_evaluate_exit_2(
         self, mini_workspace, mini_run, tmp_path, damage, error, message

@@ -3,9 +3,13 @@ an error the CLI maps to exit 1 (unusable input) or 2 (bad data), never
 in an internal error.
 
 The inputs are the mini plant's own files, mutated by byte replacement,
-truncation and line duplication. Hypothesis runs derandomized, so every
-run draws the same examples.
+truncation and line duplication; a stored graph also by replacing one
+label value with another scalar, which keeps every record valid JSON.
+Hypothesis runs derandomized, so every run draws the same examples.
 """
+
+import json
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +17,7 @@ from hypothesis import strategies as st
 
 from plantrecon import aml, dynamics, grouping, metrics, mining, pipeline, plc, synth
 from plantrecon.cli import _fail
+from plantrecon.clustering import KMeansParams, cluster_positions
 from plantrecon.config import PipelineConfig, write_kv_file
 from plantrecon.graph import NodeKind, load_graph
 from plantrecon.traces import load_io_trace, load_rtls_trace
@@ -49,6 +54,20 @@ def mutations(draw, data: bytes) -> bytes:
             lines.insert(at, lines[at])
             data = b"\n".join(lines)
     return data
+
+
+@st.composite
+def label_edits(draw, data: bytes) -> bytes:
+    """One label value of one ``.dtgraph`` record replaced by a drawn
+    scalar: a string, an int, a float, NaN or an infinity."""
+    rnd = draw(st.randoms(use_true_random=False))
+    lines = data.split(b"\n")
+    records = {k: json.loads(line) for k, line in enumerate(lines) if line}
+    at, key = rnd.choice([(k, key) for k, r in records.items() for key in sorted(r["labels"])])
+    non_finite = st.sampled_from([math.nan, math.inf, -math.inf])
+    records[at]["labels"][key] = draw(st.one_of(st.text(), st.integers(), st.floats(), non_finite))
+    lines[at] = json.dumps(records[at], sort_keys=True).encode()
+    return b"\n".join(lines)
 
 
 def _assert_exit_1_or_2(exc: Exception) -> None:
@@ -113,14 +132,20 @@ class TestReaderFuzz:
     @FUZZ
     @given(data=st.data())
     def test_dtgraph(self, plant_dir, name, data):
-        path = _mutated_file(plant_dir, name, data.draw(mutations((plant_dir / name).read_bytes())))
+        original = (plant_dir / name).read_bytes()
+        mutated = data.draw(st.one_of(mutations(original), label_edits(original)))
+        path = _mutated_file(plant_dir, name, mutated)
+        cfg = PipelineConfig.load(plant_dir / "pipeline.conf")
 
         def read():
-            # load_graph, then the readers of stored labels that evaluate runs.
+            # load_graph, then the readers of stored labels that evaluate
+            # runs, and the clustering of the stored positions.
             graph = load_graph(path)
             pipeline.templates_from_graph(graph)
             mining.summarize(graph)
-            dynamics.stored_estimates(graph)
+            estimates = dynamics.stored_estimates(graph)
+            if estimates:
+                cluster_positions(estimates, KMeansParams(cfg.kmeans_k, cfg.seed))
 
         _exits_1_or_2(read)
 
