@@ -119,7 +119,7 @@ def _parse_attribute(elem: ET.Element) -> tuple[str, LabelValue]:
 
 def build_aml_document(graph: PropertyGraph) -> ET.Element:
     """Assemble the CAEX document model for a final, valid graph."""
-    findings = graph.validate(final=True)
+    findings = graph.validate()
     if findings:
         raise InvalidGraphError(findings)
 

@@ -126,6 +126,13 @@ def cluster_positions(
     if not known:
         raise InsufficientDataError("no Known position estimates to cluster")
     points = np.array([e.mean for e in known], dtype=float)
+    # k-means sums squared distances over all points; this bounds those sums.
+    with np.errstate(over="ignore"):
+        spread2 = len(points) * ((2 * np.abs(points).max(axis=0)) ** 2).sum()
+    if not np.isfinite(spread2):
+        raise ClusteringError(
+            "position coordinates too large to cluster: squared distances overflow"
+        )
     raw = kmeans(points, method)
     # Stable naming: order clusters by their centroid tuple.
     centroids = sorted((tuple(points[raw == c].mean(axis=0)), c) for c in set(raw.tolist()))

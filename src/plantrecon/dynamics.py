@@ -29,7 +29,6 @@ from .traces import (
     IoSample,
     PositionEstimate,
     PositionSeries,
-    RtlsSample,
     RtlsTrace,
     SignalKind,
     detect_events,
@@ -121,8 +120,8 @@ def training_segments(labeled: RtlsTrace) -> list[tuple[PositionSeries, str]]:
 
 def analyze_dynamics(
     io_samples: list[IoSample],
-    rtls: RtlsTrace | list[RtlsSample],
-    labeled: RtlsTrace | list[RtlsSample],
+    rtls: RtlsTrace,
+    labeled: RtlsTrace,
     tag_kinds: dict[str, NodeKind],
     tag_types: dict[str, str],
     root_name: str,
@@ -134,15 +133,10 @@ def analyze_dynamics(
     table); ``tag_types`` maps tag names to their PLC data type. The
     returned fragment carries position labels, MaterialTracker nodes and
     PhysicalGroup membership, rooted at ``SystemRoot:<root_name>``.
-    The two RTLS traces may also be given as lists of samples. An empty
-    RTLS trace, IO tags the PLC does not declare and cluster mode are
-    logged as warnings.
+    An empty RTLS trace, IO tags the PLC does not declare and cluster mode
+    are logged as warnings.
     """
     params = params or DynamicsParams()
-    if isinstance(rtls, list):
-        rtls = RtlsTrace.from_samples(rtls)
-    if isinstance(labeled, list):
-        labeled = RtlsTrace.from_samples(labeled)
     if not len(rtls):
         logger.warning("RTLS trace is empty: no component gets a position")
     events = component_event_series(io_samples, tag_types)

@@ -231,16 +231,6 @@ class Edge:
         return Edge(self.kind, self.source, self.target, dict(self.labels))
 
 
-def make_node(
-    kind: NodeKind,
-    name: str,
-    labels: Labels | None = None,
-    provenance: Provenance = Provenance.GENERATOR,
-) -> Node:
-    """Build a node whose id follows the stable identity scheme."""
-    return Node(node_id(kind, name), kind, name, dict(labels or {}), provenance)
-
-
 class PropertyGraph:
     """Labeled directed multigraph with a Contains forest.
 
@@ -390,37 +380,21 @@ class PropertyGraph:
     def system_roots(self) -> list[Node]:
         return [n for n in self.nodes() if n.kind is NodeKind.SYSTEM_ROOT]
 
-    def validate(self, final: bool = False) -> list[str]:
-        """Check whole-graph invariants; returns human-readable findings.
+    def validate(self) -> list[str]:
+        """Check the assembled-graph rules; returns human-readable findings.
 
-        With ``final=True`` the assembled-graph rules also apply: exactly
-        one SystemRoot must exist and every other node must be reachable
-        from it via Contains edges.
+        Exactly one SystemRoot must exist and every other node must be
+        reachable from it via Contains edges. The Contains forest itself is
+        enforced on mutation.
         """
-        findings: list[str] = []
-        # The forest property is enforced on mutation; re-derive defensively.
-        seen_parent: dict[str, str] = {}
-        for edge in self.edges():
-            if edge.kind is EdgeKind.CONTAINS:
-                if edge.target in seen_parent:
-                    findings.append(f"node {edge.target!r} has two Contains parents")
-                seen_parent[edge.target] = edge.source
-        if final:
-            roots = self.system_roots()
-            if len(roots) != 1:
-                findings.append(f"expected exactly one SystemRoot, found {len(roots)}")
-            else:
-                reachable = {roots[0].id}
-                stack = [roots[0].id]
-                while stack:
-                    for child in self.contains_children(stack.pop()):
-                        if child not in reachable:
-                            reachable.add(child)
-                            stack.append(child)
-                unreachable = sorted(set(self._nodes) - reachable)
-                for nid in unreachable:
-                    findings.append(f"node {nid!r} not reachable from SystemRoot via Contains")
-        return findings
+        roots = self.system_roots()
+        if len(roots) != 1:
+            return [f"expected exactly one SystemRoot, found {len(roots)}"]
+        reachable = set(iter_contains_subtree(self, roots[0].id))
+        return [
+            f"node {nid!r} not reachable from SystemRoot via Contains"
+            for nid in sorted(set(self._nodes) - reachable)
+        ]
 
     # -- equality and copying -------------------------------------------------
 

@@ -223,8 +223,9 @@ def group_tree_shape(graph: PropertyGraph, group_id: str) -> tuple:
 
 
 def call_tree_shape(tree: CallTree) -> tuple:
-    """Canonical shape of the call tree, comparable with group_tree_shape
-    of the top group (shared instances placed at their LCA, as in R5)."""
+    """Test reference: the canonical shape of the call tree, comparable with
+    group_tree_shape of the top group (shared instances placed at their
+    LCA, as in R5)."""
     eff = effective_group_parents(tree)
     children: dict[str | None, list[str]] = {}
     for name, parent in eff.items():

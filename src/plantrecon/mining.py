@@ -1,15 +1,15 @@
 """Frequent subgraph mining over the assembled graph.
 
 Patterns are connected, directed, labeled subgraphs. The pipeline's
-search grows only root-anchored patterns, those one vertex spans along
-Contains arcs (the plant's repeated containment units): add a Contains
-child to a pattern vertex, or close an unused arc between two pattern
-vertices, and expand each pattern once. It reports only the closed
-patterns, those that no rooted super-pattern of equal support contains,
-which are exactly the templates ``select_templates`` keeps. It works on
-the graph coded as integers and extends all embeddings of a pattern in
-one vectorized pass. The general search, the reference the rooted one is
-checked against, is gSpan: grow
+search, ``mine``, grows only root-anchored patterns, those one vertex
+spans along Contains arcs (the plant's repeated containment units): add a
+Contains child to a pattern vertex, or close an unused arc between two
+pattern vertices, and expand each pattern once. It reports only the
+closed patterns, those that no rooted super-pattern of equal support
+contains, which are exactly the templates ``select_templates`` keeps. It
+works on the graph coded as integers and extends all embeddings of a
+pattern in one vectorized pass. The general search, ``mine_frequent``,
+the reference ``mine`` is checked against, is gSpan: grow
 canonical DFS codes along the rightmost path, prune non-minimal codes,
 and prune by support. Because everything lives in one
 large graph rather than a transaction database, support is
@@ -359,7 +359,7 @@ def _min_code_walk(view: MiningGraph):
 
 
 def min_dfs_code(vertex_labels: tuple[str, ...], arcs: tuple[tuple[int, int, str], ...]) -> DfsCode:
-    """Canonical (minimal) DFS code of a connected pattern graph."""
+    """Test reference: the canonical (minimal) DFS code of a connected pattern graph."""
     return tuple(ce for ce, _ in _min_code_walk(_pattern_graph(vertex_labels, arcs)))
 
 
@@ -538,9 +538,21 @@ def _rooted_pattern(host: _IntHost, labels, arcs, emb: np.ndarray, support: int)
     )
 
 
-def _mine_rooted(g: MiningGraph, min_support: int, min_nodes: int, max_nodes: int) -> list[Pattern]:
-    """The closed patterns that one vertex spans along Contains arcs: those
-    with no rooted super-pattern of equal support within ``max_nodes``.
+def _check_caps(min_support: int, min_nodes: int, max_nodes: int) -> None:
+    if min_support < 2:
+        raise MiningError("min_support must be >= 2")
+    if not (2 <= min_nodes <= max_nodes):
+        raise MiningError("need 2 <= min_nodes <= max_nodes")
+
+
+def mine(
+    g: MiningGraph, min_support: int = 2, min_nodes: int = 3, max_nodes: int = 12
+) -> list[Pattern]:
+    """The templates: the closed patterns that one vertex spans along
+    Contains arcs (no rooted super-pattern within ``max_nodes`` has their
+    MNI support), within the caps, sorted by (-support, -size, code). They
+    are the rooted patterns ``select_templates`` keeps of
+    ``mine_frequent``'s, each the same ``Pattern``.
 
     Every rooted pattern is reached from a Contains arc by adding Contains
     children and closing arcs: take away the arcs outside one Contains
@@ -558,6 +570,7 @@ def _mine_rooted(g: MiningGraph, min_support: int, min_nodes: int, max_nodes: in
     spans P. The one-move pattern lies between P and Q, so its support
     equals theirs.
     """
+    _check_caps(min_support, min_nodes, max_nodes)
     host = _IntHost(g)
     span = len(host.ids)
     results: list[Pattern] = []
@@ -601,32 +614,17 @@ def _mine_rooted(g: MiningGraph, min_support: int, min_nodes: int, max_nodes: in
         if support >= min_support:
             seed_labels = divmod(labels, len(host.vertex_label_names))
             visit(seed_labels, ((0, 1, host.contains),), emb, contains[hit][:, None], support)
-    return results
+    return sorted(results, key=Pattern.sort_key)
 
 
-def mine(
-    g: MiningGraph,
-    min_support: int = 2,
-    min_nodes: int = 3,
-    max_nodes: int = 12,
-    root_anchored_only: bool = False,
+def mine_frequent(
+    g: MiningGraph, min_support: int = 2, min_nodes: int = 3, max_nodes: int = 12
 ) -> list[Pattern]:
     """All patterns with MNI support >= min_support and a vertex count in
-    [min_nodes, max_nodes], sorted by (-support, -size, code).
-
-    With ``root_anchored_only`` only the closed patterns that one vertex
-    spans along Contains arcs: those that no such pattern of equal support
-    within the caps contains, found by the rooted search instead of the
-    general one. They are the patterns ``select_templates`` keeps of all
-    rooted ones, each the same ``Pattern`` the general search reports for
-    its code. The pipeline always runs the rooted search; the general
-    search is the reference the tests check it against."""
-    if min_support < 2:
-        raise MiningError("min_support must be >= 2")
-    if not (2 <= min_nodes <= max_nodes):
-        raise MiningError("need 2 <= min_nodes <= max_nodes")
-    if root_anchored_only:
-        return sorted(_mine_rooted(g, min_support, min_nodes, max_nodes), key=Pattern.sort_key)
+    [min_nodes, max_nodes], sorted by (-support, -size, code), found by
+    the general gSpan search. The pipeline does not run it; it is the
+    reference the tests check ``mine`` against."""
+    _check_caps(min_support, min_nodes, max_nodes)
     results: list[Pattern] = []
     seeds = _initial_codes(g)
 

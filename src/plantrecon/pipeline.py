@@ -27,7 +27,7 @@ from . import aml, dynamics, grouping, metrics, mining, plc, synth
 from .clustering import KMeansParams, cluster_positions
 from .config import PipelineConfig
 from .graph import NodeKind, PropertyGraph, load_graph, merge
-from .traces import load_io_trace, load_rtls_trace
+from .traces import RtlsTrace, load_io_trace, load_rtls_trace
 
 logger = logging.getLogger(__name__)
 
@@ -84,7 +84,7 @@ def stage_analyze_dynamics(cfg: PipelineConfig) -> PropertyGraph:
     tag_types = {t.name: t.data_type.value for t in project.tags}
     io_samples = load_io_trace(cfg.io_csv)
     rtls_samples = load_rtls_trace(cfg.rtls_csv)
-    labeled = []
+    labeled = RtlsTrace.from_samples([])
     if cfg.mode == "classify":
         cfg.require("labeled_rtls_csv")
         labeled = load_rtls_trace(cfg.labeled_rtls_csv)
@@ -116,12 +116,10 @@ def stage_mine(cfg: PipelineConfig) -> tuple[PropertyGraph, list[mining.Pattern]
     merged = merge_fragments(cfg)
     view = mining.project_for_mining(merged, frozenset(cfg.excluded_kinds))
     patterns = mining.mine(
-        view,
-        min_support=cfg.min_support,
-        min_nodes=cfg.min_nodes,
-        max_nodes=cfg.max_nodes,
-        root_anchored_only=True,
+        view, min_support=cfg.min_support, min_nodes=cfg.min_nodes, max_nodes=cfg.max_nodes
     )
+    # mine already returns only the templates, so this drops nothing; it
+    # stays because perfbench/tracing.py counts mining.templates from it.
     templates = mining.select_templates(patterns)
     mining.mark_templates(merged, templates)
     merged.save(_out(cfg, "plant.dtgraph"))
@@ -161,7 +159,10 @@ def stage_evaluate(
 
     clustering_assignments = None
     method = _cluster_method(cfg)
-    if method is not None:
+    if method is not None and cfg.mode == "cluster":
+        # analyze-dynamics ran this k-means on these positions and stored its groups.
+        clustering_assignments = metrics.physical_assignments_of(graph)
+    elif method is not None:
         estimates = dynamics.stored_estimates(graph)
         if estimates:
             clustering_assignments = cluster_positions(estimates, method).assignments

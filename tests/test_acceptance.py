@@ -20,12 +20,12 @@ from plantrecon.grouping import call_tree_shape, functional_grouping, group_tree
 from plantrecon.metrics import ari, functional_partition_of
 from plantrecon.mining import (
     MiningGraph,
-    mine,
+    mine_frequent,
     patterns_isomorphic,
     project_for_mining,
     select_templates,
 )
-from plantrecon.traces import EstimateStatus, IoSample, RtlsSample
+from plantrecon.traces import EstimateStatus, IoSample, RtlsSample, RtlsTrace
 
 from oracles import dtw_oracle, mine_oracle, mni_oracle, tiny_graphs_isomorphic
 
@@ -55,7 +55,7 @@ def _samples(plant):
     io = [IoSample(t, tag, v) for (t, tag, v) in plant.io_rows]
     rtls = [RtlsSample(t, tr, x, y, z, None) for (t, tr, x, y, z, _) in plant.rtls_rows]
     labeled = [RtlsSample(t, tr, x, y, z, zone) for (t, tr, x, y, z, zone) in plant.rtls_rows]
-    return io, rtls, labeled
+    return io, RtlsTrace.from_samples(rtls), RtlsTrace.from_samples(labeled)
 
 
 @pytest.fixture(scope="module")
@@ -167,7 +167,7 @@ def test_criterion_4_mining_oracle_equivalence():
                 vertex_labels={f"v{i}": lab for i, lab in enumerate(vlabels)},
                 edges=[(f"v{u}", f"v{v}", lab) for (u, v, lab) in arcs],
             )
-            mined = mine(view, min_support=2, min_nodes=2, max_nodes=12)
+            mined = mine_frequent(view, min_support=2, min_nodes=2, max_nodes=12)
             expected = mine_oracle(vlabels, arcs, 2, 2, 12)
             assert len(mined) == len(expected), (case, vlabels, arcs)
             for (evl, earcs, esup) in expected:
@@ -253,13 +253,13 @@ def test_criterion_5_template_recovery(reference_run):
                 g.add_edge(Edge(EdgeKind.CONTAINS, "SystemRoot:P", s))
                 g.add_edge(Edge(EdgeKind.WIRED_TO, s, ch))
         no_exclusion = select_templates(
-            mine(project_for_mining(g, frozenset()), min_support=2, min_nodes=3, max_nodes=9)
+            mine_frequent(project_for_mining(g, frozenset()), 2, 3, 9)
         )
         star = max(no_exclusion, key=lambda p: p.vertex_count)
         assert "IoDevice" in star.vertex_labels
         assert star.vertex_labels.count("Sensor") == 4
         assert star.support == 2
-        with_exclusion = mine(project_for_mining(g), min_support=2, min_nodes=2, max_nodes=9)
+        with_exclusion = mine_frequent(project_for_mining(g), 2, 2, 9)
         for p in with_exclusion:
             assert not {"Plc", "IoDevice", "Channel"} & set(p.vertex_labels)
 
@@ -296,7 +296,7 @@ def test_criterion_6_aml_round_trip():
                          NodeKind.DATA_BLOCK, NodeKind.FUNCTION_BLOCK_TYPE}
                     ),
                 )
-                templates = select_templates(mine(view, 2, 3, 10))
+                templates = select_templates(mine_frequent(view, 2, 3, 10))
                 mark_templates(graph, templates)
             xml_bytes = export_aml(graph)
             back = import_aml(xml_bytes)

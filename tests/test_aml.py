@@ -23,6 +23,7 @@ from plantrecon.mining import (
     DEFAULT_EXCLUDED_KINDS,
     mark_templates,
     mine,
+    mine_frequent,
     project_for_mining,
     select_templates,
 )
@@ -33,7 +34,7 @@ def marked_mini_aml(mini_functional):
     """The mini functional graph with its templates marked, exported."""
     graph = mini_functional.copy()
     view = project_for_mining(graph, DEFAULT_EXCLUDED_KINDS)
-    patterns = mine(view, min_support=2, min_nodes=3, max_nodes=12, root_anchored_only=True)
+    patterns = mine(view, min_support=2, min_nodes=3, max_nodes=12)
     mark_templates(graph, select_templates(patterns))
     return export_aml(graph)
 
@@ -85,7 +86,7 @@ class TestExport:
             frozenset({NodeKind.PLC, NodeKind.IO_DEVICE, NodeKind.CHANNEL,
                        NodeKind.DATA_BLOCK, NodeKind.FUNCTION_BLOCK_TYPE}),
         )
-        templates = select_templates(mine(view, min_support=2, min_nodes=3, max_nodes=12))
+        templates = select_templates(mine_frequent(view, min_support=2, min_nodes=3, max_nodes=12))
         mark_templates(graph, templates)
         xml_bytes = export_aml(graph)
         import xml.etree.ElementTree as ET

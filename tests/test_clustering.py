@@ -1,7 +1,15 @@
+import math
+
 import numpy as np
 import pytest
 
-from plantrecon.clustering import InsufficientDataError, KMeansParams, cluster_positions, kmeans
+from plantrecon.clustering import (
+    ClusteringError,
+    InsufficientDataError,
+    KMeansParams,
+    cluster_positions,
+    kmeans,
+)
 from plantrecon.traces import EstimateStatus, PositionEstimate
 
 
@@ -52,3 +60,9 @@ class TestKMeans:
         result = cluster_positions(estimates, KMeansParams(k=2, seed=0))
         assert result.rejected == ["c"]
         assert set(result.assignments) == {"a", "b"}
+
+    @pytest.mark.parametrize("x", [1e200, -1e308, 1e308, math.nan])
+    def test_overflowing_positions_refused(self, x):
+        estimates = [_known("a", 0.0), _known("b", x), _known("c", 1.0)]
+        with pytest.raises(ClusteringError, match="too large to cluster"):
+            cluster_positions(estimates, KMeansParams(k=2, seed=0))

@@ -12,6 +12,7 @@ from plantrecon.traces import (
     IoSample,
     PositionEstimate,
     RtlsSample,
+    RtlsTrace,
     TraceError,
 )
 
@@ -23,11 +24,20 @@ def _tag_maps(plant):
     return project, kinds, types
 
 
+def _rtls_samples(plant):
+    return [RtlsSample(t, tr, x, y, z, None) for (t, tr, x, y, z, _) in plant.rtls_rows]
+
+
 def _samples(plant):
     io = [IoSample(t, tag, v) for (t, tag, v) in plant.io_rows]
-    rtls = [RtlsSample(t, tr, x, y, z, None) for (t, tr, x, y, z, _) in plant.rtls_rows]
-    labeled = [RtlsSample(t, tr, x, y, z, zone) for (t, tr, x, y, z, zone) in plant.rtls_rows]
+    rtls = RtlsTrace.from_samples(_rtls_samples(plant))
+    labeled = RtlsTrace.from_samples(
+        [RtlsSample(t, tr, x, y, z, zone) for (t, tr, x, y, z, zone) in plant.rtls_rows]
+    )
     return io, rtls, labeled
+
+
+EMPTY_TRACE = RtlsTrace.from_samples([])
 
 
 @pytest.fixture(scope="module")
@@ -73,7 +83,7 @@ class TestMiniDynamics:
         assert EdgeKind.READS in in_kinds
         out_kinds = {e.kind for e in merged.out_edges(sensor.id)}
         assert EdgeKind.MEMBER_OF_PHYSICAL in out_kinds
-        assert merged.validate(final=True) == []
+        assert merged.validate() == []
 
     def test_query_member_of_physical_after_merge(self, mini_functional, mini_dynamics):
         merged = merge(mini_functional, mini_dynamics.fragment)
@@ -94,7 +104,7 @@ class TestClusterMode:
         result = analyze_dynamics(
             io,
             rtls,
-            [],
+            EMPTY_TRACE,
             kinds,
             types,
             project.name,
@@ -122,7 +132,7 @@ class TestDegenerateInputs:
         project, kinds, types = _tag_maps(mini_plant)
         io, _, labeled = _samples(mini_plant)
         with caplog.at_level(logging.WARNING, logger="plantrecon.dynamics"):
-            result = analyze_dynamics(io, [], labeled, kinds, types, project.name)
+            result = analyze_dynamics(io, EMPTY_TRACE, labeled, kinds, types, project.name)
         assert result.assignments == {}
         warnings = _dynamics_warnings(caplog)
         assert len(warnings) == 1
@@ -155,11 +165,12 @@ class TestDegenerateInputs:
         project, kinds, types = _tag_maps(mini_plant)
         io, rtls, labeled = _samples(mini_plant)
         tag = io[-1].tag
-        if which == "io":
-            io = io + [IoSample(2**63 + 5, tag, 1.0 - io[-1].value)]
-        else:
-            rtls = rtls + [RtlsSample(2**63, "tray01", 0.0, 0.0, 0.0)]
         with pytest.raises(TraceError, match="below 2\\*\\*62 ms"):
+            if which == "io":
+                io = io + [IoSample(2**63 + 5, tag, 1.0 - io[-1].value)]
+            else:
+                late = RtlsSample(2**63, "tray01", 0.0, 0.0, 0.0)
+                rtls = RtlsTrace.from_samples(_rtls_samples(mini_plant) + [late])
             analyze_dynamics(io, rtls, labeled, kinds, types, project.name)
 
 

@@ -14,16 +14,17 @@ from plantrecon.graph import (
     Node,
     NodeKind,
     PropertyGraph,
+    Provenance,
     load_graph,
     lowest_common_ancestor,
-    make_node,
     merge,
+    node_id,
     save_graph,
 )
 
 
 def _node(kind, name, **labels):
-    return make_node(kind, name, labels)
+    return Node(node_id(kind, name), kind, name, labels, Provenance.GENERATOR)
 
 
 def _basic_graph():
@@ -213,14 +214,14 @@ class TestPersistence:
 class TestValidateAndHelpers:
     def test_final_validation_requires_single_root(self):
         g = _basic_graph()
-        assert g.validate(final=True) == []
+        assert g.validate() == []
         g.add_node(_node(NodeKind.SYSTEM_ROOT, "Second"))
-        assert any("SystemRoot" in f for f in g.validate(final=True))
+        assert any("SystemRoot" in f for f in g.validate())
 
     def test_unreachable_node_reported(self):
         g = _basic_graph()
         g.add_node(_node(NodeKind.SENSOR, "orphan"))
-        findings = g.validate(final=True)
+        findings = g.validate()
         assert any("orphan" in f for f in findings)
 
     def test_lowest_common_ancestor(self):

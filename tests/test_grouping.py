@@ -47,7 +47,7 @@ class TestGroupStructure:
 
     def test_final_graph_invariants_hold(self, mini_like):
         _, _, g = mini_like
-        assert g.validate(final=True) == []
+        assert g.validate() == []
 
     def test_software_component_wiring(self, mini_like):
         _, _, g = mini_like
@@ -155,7 +155,7 @@ class TestPaperScaleGrouping:
             parent = g.contains_parent(node.id)
             assert parent is not None
             assert g.node(parent).kind is NodeKind.FUNCTIONAL_GROUP
-        assert g.validate(final=True) == []
+        assert g.validate() == []
 
     def test_functional_partition_matches_ground_truth_exactly(self, reference_plant):
         project = prepare(parse_project(reference_plant.plc_xml))

@@ -12,6 +12,7 @@ from plantrecon.mining import (
     find_monomorphism,
     mark_templates,
     mine,
+    mine_frequent,
     min_dfs_code,
     patterns_isomorphic,
     project_for_mining,
@@ -65,7 +66,7 @@ class TestMiningGraph:
 class TestMineSmall:
     def test_two_triangles(self):
         g = _two_triangles()
-        patterns = mine(g, min_support=2, min_nodes=2, max_nodes=6)
+        patterns = mine_frequent(g, min_support=2, min_nodes=2, max_nodes=6)
         triangle = [p for p in patterns if p.edge_count == 3 and p.vertex_count == 3]
         assert len(triangle) == 1
         # Rotational automorphisms put all six vertices in every position's
@@ -83,23 +84,24 @@ class TestMineSmall:
 
     def test_min_support_prunes(self):
         g = _two_triangles()
-        assert mine(g, min_support=7, min_nodes=2, max_nodes=6) == []
+        assert mine_frequent(g, min_support=7, min_nodes=2, max_nodes=6) == []
 
     def test_bad_parameters(self):
         g = _two_triangles()
-        with pytest.raises(MiningError):
-            mine(g, min_support=1)
-        with pytest.raises(MiningError):
-            mine(g, min_support=2, min_nodes=1, max_nodes=0)
+        for search in (mine, mine_frequent):
+            with pytest.raises(MiningError):
+                search(g, min_support=1)
+            with pytest.raises(MiningError):
+                search(g, min_support=2, min_nodes=1, max_nodes=0)
 
     def test_direction_matters(self):
         # a->b twice vs a->b and b->a: the antiparallel pair is not the
         # same pattern as the parallel pair.
         g1 = _graph_from(["A", "B", "A", "B"], [(0, 1, "e"), (2, 3, "e")])
-        p1 = mine(g1, min_support=2, min_nodes=2, max_nodes=4)
+        p1 = mine_frequent(g1, min_support=2, min_nodes=2, max_nodes=4)
         assert len(p1) == 1
         g2 = _graph_from(["A", "B", "A", "B"], [(0, 1, "e"), (3, 2, "e")])
-        p2 = mine(g2, min_support=2, min_nodes=2, max_nodes=4)
+        p2 = mine_frequent(g2, min_support=2, min_nodes=2, max_nodes=4)
         assert p2 == []  # one A->B and one B->A: no repeated pattern
 
 
@@ -121,7 +123,7 @@ class TestOracleEquivalence:
         for case in range(100):
             vlabels, arcs = self._random_graph(rng)
             g = _graph_from(vlabels, arcs)
-            mined = mine(g, min_support=2, min_nodes=2, max_nodes=12)
+            mined = mine_frequent(g, min_support=2, min_nodes=2, max_nodes=12)
             expected = mine_oracle(vlabels, arcs, 2, 2, 12)
             assert len(mined) == len(expected), (case, vlabels, arcs)
             for (evl, earcs, esup) in expected:
@@ -138,7 +140,7 @@ class TestOracleEquivalence:
         for _ in range(20):
             vlabels, arcs = self._random_graph(rng)
             g = _graph_from(vlabels, arcs)
-            for p in mine(g, min_support=2, min_nodes=2, max_nodes=12):
+            for p in mine_frequent(g, min_support=2, min_nodes=2, max_nodes=12):
                 # Every connected one-edge-removed subpattern supports at
                 # least as много as the parent.
                 for drop in range(p.edge_count):
@@ -157,14 +159,14 @@ class TestOracleEquivalence:
         for _ in range(30):
             vlabels, arcs = self._random_graph(rng)
             g = _graph_from(vlabels, arcs)
-            for p in mine(g, min_support=2, min_nodes=2, max_nodes=12):
+            for p in mine_frequent(g, min_support=2, min_nodes=2, max_nodes=12):
                 assert min_dfs_code(p.vertex_labels, p.arcs) == p.code
 
     def test_determinism(self):
         vlabels, arcs = self._random_graph(random.Random(5))
         g = _graph_from(vlabels, arcs)
-        a = mine(g, min_support=2, min_nodes=2, max_nodes=12)
-        b = mine(g, min_support=2, min_nodes=2, max_nodes=12)
+        a = mine_frequent(g, min_support=2, min_nodes=2, max_nodes=12)
+        b = mine_frequent(g, min_support=2, min_nodes=2, max_nodes=12)
         assert [(p.code, p.support, p.embeddings) for p in a] == [
             (p.code, p.support, p.embeddings) for p in b
         ]
@@ -174,9 +176,9 @@ def _rooted_equals_post_filter(g, min_nodes, max_nodes, min_support=2):
     """The rooted search against ``select_templates`` over the general
     search filtered by the root-anchored oracle, as (code, support,
     embeddings); returns the number of rooted patterns."""
-    general = mine(g, min_support, min_nodes, max_nodes)
+    general = mine_frequent(g, min_support, min_nodes, max_nodes)
     expected = select_templates([p for p in general if root_anchored(p)])
-    rooted = mine(g, min_support, min_nodes, max_nodes, root_anchored_only=True)
+    rooted = mine(g, min_support, min_nodes, max_nodes)
     assert [(p.code, p.support, p.embeddings) for p in rooted] == [
         (p.code, p.support, p.embeddings) for p in expected
     ]
@@ -221,10 +223,10 @@ class TestRootedSearch:
             ],
         )
         assert _rooted_equals_post_filter(g, 2, 3) == 1
-        [closed] = mine(g, 2, 2, 3, root_anchored_only=True)
+        [closed] = mine(g, 2, 2, 3)
         assert sorted(closed.vertex_labels) == ["A", "B", "W"] and closed.edge_count == 3
         # Without room for W the cycle itself is closed, and so is W -> B.
-        capped = mine(g, 2, 2, 2, root_anchored_only=True)
+        capped = mine(g, 2, 2, 2)
         assert sorted((sorted(p.vertex_labels), p.edge_count) for p in capped) == [
             (["A", "B"], 2), (["B", "W"], 1)
         ]
@@ -237,26 +239,26 @@ class TestRootedSearch:
             [(0, 1, "Contains"), (1, 2, "Contains"), (3, 4, "Contains"), (4, 5, "Contains")],
         )
         assert _rooted_equals_post_filter(g, 2, 3) == 1
-        [chain] = mine(g, 2, 2, 3, root_anchored_only=True)
+        [chain] = mine(g, 2, 2, 3)
         assert sorted(chain.vertex_labels) == ["Place", "Row", "Sensor"]
         # Without room for the Row, both pairs are closed.
-        capped = mine(g, 2, 2, 2, root_anchored_only=True)
+        capped = mine(g, 2, 2, 2)
         assert sorted(sorted(p.vertex_labels) for p in capped) == [
             ["Place", "Row"], ["Place", "Sensor"]
         ]
 
     def test_select_templates_keeps_every_rooted_pattern(self, mini_view):
-        rooted = mine(mini_view, 2, 3, 12, root_anchored_only=True)
+        rooted = mine(mini_view, 2, 3, 12)
         assert len(rooted) == 3
         assert select_templates(rooted) == rooted
 
     def test_empty_graph(self):
-        assert mine(project_for_mining(PropertyGraph()), root_anchored_only=True) == []
+        assert mine(project_for_mining(PropertyGraph())) == []
 
     def test_no_contains_arcs(self):
         g = _graph_from(["A", "B", "A", "B"], [(0, 1, "Reads"), (2, 3, "Reads")])
-        assert len(mine(g, 2, 2, 4)) == 1
-        assert mine(g, 2, 2, 4, root_anchored_only=True) == []
+        assert len(mine_frequent(g, 2, 2, 4)) == 1
+        assert mine(g, 2, 2, 4) == []
 
 
 def _connected(arcs, vertices):
@@ -303,8 +305,8 @@ class TestProjectForMining:
                 (3, 4, "Reads"), (5, 4, "Contains"),
             ],
         )
-        plain = mine(g, min_support=2, min_nodes=2, max_nodes=4)
-        anchored = mine(g, min_support=2, min_nodes=2, max_nodes=4, root_anchored_only=True)
+        plain = mine_frequent(g, min_support=2, min_nodes=2, max_nodes=4)
+        anchored = mine(g, min_support=2, min_nodes=2, max_nodes=4)
         assert len(anchored) < len(plain)
         for p in anchored:
             assert all(lab == "Contains" for (_, _, lab) in p.arcs) or p.edge_count == 0
@@ -328,7 +330,7 @@ class TestProjectForMining:
                 g.add_edge(Edge(EdgeKind.CONTAINS, "SystemRoot:P", s))
                 g.add_edge(Edge(EdgeKind.WIRED_TO, s, ch))
         unrestricted = project_for_mining(g, excluded_kinds=frozenset())
-        patterns = mine(unrestricted, min_support=2, min_nodes=3, max_nodes=9)
+        patterns = mine_frequent(unrestricted, min_support=2, min_nodes=3, max_nodes=9)
         templates = select_templates(patterns)
         star = max(templates, key=lambda p: p.vertex_count)
         assert "IoDevice" in star.vertex_labels
@@ -340,14 +342,14 @@ class TestProjectForMining:
         assert mni_oracle(star.vertex_labels, list(star.arcs), host_vl, unrestricted.edges) == 2
 
         restricted = project_for_mining(g)
-        patterns = mine(restricted, min_support=2, min_nodes=2, max_nodes=9)
+        patterns = mine_frequent(restricted, min_support=2, min_nodes=2, max_nodes=9)
         for p in patterns:
             assert not {"Plc", "IoDevice", "Channel"} & set(p.vertex_labels)
 
 
 class TestMiniMining:
     def test_place_group_pattern_found(self, mini_view):
-        patterns = mine(mini_view, min_support=2, min_nodes=4, max_nodes=12)
+        patterns = mine_frequent(mini_view, min_support=2, min_nodes=4, max_nodes=12)
         spec_pattern = Pattern(
             code=(),
             support=2,
@@ -366,15 +368,15 @@ class TestMiniMining:
         # Only two places exist, so above support 2 nothing place-related
         # remains; the controller spine (group-in-group plus component)
         # still repeats up to four times, and disappears above that.
-        for p in mine(mini_view, min_support=3, min_nodes=3, max_nodes=12):
+        for p in mine_frequent(mini_view, min_support=3, min_nodes=3, max_nodes=12):
             assert not {"Sensor", "Actuator"} & set(p.vertex_labels)
-        assert mine(mini_view, min_support=5, min_nodes=3, max_nodes=12) == []
+        assert mine_frequent(mini_view, min_support=5, min_nodes=3, max_nodes=12) == []
 
     def test_maximal_templates(self, mini_view):
         # Three maximal structures repeat in the tiny plant: the place
         # group, the two-level controller spine with its call edge, and the
         # group-in-group-with-component chain (which also covers the OB).
-        templates = select_templates(mine(mini_view, min_support=2, min_nodes=3, max_nodes=12))
+        templates = select_templates(mine_frequent(mini_view, 2, 3, 12))
         assert len(templates) == 3
         place_hits = [t for t in templates if patterns_isomorphic(t, PLACE_TEMPLATE)]
         assert len(place_hits) == 1
@@ -390,7 +392,7 @@ class TestMiniMining:
 
 class TestSelectTemplates:
     def test_triangle_dominates_equal_support_edges(self):
-        patterns = mine(_two_triangles(), min_support=2, min_nodes=2, max_nodes=6)
+        patterns = mine_frequent(_two_triangles(), min_support=2, min_nodes=2, max_nodes=6)
         kept = select_templates(patterns)
         assert len(kept) == 1 and kept[0].edge_count == 3
 
@@ -399,7 +401,7 @@ class TestSelectTemplates:
             ["A", "B", "A", "B", "C", "D", "C", "D"],
             [(0, 1, "x"), (2, 3, "x"), (4, 5, "y"), (6, 7, "y")],
         )
-        patterns = mine(g, min_support=2, min_nodes=2, max_nodes=4)
+        patterns = mine_frequent(g, min_support=2, min_nodes=2, max_nodes=4)
         kept = select_templates(patterns)
         assert len(kept) == 2
 
@@ -416,7 +418,7 @@ class TestSelectTemplates:
             (6, 7, "e"),
         ]
         g = _graph_from(vlabels, arcs)
-        kept = select_templates(mine(g, min_support=2, min_nodes=2, max_nodes=4))
+        kept = select_templates(mine_frequent(g, min_support=2, min_nodes=2, max_nodes=4))
         sizes = sorted(p.edge_count for p in kept)
         assert sizes == [1, 2]  # A->B at support 3, A->B->C at support 2
 
@@ -424,7 +426,7 @@ class TestSelectTemplates:
 class TestMarkTemplates:
     def _marked_mini(self, mini_functional, mini_view):
         graph = mini_functional.copy()
-        templates = select_templates(mine(mini_view, min_support=2, min_nodes=3, max_nodes=12))
+        templates = select_templates(mine_frequent(mini_view, 2, 3, 12))
         annotations = mark_templates(graph, templates)
         return graph, templates, annotations
 
@@ -440,7 +442,7 @@ class TestMarkTemplates:
             assert node.labels["templateId"] == place.template_id
             out = graph.out_edges(nid, EdgeKind.INSTANCE_OF)
             assert [e.target for e in out] == [place.pattern_node_id]
-        assert graph.validate(final=True) == []
+        assert graph.validate() == []
 
     def test_instance_anchored_at_member_lca(self, mini_functional, mini_view):
         graph, _, annotations = self._marked_mini(mini_functional, mini_view)
@@ -454,7 +456,7 @@ class TestMarkTemplates:
 
     def test_idempotent(self, mini_functional, mini_view):
         graph = mini_functional.copy()
-        templates = select_templates(mine(mini_view, min_support=2, min_nodes=3, max_nodes=12))
+        templates = select_templates(mine_frequent(mini_view, 2, 3, 12))
         mark_templates(graph, templates)
         snapshot = graph.copy()
         mark_templates(graph, templates)
@@ -474,8 +476,8 @@ class TestMarkTemplates:
                 nested.add_node(Node(s, NodeKind.SENSOR, f"S{i}{j}", {}))
                 nested.add_edge(Edge(EdgeKind.CONTAINS, grp, s))
         cases = [
-            (mini_functional.copy(), mine(mini_view, min_support=2, min_nodes=3, max_nodes=12)),
-            (nested, mine(project_for_mining(nested), min_support=2, min_nodes=2, max_nodes=3)),
+            (mini_functional.copy(), mine_frequent(mini_view, 2, 3, 12)),
+            (nested, mine_frequent(project_for_mining(nested), 2, 2, 3)),
         ]
         for graph, patterns in cases:
             for annotation in mark_templates(graph, patterns):
@@ -515,7 +517,7 @@ class TestSummarize:
 
     def test_mini_counts(self, mini_functional, mini_view):
         graph = mini_functional.copy()
-        templates = select_templates(mine(mini_view, min_support=2, min_nodes=3, max_nodes=12))
+        templates = select_templates(mine_frequent(mini_view, 2, 3, 12))
         mark_templates(graph, templates)
         report = summarize(graph)
         assert report.nodes_before == graph.node_count
@@ -552,7 +554,7 @@ class TestSummarize:
             arcs=((0, 1, "Contains"), (0, 2, "Contains")),
         )
         view = project_for_mining(g)
-        patterns = mine(view, min_support=2, min_nodes=2, max_nodes=3)
+        patterns = mine_frequent(view, min_support=2, min_nodes=2, max_nodes=3)
         by_size = {p.edge_count: p for p in patterns}
         mark_templates(g, [by_size[1], by_size[2]])
         report = summarize(g)
@@ -565,7 +567,7 @@ class TestSummarize:
         assert patterns_isomorphic(by_size[2], outer)
 
     def test_templates_report_file(self, tmp_path, mini_view):
-        templates = select_templates(mine(mini_view, min_support=2, min_nodes=3, max_nodes=12))
+        templates = select_templates(mine_frequent(mini_view, 2, 3, 12))
         path = tmp_path / "templates.txt"
         write_templates_report(templates, path)
         text = path.read_text()

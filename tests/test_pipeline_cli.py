@@ -8,10 +8,12 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from plantrecon import synth
+from plantrecon import dynamics, metrics, synth
 from plantrecon.cli import main
+from plantrecon.clustering import KMeansParams, cluster_positions
 from plantrecon.config import PipelineConfig, read_kv_file, write_kv_file
 from plantrecon.errors import ConfigError
+from plantrecon.graph import load_graph
 from plantrecon import pipeline
 
 
@@ -69,7 +71,7 @@ def _match_count_not_int(records):
     _first_labels(records, "matchCount")["matchCount"] = "x"
 
 
-def _position_not_finite(value):
+def _position_x(value):
     def damage(records):
         _first_labels(records, "position.x")["position.x"] = value
 
@@ -424,13 +426,15 @@ class TestCli:
             (_pattern_edge_to_vertex_99, "MiningError", "patternCode is not a template structure"),
             (_match_count_not_int, "MalformedRecordError", "reserved label 'matchCount' must be"),
             (_foreign_edge_id, "MalformedRecordError", "edge id 'Contains:elsewhere' must be"),
-            (_position_not_finite(math.nan), "MalformedRecordError",
+            (_position_x(math.nan), "MalformedRecordError",
              "reserved label 'position.x' must be finite, got nan"),
-            (_position_not_finite(math.inf), "MalformedRecordError",
+            (_position_x(math.inf), "MalformedRecordError",
              "reserved label 'position.x' must be finite, got inf"),
+            (_position_x(1e200), "ClusteringError",
+             "position coordinates too large to cluster"),
         ],
         ids=["pattern-code-not-json", "pattern-edge-to-vertex-99", "match-count-not-int",
-             "foreign-edge-id", "position-nan", "position-infinity"],
+             "foreign-edge-id", "position-nan", "position-infinity", "position-huge"],
     )
     def test_damaged_stored_graph_evaluate_exit_2(
         self, mini_workspace, mini_run, tmp_path, damage, error, message
@@ -494,3 +498,31 @@ class TestCli:
         assert result.exit_code == 0, result.output
         text = (out / "metrics.report").read_text()
         assert "clustering_ari" in text
+
+    @pytest.mark.parametrize("mode", ["cluster", "classify"])
+    def test_run_all_clusters_once(self, mini_workspace, tmp_path, monkeypatch, mode):
+        # Cluster mode scores clustering_ari from the groups analyze-dynamics
+        # stored; classify mode clusters only in evaluate.
+        calls = []
+
+        def counted(estimates, method):
+            calls.append(method)
+            return cluster_positions(estimates, method)
+
+        monkeypatch.setattr(dynamics, "cluster_positions", counted)
+        monkeypatch.setattr(pipeline, "cluster_positions", counted)
+        cfg = _config(mini_workspace)
+        cfg.update({"mode": mode, "out_dir": tmp_path / "o"})
+        assert cfg.kmeans_k is not None
+        report = pipeline.run_all(cfg).report
+        assert len(calls) == 1
+
+        graph = load_graph(tmp_path / "o" / "plant.dtgraph")
+        method = KMeansParams(cfg.kmeans_k, cfg.seed)
+        rerun = cluster_positions(dynamics.stored_estimates(graph), method).assignments
+        if mode == "cluster":
+            assert metrics.physical_assignments_of(graph) == rerun
+        truth = synth.load_ground_truth(cfg.ground_truth)
+        templates = pipeline.templates_from_graph(graph)
+        expected = metrics.evaluate(graph, templates, truth, rerun).clustering_ari
+        assert report.clustering_ari == expected

@@ -156,7 +156,7 @@ class TestLoadRtls:
         assert trace.timestamps_ms.tolist() == [3, 7, 7, 7]
         assert trace.points[:, 0].tolist() == [9.0, 1.0, 5.0, 2.0]
         # The MaterialTracker position is the last sample in that order.
-        fragment = analyze_dynamics([], trace, [], {}, {}, "P").fragment
+        fragment = analyze_dynamics([], trace, RtlsTrace.from_samples([]), {}, {}, "P").fragment
         trackers = fragment.query(kinds={NodeKind.MATERIAL_TRACKER})
         assert [(n.name, n.labels["position.x"]) for n in trackers] == [("t1", 2.0), ("t2", 5.0)]
 
