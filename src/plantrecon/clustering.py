@@ -45,10 +45,9 @@ class KMeansParams:
 
 @dataclass
 class ClusterResult:
-    """Partition over tags with Known estimates; Unknowns are rejected."""
+    """Partition over tags with Known estimates; Unknowns are left out."""
 
     assignments: dict[str, str]
-    rejected: list[str]
 
     def partition(self) -> dict[str, set[str]]:
         out: dict[str, set[str]] = {}
@@ -122,7 +121,6 @@ def cluster_positions(
         (e for e in estimates if e.status is EstimateStatus.KNOWN),
         key=lambda e: e.owner_tag,
     )
-    rejected = sorted(e.owner_tag for e in estimates if e.status is EstimateStatus.UNKNOWN)
     if not known:
         raise InsufficientDataError("no Known position estimates to cluster")
     points = np.array([e.mean for e in known], dtype=float)
@@ -138,4 +136,4 @@ def cluster_positions(
     centroids = sorted((tuple(points[raw == c].mean(axis=0)), c) for c in set(raw.tolist()))
     order = {c: f"C{rank}" for rank, (_, c) in enumerate(centroids)}
     assignments = {est.owner_tag: order[int(c)] for est, c in zip(known, raw)}
-    return ClusterResult(assignments, rejected)
+    return ClusterResult(assignments)

@@ -26,7 +26,7 @@ from .dtw import knn_classify, knn_train
 from .graph import Edge, EdgeKind, Node, NodeKind, PropertyGraph, Provenance, node_id
 from .traces import (
     EstimateStatus,
-    IoSample,
+    IoTrace,
     PositionEstimate,
     PositionSeries,
     RtlsTrace,
@@ -67,29 +67,20 @@ class DynamicsResult:
     assignments: dict[str, str]
 
 
-def _signal_kind(data_type: str) -> SignalKind:
-    return SignalKind.BOOL if data_type == "Bool" else SignalKind.ANALOG
-
-
-def component_event_series(io_samples: list[IoSample], tag_types: dict[str, str]):
-    """Per-tag change events; analog thresholds sit mid-range with a
+def component_event_series(io: IoTrace, tag_types: dict[str, str]) -> dict[str, np.ndarray]:
+    """Per-tag change-event times; analog thresholds sit mid-range with a
     hysteresis band of ANALOG_HYSTERESIS_FRACTION of the value range."""
-    by_tag: dict[str, list[IoSample]] = {}
-    for s in io_samples:
-        by_tag.setdefault(s.tag, []).append(s)
-    series = {}
-    for tag in sorted(by_tag):
-        samples = by_tag[tag]
-        kind = _signal_kind(tag_types.get(tag, "Bool"))
-        if kind is SignalKind.BOOL:
-            series[tag] = detect_events(samples, kind)
+    events = {}
+    for code, tag in enumerate(io.tag_names):
+        rows = io.tag_codes == code
+        times, values = io.timestamps_ms[rows], io.values[rows]
+        if tag_types.get(tag, "Bool") == "Bool":
+            events[tag] = detect_events(times, values)
         else:
-            values = [s.value for s in samples]
-            lo, hi = min(values), max(values)
-            threshold = (lo + hi) / 2.0
+            lo, hi = float(values.min()), float(values.max())
             hyst = (hi - lo) * ANALOG_HYSTERESIS_FRACTION
-            series[tag] = detect_events(samples, kind, threshold, hyst)
-    return series
+            events[tag] = detect_events(times, values, SignalKind.ANALOG, (lo + hi) / 2.0, hyst)
+    return events
 
 
 def _resample(series: PositionSeries, length: int) -> PositionSeries:
@@ -119,7 +110,7 @@ def training_segments(labeled: RtlsTrace) -> list[tuple[PositionSeries, str]]:
 
 
 def analyze_dynamics(
-    io_samples: list[IoSample],
+    io: IoTrace,
     rtls: RtlsTrace,
     labeled: RtlsTrace,
     tag_kinds: dict[str, NodeKind],
@@ -139,7 +130,7 @@ def analyze_dynamics(
     params = params or DynamicsParams()
     if not len(rtls):
         logger.warning("RTLS trace is empty: no component gets a position")
-    events = component_event_series(io_samples, tag_types)
+    events = component_event_series(io, tag_types)
     undeclared = sorted(set(events) - set(tag_kinds))
     if undeclared:
         logger.warning(
@@ -152,11 +143,7 @@ def analyze_dynamics(
     matched: dict[str, PositionSeries] = {}
     estimates: dict[str, PositionEstimate] = {}
     for tag in sorted(tag_kinds):
-        ev = events.get(tag)
-        if ev is None or not ev.events:
-            series = PositionSeries(owner_tag=tag)
-        else:
-            series = match_events(ev, rtls, params.window_ms)
+        series = match_events(tag, events.get(tag, ()), rtls, params.window_ms)
         matched[tag] = series
         estimates[tag] = estimate_position(series, params.min_matches)
 

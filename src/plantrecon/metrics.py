@@ -85,22 +85,23 @@ def template_recovery(expected: list[dict], mined: list[Pattern]) -> float:
 class MetricsReport:
     ari: float
     pairwise_f1: float
-    classification_accuracy: float
     template_recovery: float
+    # Set when the 1-NN classifier assigned the physical groups.
+    classification_accuracy: float | None = None
+    # Set when k-means grouped the positions.
     clustering_ari: float | None = None
 
     def to_text(self) -> str:
-        """Deterministic ``metrics.report`` body; wall-clock times go to
-        ``timings.txt`` only."""
-        lines = [
-            f"ari = {self.ari!r}",
-            f"classification_accuracy = {self.classification_accuracy!r}",
-            f"pairwise_f1 = {self.pairwise_f1!r}",
-            f"template_recovery = {self.template_recovery!r}",
-        ]
-        if self.clustering_ari is not None:
-            lines.insert(1, f"clustering_ari = {self.clustering_ari!r}")
-        return "\n".join(lines) + "\n"
+        """Deterministic ``metrics.report`` body; a metric that is not set
+        has no line. Wall-clock times go to ``timings.txt`` only."""
+        metrics = {
+            "ari": self.ari,
+            "clustering_ari": self.clustering_ari,
+            "classification_accuracy": self.classification_accuracy,
+            "pairwise_f1": self.pairwise_f1,
+            "template_recovery": self.template_recovery,
+        }
+        return "".join(f"{k} = {v!r}\n" for k, v in metrics.items() if v is not None)
 
 
 def functional_partition_of(graph: PropertyGraph) -> dict[str, str]:
@@ -127,8 +128,13 @@ def evaluate(
     templates: list[Pattern],
     ground_truth: GroundTruth,
     clustering_assignments: dict[str, str] | None = None,
+    classified: bool = True,
 ) -> MetricsReport:
-    """Score a finished pipeline run against the generator's ground truth."""
+    """Score a finished pipeline run against the generator's ground truth.
+
+    ``classified`` says that the 1-NN classifier assigned the graph's
+    physical groups; only then is classification accuracy scored.
+    """
     truth_functional = ground_truth.functional_partition
     mined_functional = functional_partition_of(graph)
     missing = sorted(set(truth_functional) - set(mined_functional))
@@ -136,10 +142,12 @@ def evaluate(
         raise UniverseMismatchError(f"graph lacks field devices {missing[:5]}")
     mined_functional = {t: mined_functional[t] for t in truth_functional}
 
-    assignments = physical_assignments_of(graph)
     truth_physical = ground_truth.physical_partition
-    correct = sum(1 for tag, label in assignments.items() if truth_physical.get(tag) == label)
-    accuracy = correct / len(assignments) if assignments else 0.0
+    accuracy = None
+    if classified:
+        assignments = physical_assignments_of(graph)
+        correct = sum(1 for tag, label in assignments.items() if truth_physical.get(tag) == label)
+        accuracy = correct / len(assignments) if assignments else 0.0
 
     clustering_ari = None
     if clustering_assignments:

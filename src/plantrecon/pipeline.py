@@ -82,15 +82,15 @@ def stage_analyze_dynamics(cfg: PipelineConfig) -> PropertyGraph:
     project = plc.parse_project(cfg.plc_xml.read_bytes())
     tag_kinds = {t.name: grouping.field_device_kind(t) for t in project.tags}
     tag_types = {t.name: t.data_type.value for t in project.tags}
-    io_samples = load_io_trace(cfg.io_csv)
-    rtls_samples = load_rtls_trace(cfg.rtls_csv)
-    labeled = RtlsTrace.from_samples([])
+    io = load_io_trace(cfg.io_csv)
+    rtls = load_rtls_trace(cfg.rtls_csv)
+    labeled = RtlsTrace.from_rows([])
     if cfg.mode == "classify":
         cfg.require("labeled_rtls_csv")
         labeled = load_rtls_trace(cfg.labeled_rtls_csv)
     result = dynamics.analyze_dynamics(
-        io_samples,
-        rtls_samples,
+        io,
+        rtls,
         labeled,
         tag_kinds,
         tag_types,
@@ -167,7 +167,9 @@ def stage_evaluate(
         if estimates:
             clustering_assignments = cluster_positions(estimates, method).assignments
 
-    report = metrics.evaluate(graph, templates_from_graph(graph), truth, clustering_assignments)
+    report = metrics.evaluate(
+        graph, templates_from_graph(graph), truth, clustering_assignments, cfg.mode == "classify"
+    )
     _out(cfg, "metrics.report").write_text(report.to_text(), encoding="utf-8")
     return report
 

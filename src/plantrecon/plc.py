@@ -48,6 +48,7 @@ import re
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 
 from .errors import DataError
 
@@ -164,7 +165,6 @@ class PlcProject:
     prepared: bool = False
     call_edges: list[tuple[str, str]] = field(default_factory=list)
     accesses: dict[str, list[TagAccess]] = field(default_factory=dict)
-    shared_instances: set[str] = field(default_factory=set)
 
     def block_map(self) -> dict[str, Block]:
         return {b.name: b for b in self.blocks}
@@ -467,12 +467,8 @@ def prepare(project: PlcProject) -> PlcProject:
     if dangling:
         raise UnresolvedReferenceError(dangling)
 
-    callers: dict[str, set[str]] = {}
-    for caller, callee in call_edges:
-        callers.setdefault(callee, set()).add(caller)
     project.call_edges = sorted(set(call_edges))
     project.accesses = accesses
-    project.shared_instances = {k for k, v in callers.items() if len(v) > 1}
     project.prepared = True
     return project
 
@@ -491,8 +487,12 @@ class CallTree:
     nodes: list[str]
     children: dict[str, list[str]]
     parents: dict[str, list[str]]
-    shared: set[str]
     order: list[str]
+
+    @cached_property
+    def shared(self) -> set[str]:
+        """The instances with more than one caller."""
+        return {n for n, callers in self.parents.items() if len(callers) > 1}
 
     def depth(self) -> int:
         best = 0
@@ -553,6 +553,5 @@ def build_call_tree(project: PlcProject) -> CallTree:
         nodes=nodes,
         children=children,
         parents=parents,
-        shared=set(project.shared_instances),
         order=order,
     )

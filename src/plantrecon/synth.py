@@ -185,8 +185,6 @@ class _UnitInstance:
 
 @dataclass
 class _Structure:
-    spec: PlantSpec
-    places: list[tuple[int, int, int]]  # (level, row, place)
     rows: list[tuple[int, int]]
     units: list[_UnitInstance]
     sensor_names: list[str]
@@ -337,8 +335,6 @@ def _build_structure(spec: PlantSpec) -> _Structure:
         actuator_names.extend(inst.actuator_tags)
 
     return _Structure(
-        spec,
-        places,
         rows,
         units,
         sensor_names,
@@ -546,7 +542,6 @@ PLANT_FILES = {
 @dataclass
 class GeneratedPlant:
     spec: PlantSpec
-    project: PlcProject
     plc_xml: bytes
     io_rows: list[tuple[int, str, float]]
     rtls_rows: list[tuple[int, str, float, float, float, str | None]]
@@ -736,7 +731,7 @@ def generate(spec: PlantSpec) -> GeneratedPlant:
         zone_labels=_zone_labels(st),
         counts=counts,
     )
-    return GeneratedPlant(spec, project, plc_xml, io_events, rtls_rows, ground_truth, missions)
+    return GeneratedPlant(spec, plc_xml, io_events, rtls_rows, ground_truth, missions)
 
 
 def _zone_labels(st: _Structure) -> list[str]:

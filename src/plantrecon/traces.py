@@ -7,14 +7,15 @@ column names below are defined here, for the loaders and the generator):
 * RTLS trace header: ``timestamp_ms,tracker_id,x_m,y_m,z_m`` with an
   optional trailing ``location_label`` column (training data only).
 
-An IO trace loads as a list of ``IoSample``. An RTLS trace, which is two
-orders of magnitude longer, loads as one ``RtlsTrace`` of numpy columns,
-time-sorted once at load, so event matching is a binary search per event.
+Both traces load as numpy columns, one entry per sample, stably
+time-sorted once at load: an ``IoTrace`` and an ``RtlsTrace``. Their
+``from_rows`` builds the same columns from the generator's row tuples.
 
-The correlation chain is: signal samples -> change events -> per-event
-nearest-in-time material position -> per-component mean position. The
-matched positions stay numpy columns (``PositionSeries``) from the RTLS
-trace to the mean position and the DTW classifier.
+The correlation chain is: one tag's samples -> its change-event times
+(an int64 array) -> per-event nearest-in-time material position, a
+binary search per event -> per-component mean position. The matched
+positions stay numpy columns (``PositionSeries``) from the RTLS trace to
+the mean position and the DTW classifier.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import csv
 import logging
 import math
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -46,11 +47,16 @@ RTLS_LABEL_COLUMN = "location_label"
 _TIMESTAMP_LIMIT_MS = 2**62
 
 
-def _int64_times(values: list[int]) -> np.ndarray:
+def _int64_times(values) -> np.ndarray:
     """API callers' timestamps as int64, held to the loaders' bound."""
-    if any(not -_TIMESTAMP_LIMIT_MS < t < _TIMESTAMP_LIMIT_MS for t in values):
+    try:
+        ts = np.asarray(values, dtype=np.int64)
+        in_range = not ts.size or (-_TIMESTAMP_LIMIT_MS < ts.min() and ts.max() < _TIMESTAMP_LIMIT_MS)
+    except (OverflowError, ValueError):  # beyond int64, or not a number
+        in_range = False
+    if not in_range:
         raise TraceError("timestamp magnitude must be below 2**62 ms")
-    return np.array(values, dtype=np.int64)
+    return ts
 
 
 class MalformedRowError(TraceError):
@@ -59,21 +65,33 @@ class MalformedRowError(TraceError):
         self.row = row
 
 
-@dataclass(frozen=True)
-class IoSample:
-    timestamp_ms: int
-    tag: str
-    value: float
+@dataclass(frozen=True, eq=False)
+class IoTrace:
+    """An IO trace as numpy columns, one entry per sample, time-sorted.
 
+    ``tag_codes`` index the sorted ``tag_names``, so code order is name
+    order. Samples with equal timestamps keep their input order.
+    """
 
-@dataclass(frozen=True)
-class RtlsSample:
-    timestamp_ms: int
-    tracker_id: str
-    x: float
-    y: float
-    z: float
-    location_label: str | None = None
+    timestamps_ms: np.ndarray  # int64, shape (N,)
+    values: np.ndarray  # float64, shape (N,)
+    tag_codes: np.ndarray  # intp, shape (N,)
+    tag_names: tuple[str, ...]
+
+    def __len__(self) -> int:
+        return len(self.timestamps_ms)
+
+    @classmethod
+    def from_rows(cls, rows: list[tuple[int, str, float]]) -> IoTrace:
+        """The trace of ``(timestamp_ms, tag, value)`` rows, stably sorted
+        by timestamp."""
+        tags: dict[str | None, int] = {}
+        return _time_sorted(
+            cls,
+            _int64_times([r[0] for r in rows]),
+            [r[2] for r in rows],
+            ([tags.setdefault(r[1], len(tags)) for r in rows], tags),
+        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -97,18 +115,18 @@ class RtlsTrace:
         return len(self.timestamps_ms)
 
     @classmethod
-    def from_samples(cls, samples: list[RtlsSample]) -> RtlsTrace:
-        """The trace of ``samples``, stably sorted by timestamp; an empty
-        label counts as unlabeled."""
+    def from_rows(cls, rows: list[tuple[int, str, float, float, float, str | None]]) -> RtlsTrace:
+        """The trace of ``(timestamp_ms, tracker_id, x, y, z,
+        location_label)`` rows, stably sorted by timestamp; an empty or
+        None label counts as unlabeled."""
         trackers: dict[str | None, int] = {}
         labels: dict[str | None, int] = {}
-        return _sorted_trace(
-            _int64_times([s.timestamp_ms for s in samples]),
-            [v for s in samples for v in (s.x, s.y, s.z)],
-            [trackers.setdefault(s.tracker_id, len(trackers)) for s in samples],
-            trackers,
-            [labels.setdefault(s.location_label or None, len(labels)) for s in samples],
-            labels,
+        return _time_sorted(
+            cls,
+            _int64_times([r[0] for r in rows]),
+            np.array([r[2:5] for r in rows], dtype=float).reshape(-1, 3),
+            ([trackers.setdefault(r[1], len(trackers)) for r in rows], trackers),
+            ([labels.setdefault(r[5] or None, len(labels)) for r in rows], labels),
         )
 
 
@@ -121,50 +139,23 @@ def _name_order(codes, first_seen: dict[str | None, int]) -> tuple[np.ndarray, t
     return remap[np.asarray(codes, dtype=np.intp)], tuple(names)
 
 
-def _sorted_trace(
-    timestamps,
-    coords,
-    tracker_codes,
-    trackers: dict[str | None, int],
-    label_codes,
-    labels: dict[str | None, int],
-) -> RtlsTrace:
-    """Columns from per-sample sequences, sorted once. ``coords`` is flat
-    x, y, z; the codes are first-seen indices into ``trackers`` and
-    ``labels``."""
+def _time_sorted(cls, timestamps, values, *coded):
+    """A ``cls`` trace from per-sample columns, stably sorted by time once.
+
+    ``values`` has one leading entry per sample. Each of ``coded`` is a
+    pair of first-seen codes and their name-to-code dict; it becomes a
+    code column into the sorted names, after the value columns, and the
+    names tuple, after all code columns.
+    """
     ts = np.asarray(timestamps, dtype=np.int64)
     order = np.argsort(ts, kind="stable")
-    tracker_codes, tracker_names = _name_order(tracker_codes, trackers)
-    label_codes, label_names = _name_order(label_codes, labels)
-    return RtlsTrace(
+    ranked = [_name_order(codes, first_seen) for codes, first_seen in coded]
+    return cls(
         ts[order],
-        np.asarray(coords, dtype=float).reshape(-1, 3)[order],
-        tracker_codes[order],
-        label_codes[order],
-        tracker_names,
-        label_names,
+        np.asarray(values, dtype=float)[order],
+        *(codes[order] for codes, _ in ranked),
+        *(names for _, names in ranked),
     )
-
-
-class EventDirection(str, Enum):
-    RISING = "Rising"
-    FALLING = "Falling"
-    CROSSING = "Crossing"
-
-
-@dataclass(frozen=True)
-class SignalEvent:
-    timestamp_ms: int
-    direction: EventDirection
-
-
-@dataclass
-class EventSeries:
-    tag: str
-    events: list[SignalEvent] = field(default_factory=list)
-
-    def __len__(self) -> int:
-        return len(self.events)
 
 
 @dataclass(eq=False)
@@ -222,13 +213,18 @@ def _open_csv(path, expected_header: tuple[str, ...], optional: tuple[str, ...])
     return fh, reader, bool(extra)
 
 
-def load_io_trace(path) -> list[IoSample]:
-    """Load and time-sort an IO trace; non-monotonic input is only a warning."""
+def load_io_trace(path) -> IoTrace:
+    """Load and time-sort an IO trace.
+
+    Rows are parsed one by one, so a malformed row is reported by its
+    number; a tag whose timestamps go back is only a warning.
+    """
     fh, reader, _ = _open_csv(path, IO_COLUMNS, ())
-    samples: list[IoSample] = []
-    monotonic = True
+    timestamps = array("q")
+    values = array("d")
+    tag_codes = array("q")
+    tags: dict[str | None, int] = {}
     with fh:
-        last_ts: dict[str, int] = {}
         for rowno, row in enumerate(reader, start=2):
             if not row:
                 continue
@@ -239,20 +235,25 @@ def load_io_trace(path) -> list[IoSample]:
                 value = float(row[2])
             except ValueError as exc:
                 raise MalformedRowError(str(exc), rowno) from None
-            tag = row[1]
-            if not tag:
+            if not math.isfinite(value):
+                raise MalformedRowError("non-finite value", rowno)
+            if not row[1]:
                 raise MalformedRowError("empty tag name", rowno)
             if not -_TIMESTAMP_LIMIT_MS < ts < _TIMESTAMP_LIMIT_MS:
                 raise MalformedRowError("timestamp magnitude must be below 2**62 ms", rowno)
-            if tag in last_ts and ts < last_ts[tag]:
-                monotonic = False
-            last_ts[tag] = ts
-            samples.append(IoSample(ts, tag, value))
-    if not monotonic:
+            timestamps.append(ts)
+            values.append(value)
+            tag_codes.append(tags.setdefault(row[1], len(tags)))
+    ts = np.frombuffer(timestamps, dtype=np.int64)
+    codes = np.frombuffer(tag_codes, dtype=np.int64)
+    # Each tag's samples in file order, one tag after the other.
+    by_tag = np.argsort(codes, kind="stable")
+    same_tag = codes[by_tag][1:] == codes[by_tag][:-1]
+    if np.any(same_tag & (np.diff(ts[by_tag]) < 0)):
         logger.warning("%s: non-monotonic timestamps, sorting", path)
-    samples.sort(key=lambda s: s.timestamp_ms)
-    logger.info("%s: %d IO samples", path, len(samples))
-    return samples
+    trace = _time_sorted(IoTrace, ts, np.frombuffer(values), (codes, tags))
+    logger.info("%s: %d IO samples", path, len(trace))
+    return trace
 
 
 def load_rtls_trace(path) -> RtlsTrace:
@@ -295,8 +296,12 @@ def load_rtls_trace(path) -> RtlsTrace:
     ts = np.frombuffer(timestamps, dtype=np.int64)
     if np.any(ts[1:] < ts[:-1]):
         logger.warning("%s: non-monotonic timestamps, sorting", path)
-    trace = _sorted_trace(
-        ts, np.frombuffer(coords), tracker_codes, trackers, label_codes, labels
+    trace = _time_sorted(
+        RtlsTrace,
+        ts,
+        np.frombuffer(coords).reshape(-1, 3),
+        (tracker_codes, trackers),
+        (label_codes, labels),
     )
     logger.info("%s: %d RTLS samples", path, len(trace))
     return trace
@@ -308,70 +313,47 @@ class SignalKind(str, Enum):
 
 
 def detect_events(
-    samples: list[IoSample],
+    timestamps_ms: np.ndarray,
+    values: np.ndarray,
     kind: SignalKind = SignalKind.BOOL,
     threshold: float = 0.5,
     hysteresis: float = 0.0,
-) -> EventSeries:
-    """Turn one tag's sample series into a change-event series.
+) -> np.ndarray:
+    """One tag's change-event times (int64, strictly increasing).
 
-    Bool signals produce Rising on 0->1 and Falling on 1->0. Analog
-    signals produce Crossing events through a Schmitt trigger: a crossing
-    fires when the value passes ``threshold + hysteresis`` coming from
-    below ``threshold - hysteresis`` or vice versa, so noise inside the
-    hysteresis band never fires.
-
-    The samples must be time-sorted. ``load_io_trace`` sorts, but this
-    function and ``dynamics.analyze_dynamics`` take plain lists from any
-    caller, so unsorted samples raise ``TraceError`` instead of yielding
-    wrong events. The check is one pass over one tag's samples.
+    The columns hold one tag's samples in time order, as an ``IoTrace``
+    does; unsorted timestamps raise ``TraceError`` instead of yielding
+    wrong events. A Bool signal fires where ``value > 0.5`` changes. An
+    analog signal fires through a Schmitt trigger: a sample at or above
+    ``threshold + hysteresis`` is high, else one at or below ``threshold -
+    hysteresis`` is low, and one in between keeps the last state. An
+    event fires where the state flips, so noise inside the hysteresis
+    band never fires. Equal timestamps can flip several times at once;
+    each time is kept once.
     """
-    if not samples:
-        return EventSeries(tag="", events=[])
-    tag = samples[0].tag
-    if any(s.tag != tag for s in samples):
-        raise TraceError("detect_events expects samples of a single tag")
-    if any(b.timestamp_ms < a.timestamp_ms for a, b in zip(samples, samples[1:])):
+    ts = np.asarray(timestamps_ms, dtype=np.int64)
+    if np.any(ts[1:] < ts[:-1]):
         raise TraceError("samples must be sorted by timestamp")
-    events: list[SignalEvent] = []
+    values = np.asarray(values, dtype=float)
     if kind is SignalKind.BOOL:
-        prev_on = samples[0].value > 0.5
-        for s in samples[1:]:
-            on = s.value > 0.5
-            if on and not prev_on:
-                events.append(SignalEvent(s.timestamp_ms, EventDirection.RISING))
-            elif prev_on and not on:
-                events.append(SignalEvent(s.timestamp_ms, EventDirection.FALLING))
-            prev_on = on
+        state = values > 0.5
     else:
-        hi = threshold + hysteresis
-        lo = threshold - hysteresis
-        state = None  # 'above' | 'below' | unknown
-        for s in samples:
-            if s.value >= hi:
-                if state == "below":
-                    events.append(SignalEvent(s.timestamp_ms, EventDirection.CROSSING))
-                state = "above"
-            elif s.value <= lo:
-                if state == "above":
-                    events.append(SignalEvent(s.timestamp_ms, EventDirection.CROSSING))
-                state = "below"
-    # Equal-timestamp samples can collapse to simultaneous transitions;
-    # keep timestamps strictly increasing by dropping repeats.
-    deduped: list[SignalEvent] = []
-    for e in events:
-        if deduped and e.timestamp_ms <= deduped[-1].timestamp_ms:
-            continue
-        deduped.append(e)
-    return EventSeries(tag=tag, events=deduped)
+        state = np.where(
+            values >= threshold + hysteresis, 1, np.where(values <= threshold - hysteresis, -1, 0)
+        )
+        known = state != 0
+        ts, state = ts[known], state[known]
+    return np.unique(ts[1:][state[1:] != state[:-1]])
 
 
 def match_events(
-    events: EventSeries,
+    tag: str,
+    events_ms,
     rtls: RtlsTrace,
     window_ms: int = 500,
 ) -> PositionSeries:
-    """Attach the nearest-in-time material position to each signal event.
+    """Attach the nearest-in-time material position to each of ``tag``'s
+    event times, given in increasing order.
 
     Any tracker may supply the position. Events with no sample within
     ``window_ms`` are skipped. Ties on time distance are broken by the
@@ -379,10 +361,10 @@ def match_events(
     trace order.
     """
     n = len(rtls)
-    if n == 0 or not events.events:
-        return PositionSeries(owner_tag=events.tag)
+    if n == 0 or not len(events_ms):
+        return PositionSeries(owner_tag=tag)
     times = rtls.timestamps_ms
-    at = _int64_times([e.timestamp_ms for e in events.events])
+    at = _int64_times(events_ms)
     # The samples just before (or at) and just after each event hold the
     # nearest time; an equal distance goes to the earlier one.
     after = np.searchsorted(times, at, side="right")
@@ -399,7 +381,7 @@ def match_events(
         # Several samples share the nearest time: smallest tracker code
         # (name order), then the first of them in the trace.
         chosen[k] += int(np.argmin(rtls.tracker_codes[first[k]:last[k]]))
-    return PositionSeries(events.tag, at, rtls.points[chosen])
+    return PositionSeries(tag, at, rtls.points[chosen])
 
 
 def estimate_position(series: PositionSeries, min_matches: int = 5) -> PositionEstimate:

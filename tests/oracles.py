@@ -4,7 +4,8 @@ Everything here is deliberately written from first principles, sharing no
 code with the library paths it checks: a full-table DTW dynamic program
 over plain Python floats, exhaustive connected-subgraph enumeration with
 naive embedding counting for mining, the root-anchored shape test that
-the rooted search is checked against, and pair-counting ARI.
+the rooted search is checked against, pair-counting ARI, and signal
+change events found one sample at a time.
 """
 
 from __future__ import annotations
@@ -281,3 +282,40 @@ def pairwise_f1_oracle(truth: dict, predicted: dict) -> float:
     precision = tp / (tp + fp)
     recall = tp / (tp + fn)
     return 2 * precision * recall / (precision + recall)
+
+
+# -- Signal events ----------------------------------------------------------
+
+
+def events_oracle(samples, analog=False, threshold=0.5, hysteresis=0.0) -> list[int]:
+    """Event times of one tag's time-sorted (timestamp, value) samples.
+
+    A Bool signal fires where ``value > 0.5`` changes. An analog signal is
+    a Schmitt trigger: at or above ``threshold + hysteresis`` it is above,
+    else at or below ``threshold - hysteresis`` it is below, in between it
+    keeps its state, and it fires where a known state flips. A time that
+    fires more than once is kept once.
+    """
+    events = []
+    if not analog:
+        for (_, before), (t, value) in zip(samples, samples[1:]):
+            if (value > 0.5) != (before > 0.5):
+                events.append(t)
+    else:
+        hi = threshold + hysteresis
+        lo = threshold - hysteresis
+        state = None
+        for t, value in samples:
+            if value >= hi:
+                if state == "below":
+                    events.append(t)
+                state = "above"
+            elif value <= lo:
+                if state == "above":
+                    events.append(t)
+                state = "below"
+    deduped = []
+    for t in events:
+        if not deduped or t > deduped[-1]:
+            deduped.append(t)
+    return deduped

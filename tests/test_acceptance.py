@@ -25,7 +25,7 @@ from plantrecon.mining import (
     project_for_mining,
     select_templates,
 )
-from plantrecon.traces import EstimateStatus, IoSample, RtlsSample, RtlsTrace
+from plantrecon.traces import EstimateStatus, IoTrace, RtlsTrace
 
 from oracles import dtw_oracle, mine_oracle, mni_oracle, tiny_graphs_isomorphic
 
@@ -52,10 +52,9 @@ def _tag_maps(plant):
 
 
 def _samples(plant):
-    io = [IoSample(t, tag, v) for (t, tag, v) in plant.io_rows]
-    rtls = [RtlsSample(t, tr, x, y, z, None) for (t, tr, x, y, z, _) in plant.rtls_rows]
-    labeled = [RtlsSample(t, tr, x, y, z, zone) for (t, tr, x, y, z, zone) in plant.rtls_rows]
-    return io, RtlsTrace.from_samples(rtls), RtlsTrace.from_samples(labeled)
+    unlabeled = [(t, tr, x, y, z, None) for (t, tr, x, y, z, _) in plant.rtls_rows]
+    io = IoTrace.from_rows(plant.io_rows)
+    return io, RtlsTrace.from_rows(unlabeled), RtlsTrace.from_rows(plant.rtls_rows)
 
 
 @pytest.fixture(scope="module")

@@ -58,8 +58,8 @@ def test_trace_counters_apply_to_real_results(tmp_path, mini_plant):
     assert tracer.counts["traces.rtls_samples"] == mini_plant.ground_truth.counts["rtlsSamples"]
 
     io = traces.load_io_trace(paths["io_csv"])
-    events = traces.detect_events([s for s in io if s.tag == "S_occ_1_1"])
-    series = match(events, rtls, 500)
+    events = dynamics.component_event_series(io, {})["S_occ_1_1"]
+    series = match("S_occ_1_1", events, rtls, 500)
     assert tracer.counts["traces.matched_positions"] == len(series) > 0
 
     model = dtw.knn_train(dynamics.training_segments(traces.load_rtls_trace(paths["labeled_rtls_csv"])))

@@ -9,9 +9,8 @@ from plantrecon.graph import EdgeKind, NodeKind, merge
 from plantrecon.plc import parse_project
 from plantrecon.traces import (
     EstimateStatus,
-    IoSample,
+    IoTrace,
     PositionEstimate,
-    RtlsSample,
     RtlsTrace,
     TraceError,
 )
@@ -24,20 +23,18 @@ def _tag_maps(plant):
     return project, kinds, types
 
 
-def _rtls_samples(plant):
-    return [RtlsSample(t, tr, x, y, z, None) for (t, tr, x, y, z, _) in plant.rtls_rows]
+def _unlabeled_rows(plant):
+    return [(t, tr, x, y, z, None) for (t, tr, x, y, z, _) in plant.rtls_rows]
 
 
 def _samples(plant):
-    io = [IoSample(t, tag, v) for (t, tag, v) in plant.io_rows]
-    rtls = RtlsTrace.from_samples(_rtls_samples(plant))
-    labeled = RtlsTrace.from_samples(
-        [RtlsSample(t, tr, x, y, z, zone) for (t, tr, x, y, z, zone) in plant.rtls_rows]
-    )
+    io = IoTrace.from_rows(plant.io_rows)
+    rtls = RtlsTrace.from_rows(_unlabeled_rows(plant))
+    labeled = RtlsTrace.from_rows(plant.rtls_rows)
     return io, rtls, labeled
 
 
-EMPTY_TRACE = RtlsTrace.from_samples([])
+EMPTY_TRACE = RtlsTrace.from_rows([])
 
 
 @pytest.fixture(scope="module")
@@ -140,10 +137,10 @@ class TestDegenerateInputs:
 
     def test_undeclared_io_tags_warn_once(self, mini_plant, caplog):
         project, kinds, types = _tag_maps(mini_plant)
-        io, rtls, labeled = _samples(mini_plant)
-        extra = [IoSample(1000, f"X_{i}", 1.0) for i in range(7)]
+        _, rtls, labeled = _samples(mini_plant)
+        io = IoTrace.from_rows(mini_plant.io_rows + [(1000, f"X_{i}", 1.0) for i in range(7)])
         with caplog.at_level(logging.WARNING, logger="plantrecon.dynamics"):
-            result = analyze_dynamics(io + extra, rtls, labeled, kinds, types, project.name)
+            result = analyze_dynamics(io, rtls, labeled, kinds, types, project.name)
         assert result.assignments == mini_plant.ground_truth.physical_partition
         warnings = _dynamics_warnings(caplog)
         assert len(warnings) == 1
@@ -164,13 +161,13 @@ class TestDegenerateInputs:
     def test_timestamp_beyond_bound_raises(self, mini_plant, which):
         project, kinds, types = _tag_maps(mini_plant)
         io, rtls, labeled = _samples(mini_plant)
-        tag = io[-1].tag
+        _, tag, value = mini_plant.io_rows[-1]
         with pytest.raises(TraceError, match="below 2\\*\\*62 ms"):
             if which == "io":
-                io = io + [IoSample(2**63 + 5, tag, 1.0 - io[-1].value)]
+                io = IoTrace.from_rows(mini_plant.io_rows + [(2**63 + 5, tag, 1.0 - value)])
             else:
-                late = RtlsSample(2**63, "tray01", 0.0, 0.0, 0.0)
-                rtls = RtlsTrace.from_samples(_rtls_samples(mini_plant) + [late])
+                late = (2**63, "tray01", 0.0, 0.0, 0.0, None)
+                rtls = RtlsTrace.from_rows(_unlabeled_rows(mini_plant) + [late])
             analyze_dynamics(io, rtls, labeled, kinds, types, project.name)
 
 

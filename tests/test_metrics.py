@@ -143,3 +143,7 @@ class TestReportText:
         assert "runtime" not in text
         assert "ari = 1.0" in text
         assert "clustering_ari = 0.4" in text
+
+    def test_unset_metrics_have_no_line(self):
+        report = MetricsReport(ari=1.0, pairwise_f1=1.0, template_recovery=1.0)
+        assert report.to_text() == "ari = 1.0\npairwise_f1 = 1.0\ntemplate_recovery = 1.0\n"

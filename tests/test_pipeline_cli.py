@@ -498,6 +498,8 @@ class TestCli:
         assert result.exit_code == 0, result.output
         text = (out / "metrics.report").read_text()
         assert "clustering_ari" in text
+        # k-means, not the classifier, assigned the groups.
+        assert "classification_accuracy" not in text
 
     @pytest.mark.parametrize("mode", ["cluster", "classify"])
     def test_run_all_clusters_once(self, mini_workspace, tmp_path, monkeypatch, mode):

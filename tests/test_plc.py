@@ -142,7 +142,7 @@ class TestPrepare:
         assert project.prepared
         assert ("OB1", "DB_Row_1") in project.call_edges
         assert ("DB_Row_1", "DB_Place_1_1") in project.call_edges
-        assert project.shared_instances == set()
+        assert build_call_tree(project).shared == set()
 
     def test_dangling_callee_listed(self):
         xml = MINI_LIKE_XML.replace(
@@ -179,7 +179,6 @@ class TestPrepare:
             "<OrganizationBlock name=\"OB2\">\n      <Call callee=\"FB_Row\" instanceDb=\"DB_Row_1\"/>\n    </OrganizationBlock>",
         )
         project = prepare(parse_project(xml))
-        assert project.shared_instances == {"DB_Row_1"}
         tree = build_call_tree(project)
         assert tree.parents["DB_Row_1"] == ["OB1", "OB2"]
         assert tree.shared == {"DB_Row_1"}

@@ -3,18 +3,14 @@ import random
 
 import pytest
 
-from plantrecon.dynamics import analyze_dynamics
+from plantrecon.dynamics import analyze_dynamics, component_event_series
 from plantrecon.graph import NodeKind
 from plantrecon.traces import (
     EstimateStatus,
-    EventDirection,
-    EventSeries,
-    IoSample,
+    IoTrace,
     MalformedRowError,
     PositionSeries,
-    RtlsSample,
     RtlsTrace,
-    SignalEvent,
     SignalKind,
     TraceError,
     detect_events,
@@ -25,13 +21,13 @@ from plantrecon.traces import (
     split_labeled_segments,
 )
 
-
-def _io(rows):
-    return [IoSample(t, tag, v) for (t, tag, v) in rows]
+from oracles import events_oracle
 
 
-def _rtls(rows):
-    return RtlsTrace.from_samples([RtlsSample(*r) for r in rows])
+def _events(rows, *args):
+    """The event times of one tag's ``(timestamp_ms, value)`` rows."""
+    times, values = zip(*rows)
+    return detect_events(times, values, *args).tolist()
 
 
 def _label(trace, row):
@@ -46,9 +42,11 @@ class TestLoadIo:
     def test_three_valid_rows(self, tmp_path):
         p = tmp_path / "io.csv"
         p.write_text("timestamp_ms,tag,value\n1,a,0.0\n2,a,1.0\n3,b,0.0\n")
-        samples = load_io_trace(p)
-        assert len(samples) == 3
-        assert samples[0] == IoSample(1, "a", 0.0)
+        trace = load_io_trace(p)
+        assert len(trace) == 3
+        assert trace.timestamps_ms.tolist() == [1, 2, 3]
+        assert trace.values.tolist() == [0.0, 1.0, 0.0]
+        assert [trace.tag_names[c] for c in trace.tag_codes] == ["a", "a", "b"]
 
     def test_non_numeric_value(self, tmp_path):
         p = tmp_path / "io.csv"
@@ -74,9 +72,36 @@ class TestLoadIo:
         p = tmp_path / "io.csv"
         p.write_text("timestamp_ms,tag,value\n5,a,1.0\n1,a,0.0\n")
         with caplog.at_level("WARNING"):
-            samples = load_io_trace(p)
-        assert [s.timestamp_ms for s in samples] == [1, 5]
+            trace = load_io_trace(p)
+        assert trace.timestamps_ms.tolist() == [1, 5]
         assert any("non-monotonic" in r.message for r in caplog.records)
+
+    @pytest.mark.parametrize(
+        ("body", "row", "message"),
+        [
+            ("1,a\n", 2, "expected 3 fields, got 2"),
+            ("1,,0.0\n", 2, "empty tag name"),
+            ("1,a,nan\n", 2, "non-finite value"),
+            ("1,a,0.0\n2,a,inf\n", 3, "non-finite value"),
+            ("1,a,0.0\n\n3,a,-inf\n", 4, "non-finite value"),
+        ],
+    )
+    def test_malformed_row_reported_by_number(self, tmp_path, body, row, message):
+        p = tmp_path / "io.csv"
+        p.write_text("timestamp_ms,tag,value\n" + body)
+        with pytest.raises(MalformedRowError) as info:
+            load_io_trace(p)
+        assert info.value.row == row
+        assert str(info.value) == f"row {row}: {message}"
+
+    def test_from_rows_equals_load(self, tmp_path, mini_plant):
+        paths = mini_plant.write_outputs(tmp_path)
+        loaded = load_io_trace(paths["io_csv"])
+        built = IoTrace.from_rows(mini_plant.io_rows)
+        assert len(loaded) == len(built) == len(mini_plant.io_rows)
+        for column in ("timestamps_ms", "values", "tag_codes"):
+            assert getattr(loaded, column).tolist() == getattr(built, column).tolist()
+        assert loaded.tag_names == built.tag_names
 
     def test_mini_fixture_counts(self, tmp_path, mini_plant):
         paths = mini_plant.write_outputs(tmp_path)
@@ -156,7 +181,8 @@ class TestLoadRtls:
         assert trace.timestamps_ms.tolist() == [3, 7, 7, 7]
         assert trace.points[:, 0].tolist() == [9.0, 1.0, 5.0, 2.0]
         # The MaterialTracker position is the last sample in that order.
-        fragment = analyze_dynamics([], trace, RtlsTrace.from_samples([]), {}, {}, "P").fragment
+        empty_io, empty_rtls = IoTrace.from_rows([]), RtlsTrace.from_rows([])
+        fragment = analyze_dynamics(empty_io, trace, empty_rtls, {}, {}, "P").fragment
         trackers = fragment.query(kinds={NodeKind.MATERIAL_TRACKER})
         assert [(n.name, n.labels["position.x"]) for n in trackers] == [("t1", 2.0), ("t2", 5.0)]
 
@@ -172,10 +198,10 @@ class TestLoadRtls:
         assert trace.label_names == ("A", "Z")
         assert trace.label_codes.tolist() == [1, -1, 0]
 
-    def test_from_samples_equals_load(self, tmp_path, mini_plant):
+    def test_from_rows_equals_load(self, tmp_path, mini_plant):
         paths = mini_plant.write_outputs(tmp_path)
         loaded = load_rtls_trace(paths["labeled_rtls_csv"])
-        built = RtlsTrace.from_samples([RtlsSample(*r) for r in mini_plant.rtls_rows])
+        built = RtlsTrace.from_rows(mini_plant.rtls_rows)
         assert len(loaded) == len(built) == len(mini_plant.rtls_rows)
         for column in ("timestamps_ms", "points", "tracker_codes", "label_codes"):
             assert getattr(loaded, column).tolist() == getattr(built, column).tolist()
@@ -185,27 +211,55 @@ class TestLoadRtls:
 
 class TestDetectEvents:
     def test_bool_transitions(self):
-        samples = _io([(1, "a", 0.0), (2, "a", 0.0), (3, "a", 1.0), (4, "a", 1.0), (5, "a", 0.0)])
-        events = detect_events(samples, SignalKind.BOOL)
-        assert [(e.timestamp_ms, e.direction) for e in events.events] == [
-            (3, EventDirection.RISING),
-            (5, EventDirection.FALLING),
-        ]
+        rows = [(1, 0.0), (2, 0.0), (3, 1.0), (4, 1.0), (5, 0.0)]
+        assert _events(rows, SignalKind.BOOL) == [3, 5]
 
     def test_constant_series_no_events(self):
-        samples = _io([(1, "a", 1.0), (2, "a", 1.0), (3, "a", 1.0)])
-        assert len(detect_events(samples, SignalKind.BOOL)) == 0
+        assert _events([(1, 1.0), (2, 1.0), (3, 1.0)], SignalKind.BOOL) == []
 
     def test_analog_single_crossing(self):
-        samples = _io([(t, "a", float(t)) for t in range(0, 11)])
-        events = detect_events(samples, SignalKind.ANALOG, threshold=5.0, hysteresis=1.0)
-        assert [e.direction for e in events.events] == [EventDirection.CROSSING]
+        rows = [(t, float(t)) for t in range(0, 11)]
+        assert _events(rows, SignalKind.ANALOG, 5.0, 1.0) == [6]
 
     def test_analog_hysteresis_suppresses_chatter(self):
         values = [0.0, 5.1, 4.9, 5.1, 4.9, 10.0]
-        samples = _io([(i, "a", v) for i, v in enumerate(values)])
-        events = detect_events(samples, SignalKind.ANALOG, threshold=5.0, hysteresis=1.0)
-        assert len(events.events) == 1  # only the decisive excursion fires
+        rows = list(enumerate(values))
+        # only the decisive excursion fires
+        assert _events(rows, SignalKind.ANALOG, 5.0, 1.0) == [5]
+
+    def test_unsorted_samples_raise(self):
+        with pytest.raises(TraceError, match="sorted"):
+            _events([(2, 0.0), (1, 1.0)])
+
+    def test_equal_timestamps_give_one_event(self):
+        assert _events([(1, 0.0), (2, 1.0), (2, 0.0), (2, 1.0), (3, 1.0)]) == [2]
+
+    def test_values_at_band_edges_fire(self):
+        rows = [(1, 4.0), (2, 5.0), (3, 6.0), (4, 5.0), (5, 4.0)]
+        assert _events(rows, SignalKind.ANALOG, 5.0, 1.0) == [3, 5]
+
+    def test_value_at_zero_width_threshold_counts_as_above(self):
+        rows = [(1, 0.0), (2, 5.0), (3, 4.0), (4, 5.0)]
+        assert _events(rows, SignalKind.ANALOG, 5.0, 0.0) == [2, 3, 4]
+
+    def test_equals_scalar_oracle(self):
+        rng = random.Random(7)
+        for _ in range(4000):
+            n = rng.randint(1, 12)
+            # A narrow time range makes equal timestamps common.
+            times = sorted(rng.randint(0, 8) for _ in range(n))
+            if rng.random() < 0.5:
+                kind, threshold, hysteresis = SignalKind.BOOL, 0.5, 0.0
+                levels = [0.0, 0.5, 1.0]
+            else:
+                kind = SignalKind.ANALOG
+                threshold = rng.choice([0.0, 1.5, 2.0])
+                hysteresis = rng.choice([0.0, 0.0, 0.25, 1.0])
+                levels = [threshold + k * hysteresis for k in (-2, -1, 0, 1, 2)]
+            values = [rng.choice([*levels, rng.uniform(-1.0, 4.0)]) for _ in range(n)]
+            rows = list(zip(times, values))
+            expected = events_oracle(rows, kind is SignalKind.ANALOG, threshold, hysteresis)
+            assert _events(rows, kind, threshold, hysteresis) == expected, rows
 
 
 class TestTimestampBound:
@@ -213,56 +267,56 @@ class TestTimestampBound:
 
     @pytest.mark.parametrize("ts", [2**62, 2**63 + 5, -(2**62)])
     def test_match_events(self, ts):
-        trace = _rtls([(0, "t1", 0.0, 0.0, 0.0, None)])
-        events = EventSeries("a", [SignalEvent(ts, EventDirection.RISING)])
+        trace = RtlsTrace.from_rows([(0, "t1", 0.0, 0.0, 0.0, None)])
         with pytest.raises(TraceError, match="below 2\\*\\*62 ms"):
-            match_events(events, trace, 500)
+            match_events("a", [ts], trace, 500)
 
     @pytest.mark.parametrize("ts", [2**62, 2**63, -(2**63) - 1])
-    def test_from_samples(self, ts):
+    def test_from_rows(self, ts):
         with pytest.raises(TraceError, match="below 2\\*\\*62 ms"):
-            _rtls([(0, "t1", 0.0, 0.0, 0.0, None), (ts, "t1", 1.0, 0.0, 0.0, None)])
+            RtlsTrace.from_rows([(0, "t1", 0.0, 0.0, 0.0, None), (ts, "t1", 1.0, 0.0, 0.0, None)])
+        with pytest.raises(TraceError, match="below 2\\*\\*62 ms"):
+            IoTrace.from_rows([(0, "a", 0.0), (ts, "a", 1.0)])
 
     def test_largest_allowed_timestamp(self):
         ts = 2**62 - 1
-        trace = _rtls([(ts, "t1", 1.0, 0.0, 0.0, None)])
-        events = EventSeries("a", [SignalEvent(ts, EventDirection.RISING)])
-        assert match_events(events, trace, 500).points.tolist() == [[1.0, 0.0, 0.0]]
+        trace = RtlsTrace.from_rows([(ts, "t1", 1.0, 0.0, 0.0, None)])
+        assert match_events("a", [ts], trace, 500).points.tolist() == [[1.0, 0.0, 0.0]]
 
 
 class TestMatchEvents:
     def test_picks_nearest_in_time(self):
-        events = detect_events(_io([(900, "a", 0.0), (1000, "a", 1.0)]))
-        rtls = _rtls([(990, "t1", 1.0, 0.0, 0.0, None), (1030, "t1", 2.0, 0.0, 0.0, None)])
-        series = match_events(events, rtls, 500)
+        events = _events([(900, 0.0), (1000, 1.0)])
+        rtls = RtlsTrace.from_rows([(990, "t1", 1.0, 0.0, 0.0, None), (1030, "t1", 2.0, 0.0, 0.0, None)])
+        series = match_events("a", events, rtls, 500)
         assert series.points.tolist() == [[1.0, 0.0, 0.0]]
 
     def test_event_outside_window_skipped(self):
-        events = detect_events(_io([(0, "a", 0.0), (1000, "a", 1.0)]))
-        rtls = _rtls([(1600, "t1", 1.0, 0.0, 0.0, None)])
-        series = match_events(events, rtls, 500)
+        events = _events([(0, 0.0), (1000, 1.0)])
+        rtls = RtlsTrace.from_rows([(1600, "t1", 1.0, 0.0, 0.0, None)])
+        series = match_events("a", events, rtls, 500)
         assert len(series) == 0
 
     def test_tie_broken_by_earlier_then_tracker(self):
-        events = detect_events(_io([(0, "a", 0.0), (1000, "a", 1.0)]))
-        rtls = _rtls(
+        events = _events([(0, 0.0), (1000, 1.0)])
+        rtls = RtlsTrace.from_rows(
             [
                 (990, "t2", 1.0, 0.0, 0.0, None),
                 (1010, "t1", 2.0, 0.0, 0.0, None),
             ]
         )
-        assert match_events(events, rtls, 500).points.tolist() == [[1.0, 0.0, 0.0]]
-        rtls = _rtls(
+        assert match_events("a", events, rtls, 500).points.tolist() == [[1.0, 0.0, 0.0]]
+        rtls = RtlsTrace.from_rows(
             [
                 (1000, "t2", 3.0, 0.0, 0.0, None),
                 (1000, "t1", 4.0, 0.0, 0.0, None),
             ]
         )
-        assert match_events(events, rtls, 500).points.tolist() == [[4.0, 0.0, 0.0]]
+        assert match_events("a", events, rtls, 500).points.tolist() == [[4.0, 0.0, 0.0]]
 
     def test_equal_distance_and_equal_timestamps_across_three_trackers(self):
-        events = EventSeries("a", [SignalEvent(1000, EventDirection.RISING)])
-        rtls = _rtls(
+        events = [1000]
+        rtls = RtlsTrace.from_rows(
             [
                 (990, "t3", 1.0, 0.0, 0.0, None),
                 (990, "t2", 2.0, 0.0, 0.0, None),
@@ -273,40 +327,36 @@ class TestMatchEvents:
         )
         # Equal |dt|: the earlier samples; of those the smallest tracker id,
         # and of its two samples the first.
-        assert match_events(events, rtls, 500).points.tolist() == [[3.0, 0.0, 0.0]]
+        assert match_events("a", events, rtls, 500).points.tolist() == [[3.0, 0.0, 0.0]]
 
     def test_equals_nearest_by_linear_scan(self):
         rng = random.Random(11)
         for _ in range(200):
             samples = [
-                RtlsSample(rng.randint(0, 60), rng.choice(["t1", "t2", "t3"]), float(k), 0.0, 0.0)
+                (rng.randint(0, 60), rng.choice(["t1", "t2", "t3"]), float(k), 0.0, 0.0, None)
                 for k in range(rng.randint(0, 12))
             ]
             times = sorted(rng.sample(range(-20, 80), rng.randint(1, 8)))
-            events = EventSeries("a", [SignalEvent(t, EventDirection.RISING) for t in times])
             window = rng.randint(0, 15)
-            ordered = sorted(samples, key=lambda s: s.timestamp_ms)
+            ordered = sorted(samples, key=lambda s: s[0])
             expected = []
             for t in times:
-                near = [s for s in ordered if abs(s.timestamp_ms - t) <= window]
+                near = [s for s in ordered if abs(s[0] - t) <= window]
                 if near:
-                    best = min(near, key=lambda s: (abs(s.timestamp_ms - t), s.timestamp_ms, s.tracker_id))
-                    expected.append((t, (best.x, best.y, best.z)))
-            series = match_events(events, RtlsTrace.from_samples(samples), window)
+                    best = min(near, key=lambda s: (abs(s[0] - t), s[0], s[1]))
+                    expected.append((t, best[2:5]))
+            series = match_events("a", times, RtlsTrace.from_rows(samples), window)
             points = [tuple(p) for p in series.points.tolist()]
             assert list(zip(series.timestamps_ms.tolist(), points)) == expected
 
     def test_mini_every_sensor_event_matched(self, mini_plant, tmp_path):
         paths = mini_plant.write_outputs(tmp_path)
-        io_samples = load_io_trace(paths["io_csv"])
+        events_by_tag = component_event_series(load_io_trace(paths["io_csv"]), {})
         rtls = load_rtls_trace(paths["rtls_csv"])
-        by_tag = {}
-        for s in io_samples:
-            by_tag.setdefault(s.tag, []).append(s)
         for tag in ("S_occ_1_1", "S_occ_1_2"):
-            events = detect_events(by_tag[tag])
+            events = events_by_tag[tag]
             assert len(events) > 0
-            series = match_events(events, rtls, 500)
+            series = match_events(tag, events, rtls, 500)
             assert len(series) == len(events)
 
 
@@ -345,6 +395,6 @@ class TestLabeledSegments:
             (4, "t1", 0.3, 0.0, 0.0, "B"),
             (5, "t1", 0.4, 0.0, 0.0, "A"),
         ]
-        segments = split_labeled_segments(_rtls(rows))
+        segments = split_labeled_segments(RtlsTrace.from_rows(rows))
         labels = [(label, len(series)) for label, series in segments]
         assert labels == [("A", 2), ("B", 1), ("A", 1)]
