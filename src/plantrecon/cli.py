@@ -11,7 +11,7 @@ import logging
 
 import click
 
-from . import pipeline, synth
+from . import pipeline
 from .config import (
     PipelineConfig,
     plant_spec_to_dict,
@@ -140,6 +140,8 @@ def cmd_synth(ctx, preset, spec_path):
     """Generate a synthetic plant: PLC XML, traces, ground truth, config."""
 
     def run(cfg: PipelineConfig):
+        from . import synth
+
         if spec_path is not None:
             spec = plant_spec_from_dict(read_kv_file(spec_path))
         elif preset == "reference":

@@ -9,11 +9,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .errors import ConfigError
-from .graph import NodeKind
-from .mining import DEFAULT_EXCLUDED_KINDS
-from .synth import ExtraUnit, Granularity, PlantSpec
+from .graph import DEFAULT_EXCLUDED_KINDS, NodeKind
+
+if TYPE_CHECKING:
+    from .synth import PlantSpec
 
 
 def read_kv_file(path: str | Path) -> dict[str, str]:
@@ -147,6 +149,8 @@ def plant_spec_from_dict(values: dict[str, str]) -> PlantSpec:
     ``extra_components`` is a semicolon list of
     ``name:sensors:actuators:attach:waypoint`` entries.
     """
+    from .synth import ExtraUnit, Granularity, PlantSpec
+
     kwargs: dict = {}
     for key, raw in values.items():
         if key not in _SPEC_KEYS:

@@ -70,6 +70,28 @@ class NodeKind(str, Enum):
     MATERIAL_TRACKER = "MaterialTracker"
 
 
+# The node kinds the mining projection leaves out by default. Automation
+# hardware: a single IO device fans out to all of its channels and field
+# devices, and those stars crowd out the structurally interesting
+# templates. Software-backing detail and the dynamics nodes multiply the
+# pattern space without adding repeated units, and the marking's own
+# TemplatePattern / TemplateInstance nodes must not be mined again when a
+# marked graph is re-mined.
+DEFAULT_EXCLUDED_KINDS = frozenset(
+    {
+        NodeKind.PLC,
+        NodeKind.IO_DEVICE,
+        NodeKind.CHANNEL,
+        NodeKind.DATA_BLOCK,
+        NodeKind.FUNCTION_BLOCK_TYPE,
+        NodeKind.PHYSICAL_GROUP,
+        NodeKind.MATERIAL_TRACKER,
+        NodeKind.TEMPLATE_PATTERN,
+        NodeKind.TEMPLATE_INSTANCE,
+    }
+)
+
+
 class EdgeKind(str, Enum):
     CONTAINS = "Contains"
     READS = "Reads"

@@ -33,6 +33,7 @@ import numpy as np
 
 from .errors import DataError
 from .graph import (
+    DEFAULT_EXCLUDED_KINDS,
     Edge,
     EdgeKind,
     Node,
@@ -48,27 +49,6 @@ from .graph import (
 # direction 1 when the underlying arc points from code vertex i to j.
 CodeEdge = tuple[int, int, str, tuple[int, str], str]
 DfsCode = tuple[CodeEdge, ...]
-
-# Automation hardware: a single IO device fans out to all of its channels
-# and field devices, and those stars crowd out the structurally interesting
-# templates. Software-backing detail and the dynamics nodes multiply the
-# pattern space without adding repeated units, and the marking's own
-# TemplatePattern / TemplateInstance nodes must not be mined again when a
-# marked graph is re-mined.
-DEFAULT_EXCLUDED_KINDS = frozenset(
-    {
-        NodeKind.PLC,
-        NodeKind.IO_DEVICE,
-        NodeKind.CHANNEL,
-        NodeKind.DATA_BLOCK,
-        NodeKind.FUNCTION_BLOCK_TYPE,
-        NodeKind.PHYSICAL_GROUP,
-        NodeKind.MATERIAL_TRACKER,
-        NodeKind.TEMPLATE_PATTERN,
-        NodeKind.TEMPLATE_INSTANCE,
-    }
-)
-
 
 class MiningError(DataError):
     pass

@@ -30,8 +30,8 @@ from functools import cached_property
 from pathlib import Path
 
 from .errors import DataError, InputError
-from .graph import EdgeKind, NodeKind
-from .mining import DEFAULT_EXCLUDED_KINDS, is_structure
+from .graph import DEFAULT_EXCLUDED_KINDS, EdgeKind, NodeKind
+from .mining import is_structure
 from .plc import (
     Block,
     BlockType,

@@ -8,8 +8,19 @@ column names below are defined here, for the loaders and the generator):
   optional trailing ``location_label`` column (training data only).
 
 Both traces load as numpy columns, one entry per sample, stably
-time-sorted once at load: an ``IoTrace`` and an ``RtlsTrace``. Their
-``from_rows`` builds the same columns from the generator's row tuples.
+time-sorted once at load (input already in time order is not sorted):
+an ``IoTrace`` and an ``RtlsTrace``. Their ``from_rows`` builds the same
+columns from the generator's row tuples and refuses what the loaders
+refuse.
+
+The loaders parse the rows in blocks of whole lines. A plain block (no
+quote, no ``\\r``, the header's number of fields on every line) is parsed
+column by column, its values checked as whole columns. From the first
+block that is not plain or fails a check, the rest of the file goes
+through a row-by-row ``csv.reader`` loop, which defines quoting, line
+endings, blank rows and every ``MalformedRowError``; its row numbers
+continue after the rows already parsed, so results and errors are the
+same either way.
 
 The correlation chain is: one tag's samples -> its change-event times
 (an int64 array) -> per-event nearest-in-time material position, a
@@ -26,6 +37,7 @@ import math
 from array import array
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain, compress, cycle, repeat
 
 import numpy as np
 
@@ -84,12 +96,18 @@ class IoTrace:
     @classmethod
     def from_rows(cls, rows: list[tuple[int, str, float]]) -> IoTrace:
         """The trace of ``(timestamp_ms, tag, value)`` rows, stably sorted
-        by timestamp."""
+        by timestamp. A non-finite value or an empty tag raises
+        ``TraceError``, as in ``load_io_trace``."""
+        values = np.array([r[2] for r in rows], dtype=float)
+        if not np.isfinite(values).all():
+            raise TraceError("non-finite value")
+        if not all(r[1] for r in rows):
+            raise TraceError("empty tag name")
         tags: dict[str | None, int] = {}
         return _time_sorted(
             cls,
             _int64_times([r[0] for r in rows]),
-            [r[2] for r in rows],
+            values,
             ([tags.setdefault(r[1], len(tags)) for r in rows], tags),
         )
 
@@ -118,13 +136,19 @@ class RtlsTrace:
     def from_rows(cls, rows: list[tuple[int, str, float, float, float, str | None]]) -> RtlsTrace:
         """The trace of ``(timestamp_ms, tracker_id, x, y, z,
         location_label)`` rows, stably sorted by timestamp; an empty or
-        None label counts as unlabeled."""
+        None label counts as unlabeled. A non-finite coordinate or an
+        empty tracker id raises ``TraceError``, as in ``load_rtls_trace``."""
+        points = np.array([r[2:5] for r in rows], dtype=float).reshape(-1, 3)
+        if not np.isfinite(points).all():
+            raise TraceError("non-finite coordinate")
+        if not all(r[1] for r in rows):
+            raise TraceError("empty tracker id")
         trackers: dict[str | None, int] = {}
         labels: dict[str | None, int] = {}
         return _time_sorted(
             cls,
             _int64_times([r[0] for r in rows]),
-            np.array([r[2:5] for r in rows], dtype=float).reshape(-1, 3),
+            points,
             ([trackers.setdefault(r[1], len(trackers)) for r in rows], trackers),
             ([labels.setdefault(r[5] or None, len(labels)) for r in rows], labels),
         )
@@ -145,17 +169,25 @@ def _time_sorted(cls, timestamps, values, *coded):
     ``values`` has one leading entry per sample. Each of ``coded`` is a
     pair of first-seen codes and their name-to-code dict; it becomes a
     code column into the sorted names, after the value columns, and the
-    names tuple, after all code columns.
+    names tuple, after all code columns. Columns already in time order,
+    as generated traces are, are not sorted.
     """
     ts = np.asarray(timestamps, dtype=np.int64)
-    order = np.argsort(ts, kind="stable")
+    values = np.asarray(values, dtype=float)
     ranked = [_name_order(codes, first_seen) for codes, first_seen in coded]
-    return cls(
-        ts[order],
-        np.asarray(values, dtype=float)[order],
-        *(codes[order] for codes, _ in ranked),
-        *(names for _, names in ranked),
-    )
+    code_columns = [codes for codes, _ in ranked]
+    if np.all(ts[1:] >= ts[:-1]):
+        # Copies, not views: a view would keep a loader's growable buffer
+        # as the column. Then no large block is freed before DTW, and
+        # malloc maps DTW's megabyte temporaries afresh for each query
+        # (17k more page faults per recording analysis, knn_classify
+        # +55 %); peak RSS was higher too.
+        ts, values = ts.copy(), values.copy()
+    else:
+        order = np.argsort(ts, kind="stable")
+        ts, values = ts[order], values[order]
+        code_columns = [codes[order] for codes in code_columns]
+    return cls(ts, values, *code_columns, *(names for _, names in ranked))
 
 
 @dataclass(eq=False)
@@ -192,11 +224,17 @@ class PositionEstimate:
     status: EstimateStatus
 
 
+# The loaders read a trace body in blocks of whole lines of about this
+# many characters, and parse each plain block column by column.
+_BLOCK_CHARS = 64 * 1024
+
+
 def _open_csv(path, expected_header: tuple[str, ...], optional: tuple[str, ...]):
+    """Open a trace CSV and check its header; return the file, positioned
+    at the first row, and whether the optional columns are present."""
     fh = open(path, encoding="utf-8", newline="")
-    reader = csv.reader(fh)
     try:
-        header = next(reader)
+        header = next(csv.reader(fh))
     except StopIteration:
         fh.close()
         raise MalformedRowError("empty file, header expected", 1) from None
@@ -210,22 +248,109 @@ def _open_csv(path, expected_header: tuple[str, ...], optional: tuple[str, ...])
             + f", got {','.join(header)}",
             1,
         )
-    return fh, reader, bool(extra)
+    return fh, bool(extra)
+
+
+def _parse_block(lines: list[str], is_float: tuple[bool, ...]):
+    """A block of whole lines parsed column by column: its timestamps, its
+    float fields in row order and all its fields, row after row. None if
+    the block is not plain or fails a check of the row loop.
+
+    A block is plain when it holds no ``"`` and no ``\\r``, each line has
+    exactly one field per entry of ``is_float`` (so no line is blank), and
+    the block is no longer than the csv field limit, so no field is
+    either. ``csv.reader`` then reads each line as one row, split at its
+    commas, and ``int`` and ``float`` see the strings the row loop sees.
+    The first column is the timestamp and the second a name.
+    """
+    width = len(is_float)
+    text = "".join(lines)
+    if (
+        '"' in text
+        or "\r" in text
+        or len(text) > csv.field_size_limit()
+        or set(map(str.count, lines, repeat(","))) != {width - 1}
+    ):
+        return None
+    fields = text.replace("\n", ",").split(",")[: width * len(lines)]
+    try:
+        # array() fills faster from a list than from an iterator.
+        timestamps = array("q", list(map(int, fields[0::width])))
+        floats = array("d", list(map(float, compress(fields, cycle(is_float)))))
+    except (ValueError, OverflowError):  # OverflowError: beyond int64
+        return None
+    ts = np.frombuffer(timestamps, dtype=np.int64)
+    if (
+        "" in fields[1::width]
+        or not np.isfinite(np.frombuffer(floats)).all()
+        or not (-_TIMESTAMP_LIMIT_MS < ts.min() and ts.max() < _TIMESTAMP_LIMIT_MS)
+    ):
+        return None
+    return timestamps, floats, fields
+
+
+def _code_column(first_seen: dict[str | None, int], names: list[str]):
+    """A block's name column as first-seen codes, numbered as the row
+    loop numbers them; an empty name is coded as None."""
+    block = {n: first_seen.setdefault(n or None, len(first_seen)) for n in dict.fromkeys(names)}
+    return list(map(block.__getitem__, names))
+
+
+def _read_rows(path, fh, is_float: tuple[bool, ...], keep_block, take_rows) -> None:
+    """Feed the rows after the header of ``path``, open as ``fh``, to a
+    loader.
+
+    Each leading block that ``_parse_block`` parses goes to
+    ``keep_block``. From the first block it refuses, the rest of the file
+    goes to ``take_rows`` as ``csv.reader`` rows numbered from that
+    block's first row: the row loop is the one definition of quoting,
+    line endings, blank rows and every row error.
+    """
+    parsed = 0
+    while True:
+        try:
+            lines = fh.readlines(_BLOCK_CHARS)
+        except UnicodeDecodeError as exc:
+            error = exc
+            break
+        if not lines:
+            return
+        block = _parse_block(lines, is_float)
+        if block is None:
+            take_rows(enumerate(csv.reader(chain(lines, fh)), start=parsed + 2))
+            return
+        keep_block(*block)
+        parsed += len(lines)
+    # readlines dropped the lines it read before the chunk it could not
+    # decode. The row loop over the whole body meets that chunk after the
+    # same rows, so it raises what it raises on its own: a bad row before
+    # the chunk, or this error.
+    with open(path, encoding="utf-8", newline="") as again:
+        reader = csv.reader(again)
+        next(reader)
+        take_rows(enumerate(reader, start=2))
+    raise error  # the file changed while it was read
 
 
 def load_io_trace(path) -> IoTrace:
     """Load and time-sort an IO trace.
 
-    Rows are parsed one by one, so a malformed row is reported by its
-    number; a tag whose timestamps go back is only a warning.
+    A malformed row is reported by its number; a tag whose timestamps go
+    back is only a warning.
     """
-    fh, reader, _ = _open_csv(path, IO_COLUMNS, ())
+    fh, _ = _open_csv(path, IO_COLUMNS, ())
     timestamps = array("q")
     values = array("d")
     tag_codes = array("q")
     tags: dict[str | None, int] = {}
-    with fh:
-        for rowno, row in enumerate(reader, start=2):
+
+    def keep_block(block_ts: array, block_values: array, fields: list[str]) -> None:
+        timestamps.extend(block_ts)
+        values.extend(block_values)
+        tag_codes.fromlist(_code_column(tags, fields[1::3]))
+
+    def take_rows(rows) -> None:
+        for rowno, row in rows:
             if not row:
                 continue
             if len(row) != 3:
@@ -244,6 +369,9 @@ def load_io_trace(path) -> IoTrace:
             timestamps.append(ts)
             values.append(value)
             tag_codes.append(tags.setdefault(row[1], len(tags)))
+
+    with fh:
+        _read_rows(path, fh, (False, False, True), keep_block, take_rows)
     ts = np.frombuffer(timestamps, dtype=np.int64)
     codes = np.frombuffer(tag_codes, dtype=np.int64)
     # Each tag's samples in file order, one tag after the other.
@@ -259,10 +387,10 @@ def load_io_trace(path) -> IoTrace:
 def load_rtls_trace(path) -> RtlsTrace:
     """Load and time-sort an RTLS trace; the label column is optional.
 
-    Rows are parsed one by one, so a malformed row is reported by its
-    number; non-monotonic input is only a warning.
+    A malformed row is reported by its number; non-monotonic input is only
+    a warning.
     """
-    fh, reader, labeled = _open_csv(path, RTLS_COLUMNS, (RTLS_LABEL_COLUMN,))
+    fh, labeled = _open_csv(path, RTLS_COLUMNS, (RTLS_LABEL_COLUMN,))
     want = 6 if labeled else 5
     # Raw values and first-seen name codes only: no Python object per row
     # outlives its row.
@@ -272,8 +400,14 @@ def load_rtls_trace(path) -> RtlsTrace:
     label_codes = array("q")
     trackers: dict[str | None, int] = {}
     labels: dict[str | None, int] = {None: 0}  # code 0: unlabeled
-    with fh:
-        for rowno, row in enumerate(reader, start=2):
+    def keep_block(block_ts: array, block_coords: array, fields: list[str]) -> None:
+        timestamps.extend(block_ts)
+        coords.extend(block_coords)
+        tracker_codes.fromlist(_code_column(trackers, fields[1::want]))
+        label_codes.fromlist(_code_column(labels, fields[5::6]) if labeled else [0] * len(block_ts))
+
+    def take_rows(rows) -> None:
+        for rowno, row in rows:
             if not row:
                 continue
             if len(row) != want:
@@ -293,6 +427,10 @@ def load_rtls_trace(path) -> RtlsTrace:
             coords.extend((x, y, z))
             tracker_codes.append(trackers.setdefault(row[1], len(trackers)))
             label_codes.append(labels.setdefault(row[5] or None, len(labels)) if labeled else 0)
+
+    with fh:
+        # The float columns are x, y and z.
+        _read_rows(path, fh, (False, False, True, True, True, False)[:want], keep_block, take_rows)
     ts = np.frombuffer(timestamps, dtype=np.int64)
     if np.any(ts[1:] < ts[:-1]):
         logger.warning("%s: non-monotonic timestamps, sorting", path)

@@ -4,14 +4,28 @@ Everything here is deliberately written from first principles, sharing no
 code with the library paths it checks: a full-table DTW dynamic program
 over plain Python floats, exhaustive connected-subgraph enumeration with
 naive embedding counting for mining, the root-anchored shape test that
-the rooted search is checked against, pair-counting ARI, and signal
-change events found one sample at a time.
+the rooted search is checked against, pair-counting ARI, signal
+change events found one sample at a time, and trace CSVs loaded one
+csv row at a time.
 """
 
 from __future__ import annotations
 
+import csv
 import math
+from array import array
 from itertools import combinations
+
+import numpy as np
+
+from plantrecon.traces import (
+    IO_COLUMNS,
+    RTLS_COLUMNS,
+    RTLS_LABEL_COLUMN,
+    IoTrace,
+    MalformedRowError,
+    RtlsTrace,
+)
 
 INF = math.inf
 
@@ -319,3 +333,124 @@ def events_oracle(samples, analog=False, threshold=0.5, hysteresis=0.0) -> list[
         if not deduped or t > deduped[-1]:
             deduped.append(t)
     return deduped
+
+
+# -- Trace CSV loaders --------------------------------------------------------
+# The row-by-row loaders the block-parsing loaders replaced, kept whole:
+# every row goes through csv.reader and the per-row checks, and the
+# columns are always sorted with a stable argsort. Of the library they
+# use only the column names, the trace dataclasses and MalformedRowError.
+
+_TIMESTAMP_LIMIT_MS = 2**62
+
+
+def _oracle_open_csv(path, expected_header, optional):
+    fh = open(path, encoding="utf-8", newline="")
+    reader = csv.reader(fh)
+    try:
+        header = next(reader)
+    except StopIteration:
+        fh.close()
+        raise MalformedRowError("empty file, header expected", 1) from None
+    base = tuple(header[: len(expected_header)])
+    extra = tuple(header[len(expected_header):])
+    if base != expected_header or extra not in ((), optional):
+        fh.close()
+        raise MalformedRowError(
+            f"header must be {','.join(expected_header)}"
+            + (f"[,{','.join(optional)}]" if optional else "")
+            + f", got {','.join(header)}",
+            1,
+        )
+    return fh, reader, bool(extra)
+
+
+def _oracle_name_order(codes, first_seen):
+    names = sorted(n for n in first_seen if n is not None)
+    rank = {n: r for r, n in enumerate(names)}
+    remap = np.array([rank.get(n, -1) for n in first_seen], dtype=np.intp)
+    return remap[np.asarray(codes, dtype=np.intp)], tuple(names)
+
+
+def _oracle_time_sorted(cls, timestamps, values, *coded):
+    ts = np.asarray(timestamps, dtype=np.int64)
+    order = np.argsort(ts, kind="stable")
+    ranked = [_oracle_name_order(codes, first_seen) for codes, first_seen in coded]
+    return cls(
+        ts[order],
+        np.asarray(values, dtype=float)[order],
+        *(codes[order] for codes, _ in ranked),
+        *(names for _, names in ranked),
+    )
+
+
+def io_trace_oracle(path):
+    """An IO trace CSV loaded one csv.reader row at a time."""
+    fh, reader, _ = _oracle_open_csv(path, IO_COLUMNS, ())
+    timestamps = array("q")
+    values = array("d")
+    tag_codes = array("q")
+    tags = {}
+    with fh:
+        for rowno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != 3:
+                raise MalformedRowError(f"expected 3 fields, got {len(row)}", rowno)
+            try:
+                ts = int(row[0])
+                value = float(row[2])
+            except ValueError as exc:
+                raise MalformedRowError(str(exc), rowno) from None
+            if not math.isfinite(value):
+                raise MalformedRowError("non-finite value", rowno)
+            if not row[1]:
+                raise MalformedRowError("empty tag name", rowno)
+            if not -_TIMESTAMP_LIMIT_MS < ts < _TIMESTAMP_LIMIT_MS:
+                raise MalformedRowError("timestamp magnitude must be below 2**62 ms", rowno)
+            timestamps.append(ts)
+            values.append(value)
+            tag_codes.append(tags.setdefault(row[1], len(tags)))
+    ts = np.frombuffer(timestamps, dtype=np.int64)
+    codes = np.frombuffer(tag_codes, dtype=np.int64)
+    return _oracle_time_sorted(IoTrace, ts, np.frombuffer(values), (codes, tags))
+
+
+def rtls_trace_oracle(path):
+    """An RTLS trace CSV loaded one csv.reader row at a time."""
+    fh, reader, labeled = _oracle_open_csv(path, RTLS_COLUMNS, (RTLS_LABEL_COLUMN,))
+    want = 6 if labeled else 5
+    timestamps = array("q")
+    coords = array("d")
+    tracker_codes = array("q")
+    label_codes = array("q")
+    trackers = {}
+    labels = {None: 0}
+    with fh:
+        for rowno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != want:
+                raise MalformedRowError(f"expected {want} fields, got {len(row)}", rowno)
+            try:
+                ts = int(row[0])
+                x, y, z = float(row[2]), float(row[3]), float(row[4])
+            except ValueError as exc:
+                raise MalformedRowError(str(exc), rowno) from None
+            if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
+                raise MalformedRowError("non-finite coordinate", rowno)
+            if not row[1]:
+                raise MalformedRowError("empty tracker id", rowno)
+            if not -_TIMESTAMP_LIMIT_MS < ts < _TIMESTAMP_LIMIT_MS:
+                raise MalformedRowError("timestamp magnitude must be below 2**62 ms", rowno)
+            timestamps.append(ts)
+            coords.extend((x, y, z))
+            tracker_codes.append(trackers.setdefault(row[1], len(trackers)))
+            label_codes.append(labels.setdefault(row[5] or None, len(labels)) if labeled else 0)
+    return _oracle_time_sorted(
+        RtlsTrace,
+        np.frombuffer(timestamps, dtype=np.int64),
+        np.frombuffer(coords).reshape(-1, 3),
+        (tracker_codes, trackers),
+        (label_codes, labels),
+    )

@@ -170,6 +170,13 @@ class TestDegenerateInputs:
                 rtls = RtlsTrace.from_rows(_unlabeled_rows(mini_plant) + [late])
             analyze_dynamics(io, rtls, labeled, kinds, types, project.name)
 
+    def test_non_finite_rows_raise(self, mini_plant):
+        project, kinds, types = _tag_maps(mini_plant)
+        io, _, labeled = _samples(mini_plant)
+        rows = [(t, tr, math.nan, y, z, None) for (t, tr, _, y, z, _) in mini_plant.rtls_rows]
+        with pytest.raises(TraceError, match="non-finite coordinate"):
+            analyze_dynamics(io, RtlsTrace.from_rows(rows), labeled, kinds, types, project.name)
+
 
 class TestBuildPhysicalGroups:
     def test_empty_assignments_no_groups(self):

@@ -1,7 +1,10 @@
 import json
 import logging
 import math
+import os
 import re
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 
@@ -390,6 +393,25 @@ class TestCli:
         for cmd in ("analyze-plc", "analyze-dynamics", "mine", "export", "evaluate"):
             result = runner.invoke(main, base + [cmd])
             assert result.exit_code == 0, (cmd, result.output)
+
+    def test_analyze_plc_imports_only_what_it_runs(self, mini_workspace, tmp_path):
+        # A fresh interpreter: this test process has imported every module.
+        script = (
+            "import sys\n"
+            "from plantrecon.cli import main\n"
+            "main(sys.argv[1:], standalone_mode=False)\n"
+            "print(*sorted(sys.modules))\n"
+        )
+        args = ["--config", str(mini_workspace / "pipeline.conf"), "--out-dir", str(tmp_path),
+                "analyze-plc"]
+        env = {**os.environ, "PYTHONPATH": str(Path(pipeline.__file__).parents[1])}
+        result = subprocess.run([sys.executable, "-c", script, *args], env=env,
+                                capture_output=True, text=True, timeout=120)
+        assert result.returncode == 0, result.stderr
+        loaded = set(result.stdout.splitlines()[-1].split())
+        assert "plantrecon.pipeline" in loaded
+        unused = {f"plantrecon.{m}" for m in ("mining", "synth", "aml", "metrics", "dynamics")}
+        assert loaded & unused == set()
 
     def test_deep_contains_export_exit_2(self, tmp_path, contains_chain):
         out = tmp_path / "o"

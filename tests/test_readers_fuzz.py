@@ -10,12 +10,13 @@ Hypothesis runs derandomized, so every run draws the same examples.
 
 import json
 import math
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from plantrecon import aml, dynamics, grouping, metrics, mining, pipeline, plc, synth
+from plantrecon import aml, dynamics, grouping, metrics, mining, pipeline, plc, synth, traces
 from plantrecon.cli import _fail
 from plantrecon.clustering import KMeansParams, cluster_positions
 from plantrecon.config import PipelineConfig, write_kv_file
@@ -100,6 +101,26 @@ def _analyze_plc(xml_bytes: bytes) -> None:
     grouping.functional_grouping(project, plc.build_call_tree(project))
 
 
+def _analyze_mutated_trace(plant_dir, name: str, data) -> None:
+    """Load the three trace CSVs, one of them mutated, and analyze them."""
+    project, kinds, types = _plc_inputs(plant_dir)
+    path = _mutated_file(plant_dir, name, data.draw(mutations((plant_dir / name).read_bytes())))
+    files = {n: plant_dir / n for n in ("io.csv", "rtls.csv", "rtls_labeled.csv")}
+    files[name] = path
+
+    def analyze():
+        dynamics.analyze_dynamics(
+            load_io_trace(files["io.csv"]),
+            load_rtls_trace(files["rtls.csv"]),
+            load_rtls_trace(files["rtls_labeled.csv"]),
+            kinds,
+            types,
+            project.name,
+        )
+
+    _exits_1_or_2(analyze)
+
+
 class TestReaderFuzz:
     @FUZZ
     @given(data=st.data())
@@ -111,22 +132,16 @@ class TestReaderFuzz:
     @FUZZ
     @given(data=st.data())
     def test_trace_csv(self, plant_dir, name, data):
-        project, kinds, types = _plc_inputs(plant_dir)
-        path = _mutated_file(plant_dir, name, data.draw(mutations((plant_dir / name).read_bytes())))
-        files = {n: plant_dir / n for n in ("io.csv", "rtls.csv", "rtls_labeled.csv")}
-        files[name] = path
+        _analyze_mutated_trace(plant_dir, name, data)
 
-        def analyze():
-            dynamics.analyze_dynamics(
-                load_io_trace(files["io.csv"]),
-                load_rtls_trace(files["rtls.csv"]),
-                load_rtls_trace(files["rtls_labeled.csv"]),
-                kinds,
-                types,
-                project.name,
-            )
-
-        _exits_1_or_2(analyze)
+    # The mini CSVs fit in one block of the default size; 256-char blocks
+    # put mutations at block boundaries and in the resumed row loop.
+    @pytest.mark.parametrize("name", ["io.csv", "rtls.csv", "rtls_labeled.csv"])
+    @FUZZ
+    @given(data=st.data())
+    def test_trace_csv_small_blocks(self, plant_dir, name, data):
+        with mock.patch.object(traces, "_BLOCK_CHARS", 256):
+            _analyze_mutated_trace(plant_dir, name, data)
 
     @pytest.mark.parametrize("name", ["functional.dtgraph", "plant.dtgraph"])
     @FUZZ

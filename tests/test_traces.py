@@ -1,8 +1,11 @@
 import logging
+import math
 import random
 
+import numpy as np
 import pytest
 
+from plantrecon import traces
 from plantrecon.dynamics import analyze_dynamics, component_event_series
 from plantrecon.graph import NodeKind
 from plantrecon.traces import (
@@ -21,7 +24,7 @@ from plantrecon.traces import (
     split_labeled_segments,
 )
 
-from oracles import events_oracle
+from oracles import events_oracle, io_trace_oracle, rtls_trace_oracle
 
 
 def _events(rows, *args):
@@ -262,6 +265,34 @@ class TestDetectEvents:
             assert _events(rows, kind, threshold, hysteresis) == expected, rows
 
 
+class TestFromRowsChecks:
+    """from_rows refuses the values and names the loaders refuse."""
+
+    @pytest.mark.parametrize(
+        ("row", "message"),
+        [
+            ((2, "a", math.inf), "non-finite value"),
+            ((2, "a", math.nan), "non-finite value"),
+            ((2, "", 1.0), "empty tag name"),
+        ],
+    )
+    def test_io(self, row, message):
+        with pytest.raises(TraceError, match=message):
+            IoTrace.from_rows([(1, "a", 0.0), row])
+
+    @pytest.mark.parametrize(
+        ("row", "message"),
+        [
+            ((2, "t1", math.nan, 0.0, 0.0, None), "non-finite coordinate"),
+            ((2, "t1", 0.0, 0.0, -math.inf, "Z"), "non-finite coordinate"),
+            ((2, "", 0.0, 0.0, 0.0, None), "empty tracker id"),
+        ],
+    )
+    def test_rtls(self, row, message):
+        with pytest.raises(TraceError, match=message):
+            RtlsTrace.from_rows([(1, "t1", 0.0, 0.0, 0.0, None), row])
+
+
 class TestTimestampBound:
     """API callers' timestamps are held to the loaders' 2**62 ms bound."""
 
@@ -398,3 +429,114 @@ class TestLabeledSegments:
         segments = split_labeled_segments(RtlsTrace.from_rows(rows))
         labels = [(label, len(series)) for label, series in segments]
         assert labels == [("A", 2), ("B", 1), ("A", 1)]
+
+
+# Field values that pass or fail the row checks in different ways.
+_FIELD_VALUES = [
+    "", "nan", "-inf", "1e400", " 7", "1_0", "0x10", "abc", "1.5", "١٢", "0",
+    "4611686018427387903", "4611686018427387904", "-4611686018427387904",
+    "9223372036854775808", "99999999999999999999999",
+]
+
+
+def _mutate_csv(data: bytes, rnd: random.Random) -> bytes:
+    """One to three edits of a trace CSV: blank, duplicated and truncated
+    lines, CRLF or CR line ends, quoted or replaced fields, a field moved
+    to the next line and byte replacements."""
+    for _ in range(rnd.randint(1, 3)):
+        lines = data.split(b"\n")
+        if len(lines) == 1:
+            lines.append(b"")
+        at = rnd.randrange(1, len(lines))
+        line = lines[at]
+        fields = line.split(b",")
+        op = rnd.choice(
+            ["blank", "crlf", "cr", "quote", "duplicate", "truncate", "field", "move", "byte", "byte"]
+        )
+        if op == "blank":
+            lines.insert(at, rnd.choice([b"", b" "]))
+        elif op == "crlf":
+            start = rnd.randrange(len(lines))
+            lines[start:] = [l + b"\r" if l else l for l in lines[start:]]
+        elif op == "cr":
+            lines[at] += b"\r"
+        elif op == "quote":
+            k = rnd.randrange(len(fields))
+            quoted = rnd.choice([b'"%s"', b'"%s,x"', b'"%s""x"', b'"%s'])
+            fields[k] = quoted % fields[k]
+            lines[at] = b",".join(fields)
+        elif op == "duplicate":
+            lines.insert(at, line)
+        elif op == "truncate":
+            lines[at] = line[: rnd.randrange(len(line) + 1)]
+            if rnd.random() < 0.3:
+                lines[at + 1:] = []
+        elif op == "field":
+            fields[rnd.randrange(len(fields))] = rnd.choice(_FIELD_VALUES).encode()
+            lines[at] = b",".join(fields)
+        elif op == "move" and at + 1 < len(lines) and len(fields) > 1:
+            # The last field starts the next line: both lines are wrong,
+            # but the block holds as many commas as before.
+            lines[at] = b",".join(fields[:-1])
+            lines[at + 1] = fields[-1] + b"," + lines[at + 1]
+        elif op == "byte" and data:
+            pos = rnd.randrange(len(data))
+            byte = rnd.choice([rnd.randrange(256), *b',\n\r"0.-e '])
+            data = data[:pos] + bytes([byte]) + data[pos + 1:]
+            continue
+        data = b"\n".join(lines)
+    return data
+
+
+def _outcome(load, path):
+    """The loaded columns and names, or the error's type, message and row."""
+    try:
+        trace = load(path)
+    except Exception as exc:
+        return type(exc), str(exc), getattr(exc, "row", None)
+    return {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in vars(trace).items()}
+
+
+class TestBlockParsing:
+    """The block-parsing loaders equal the row-by-row oracles on mutated
+    copies of the mini plant's trace CSVs, with blocks that split the file
+    and with blocks that hold all of it."""
+
+    @pytest.fixture(scope="class")
+    def cases(self, mini_plant, tmp_path_factory):
+        out = tmp_path_factory.mktemp("block_parsing")
+        paths = mini_plant.write_outputs(out)
+        rnd = random.Random(1414)
+        cases = []
+        for key, load, oracle in [
+            ("io_csv", load_io_trace, io_trace_oracle),
+            ("rtls_csv", load_rtls_trace, rtls_trace_oracle),
+            ("labeled_rtls_csv", load_rtls_trace, rtls_trace_oracle),
+        ]:
+            original = paths[key].read_bytes()
+            for k in range(100):
+                path = out / f"{k}-{paths[key].name}"
+                path.write_bytes(_mutate_csv(original, rnd) if k else original)
+                cases.append((load, path, _outcome(oracle, path)))
+        return cases
+
+    @pytest.mark.parametrize("block_chars", [200, None])
+    def test_equal_to_row_loop(self, cases, monkeypatch, block_chars):
+        if block_chars is not None:
+            monkeypatch.setattr(traces, "_BLOCK_CHARS", block_chars)
+        for load, path, expected in cases:
+            assert _outcome(load, path) == expected, path
+        # The mutations reach both outcomes and the resumed row loop.
+        raised = [e for _, _, e in cases if isinstance(e, tuple)]
+        assert 50 < len(raised) < len(cases) - 50
+        assert any(e[0] is MalformedRowError and e[2] > 20 for e in raised)
+
+    def test_row_error_before_undecodable_chunk(self, tmp_path):
+        # A block read past the byte it cannot decode: the row loop still
+        # reports the bad row before it, as it does on its own.
+        p = tmp_path / "io.csv"
+        body = "1,a,0.0\n" * 10 + "2,a\n" + "3,a,1.0\n" * 3000
+        p.write_bytes(("timestamp_ms,tag,value\n" + body).encode() + b"\xff\n")
+        with pytest.raises(MalformedRowError) as info:
+            load_io_trace(p)
+        assert str(info.value) == "row 12: expected 3 fields, got 2"
