@@ -8,19 +8,18 @@ column names below are defined here, for the loaders and the generator):
   optional trailing ``location_label`` column (training data only).
 
 Both traces load as numpy columns, one entry per sample, stably
-time-sorted once at load (input already in time order is not sorted):
-an ``IoTrace`` and an ``RtlsTrace``. Their ``from_rows`` builds the same
-columns from the generator's row tuples and refuses what the loaders
-refuse.
+time-sorted once at load: an ``IoTrace`` and an ``RtlsTrace``. Their
+``from_rows`` builds the same columns from the generator's row tuples
+and refuses what the loaders refuse.
 
 The loaders parse the rows in blocks of whole lines. A plain block (no
-quote, no ``\\r``, the header's number of fields on every line) is parsed
-column by column, its values checked as whole columns. From the first
-block that is not plain or fails a check, the rest of the file goes
-through a row-by-row ``csv.reader`` loop, which defines quoting, line
-endings, blank rows and every ``MalformedRowError``; its row numbers
-continue after the rows already parsed, so results and errors are the
-same either way.
+quote, no ``\\r``, no NUL, the header's number of fields on every line)
+is parsed column by column, its values checked as whole columns. From
+the first block that is not plain or fails a check, the rest of the file
+goes through a row-by-row ``csv.reader`` loop, which defines quoting,
+line endings, blank rows and every ``MalformedRowError``; its row
+numbers continue after the rows already parsed, so results and errors
+are the same either way.
 
 The correlation chain is: one tag's samples -> its change-event times
 (an int64 array) -> per-event nearest-in-time material position, a
@@ -169,25 +168,17 @@ def _time_sorted(cls, timestamps, values, *coded):
     ``values`` has one leading entry per sample. Each of ``coded`` is a
     pair of first-seen codes and their name-to-code dict; it becomes a
     code column into the sorted names, after the value columns, and the
-    names tuple, after all code columns. Columns already in time order,
-    as generated traces are, are not sorted.
+    names tuple, after all code columns.
     """
     ts = np.asarray(timestamps, dtype=np.int64)
-    values = np.asarray(values, dtype=float)
+    order = np.argsort(ts, kind="stable")
     ranked = [_name_order(codes, first_seen) for codes, first_seen in coded]
-    code_columns = [codes for codes, _ in ranked]
-    if np.all(ts[1:] >= ts[:-1]):
-        # Copies, not views: a view would keep a loader's growable buffer
-        # as the column. Then no large block is freed before DTW, and
-        # malloc maps DTW's megabyte temporaries afresh for each query
-        # (17k more page faults per recording analysis, knn_classify
-        # +55 %); peak RSS was higher too.
-        ts, values = ts.copy(), values.copy()
-    else:
-        order = np.argsort(ts, kind="stable")
-        ts, values = ts[order], values[order]
-        code_columns = [codes[order] for codes in code_columns]
-    return cls(ts, values, *code_columns, *(names for _, names in ranked))
+    return cls(
+        ts[order],
+        np.asarray(values, dtype=float)[order],
+        *(codes[order] for codes, _ in ranked),
+        *(names for _, names in ranked),
+    )
 
 
 @dataclass(eq=False)
@@ -256,10 +247,10 @@ def _parse_block(lines: list[str], is_float: tuple[bool, ...]):
     float fields in row order and all its fields, row after row. None if
     the block is not plain or fails a check of the row loop.
 
-    A block is plain when it holds no ``"`` and no ``\\r``, each line has
-    exactly one field per entry of ``is_float`` (so no line is blank), and
-    the block is no longer than the csv field limit, so no field is
-    either. ``csv.reader`` then reads each line as one row, split at its
+    A block is plain when it holds no ``"``, no ``\\r`` and no NUL (which
+    ``csv.reader`` refuses before Python 3.11), each line has exactly one
+    field per entry of ``is_float`` (so no line is blank), and the block
+    is no longer than the csv field limit, so no field is either. ``csv.reader`` then reads each line as one row, split at its
     commas, and ``int`` and ``float`` see the strings the row loop sees.
     The first column is the timestamp and the second a name.
     """
@@ -268,6 +259,7 @@ def _parse_block(lines: list[str], is_float: tuple[bool, ...]):
     if (
         '"' in text
         or "\r" in text
+        or "\0" in text
         or len(text) > csv.field_size_limit()
         or set(map(str.count, lines, repeat(","))) != {width - 1}
     ):

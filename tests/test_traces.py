@@ -540,3 +540,11 @@ class TestBlockParsing:
         with pytest.raises(MalformedRowError) as info:
             load_io_trace(p)
         assert str(info.value) == "row 12: expected 3 fields, got 2"
+
+    def test_nul_goes_to_row_loop(self, tmp_path):
+        # csv.reader refuses NUL before Python 3.11, so a block holding one
+        # is not plain, and the loader does what the row loop does.
+        assert traces._parse_block(["1,a\0b,0.5\n"], (False, False, True)) is None
+        p = tmp_path / "io.csv"
+        p.write_text("timestamp_ms,tag,value\n1,a,0.0\n2,a\0b,1.0\n", encoding="utf-8")
+        assert _outcome(load_io_trace, p) == _outcome(io_trace_oracle, p)
