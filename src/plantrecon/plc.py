@@ -93,6 +93,9 @@ class DeviceType(str, Enum):
 _INPUT_DEVICES = {DeviceType.DIGITAL_IN, DeviceType.ANALOG_IN}
 _OUTPUT_DEVICES = {DeviceType.DIGITAL_OUT, DeviceType.ANALOG_OUT}
 _ANALOG_DEVICES = {DeviceType.ANALOG_IN, DeviceType.ANALOG_OUT}
+# Real IO modules have 2-64 channels. Each channel becomes a graph node,
+# so one attribute must not be able to size the graph.
+_MAX_CHANNELS = 256
 
 
 class TagDataType(str, Enum):
@@ -172,9 +175,6 @@ class PlcProject:
     def tag_map(self) -> dict[str, IoTag]:
         return {t.name: t for t in self.tags}
 
-    def device_map(self) -> dict[str, HardwareDevice]:
-        return {d.id: d for d in self.devices}
-
     def organization_blocks(self) -> list[Block]:
         return [b for b in self.blocks if b.block_type is BlockType.ORGANIZATION_BLOCK]
 
@@ -218,6 +218,8 @@ def _parse_device(elem: ET.Element) -> HardwareDevice:
     channels = _int_attr(elem, "channels", a["channels"])
     if channels < 0:
         raise SchemaViolationError("channels must be non-negative", elem.tag)
+    if channels > _MAX_CHANNELS:
+        raise SchemaViolationError(f"channels must be at most {_MAX_CHANNELS}, got {channels}", elem.tag)
     if dtype is not DeviceType.PLC and channels == 0:
         raise SchemaViolationError("IO devices must declare channels > 0", elem.tag)
     return HardwareDevice(a["id"], dtype, a["name"], channels)

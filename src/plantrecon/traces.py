@@ -8,18 +8,19 @@ column names below are defined here, for the loaders and the generator):
   optional trailing ``location_label`` column (training data only).
 
 Both traces load as numpy columns, one entry per sample, stably
-time-sorted once at load: an ``IoTrace`` and an ``RtlsTrace``. Their
-``from_rows`` builds the same columns from the generator's row tuples
-and refuses what the loaders refuse.
+time-sorted once at load: an ``IoTrace`` and an ``RtlsTrace``. One
+``_CsvShape`` per trace states its header, optional label column, float
+fields and error words. One loader reads both files, and one builder
+serves both ``from_rows``, which refuse what the loader refuses.
 
-The loaders parse the rows in blocks of whole lines. A plain block (no
+The loader parses the rows in blocks of whole lines. A plain block (no
 quote, no ``\\r``, no NUL, the header's number of fields on every line)
-is parsed column by column, its values checked as whole columns. From
-the first block that is not plain or fails a check, the rest of the file
-goes through a row-by-row ``csv.reader`` loop, which defines quoting,
-line endings, blank rows and every ``MalformedRowError``; its row
-numbers continue after the rows already parsed, so results and errors
-are the same either way.
+is parsed column by column and checked by the column check that
+``from_rows`` uses too. From the first block that is not plain or fails
+the check, the rest of the file goes through a row-by-row ``csv.reader``
+loop, which defines quoting, line endings, blank rows and every
+``MalformedRowError``; its row numbers continue after the rows already
+parsed, so results and errors are the same either way.
 
 The correlation chain is: one tag's samples -> its change-event times
 (an int64 array) -> per-event nearest-in-time material position, a
@@ -56,24 +57,78 @@ RTLS_LABEL_COLUMN = "location_label"
 # Timestamps are int64 columns; below this magnitude the difference of
 # any two also fits in int64.
 _TIMESTAMP_LIMIT_MS = 2**62
-
-
-def _int64_times(values) -> np.ndarray:
-    """API callers' timestamps as int64, held to the loaders' bound."""
-    try:
-        ts = np.asarray(values, dtype=np.int64)
-        in_range = not ts.size or (-_TIMESTAMP_LIMIT_MS < ts.min() and ts.max() < _TIMESTAMP_LIMIT_MS)
-    except (OverflowError, ValueError):  # beyond int64, or not a number
-        in_range = False
-    if not in_range:
-        raise TraceError("timestamp magnitude must be below 2**62 ms")
-    return ts
+_TIMESTAMP_ERROR = "timestamp magnitude must be below 2**62 ms"
 
 
 class MalformedRowError(TraceError):
     def __init__(self, message: str, row: int):
         super().__init__(f"row {row}: {message}")
         self.row = row
+
+
+@dataclass(frozen=True)
+class _CsvShape:
+    """The columns of one trace CSV and the words of its row errors. The
+    first column is the timestamp and the second a name."""
+
+    header: tuple[str, ...]
+    label: str | None  # the optional trailing label column
+    float_fields: range
+    float_error: str
+    name_error: str
+
+    def name_columns(self, labeled: bool) -> tuple[int, ...]:
+        """The name column, and the label column after the header's columns."""
+        return (1, len(self.header)) if labeled else (1,)
+
+    def values(self, flat: np.ndarray) -> np.ndarray:
+        """The flat float fields as one number or one row of several per sample."""
+        return flat.reshape(-1, len(self.float_fields)) if len(self.float_fields) > 1 else flat
+
+
+_IO = _CsvShape(IO_COLUMNS, None, range(2, 3), "non-finite value", "empty tag name")
+_RTLS = _CsvShape(RTLS_COLUMNS, RTLS_LABEL_COLUMN, range(2, 5), "non-finite coordinate", "empty tracker id")
+
+
+def _int64_times(values) -> np.ndarray | None:
+    """Timestamps as an int64 column, or None if one is not a number or
+    has a magnitude of 2**62 ms or more."""
+    try:
+        ts = np.asarray(values, dtype=np.int64)
+    except (OverflowError, ValueError):  # beyond int64, or not a number
+        return None
+    if ts.size and not (-_TIMESTAMP_LIMIT_MS < ts.min() and ts.max() < _TIMESTAMP_LIMIT_MS):
+        return None
+    return ts
+
+
+def _column_fault(timestamps, floats: np.ndarray, names) -> int | None:
+    """The first row rule that whole columns break, in the row loop's
+    order: 0 a non-finite float, 1 an empty name, 2 a timestamp out of
+    bounds. None if they break none."""
+    if not np.isfinite(floats).all():
+        return 0
+    if not all(names):
+        return 1
+    if _int64_times(timestamps) is None:
+        return 2
+    return None
+
+
+def _from_rows(cls, shape: _CsvShape, rows: list[tuple]):
+    """A ``cls`` trace of row tuples laid out as ``shape``'s columns, the
+    label column included; an empty or None label counts as unlabeled."""
+    fields = shape.float_fields
+    floats = np.array([r[fields.start:fields.stop] for r in rows], dtype=float)
+    timestamps = [r[0] for r in rows]
+    fault = _column_fault(timestamps, floats, [r[1] for r in rows])
+    if fault is not None:
+        raise TraceError((shape.float_error, shape.name_error, _TIMESTAMP_ERROR)[fault])
+    coded = []
+    for k in shape.name_columns(shape.label is not None):
+        first_seen: dict[str | None, int] = {}
+        coded.append((_code_column(first_seen, [r[k] for r in rows]), first_seen))
+    return _time_sorted(cls, _int64_times(timestamps), shape.values(floats.reshape(-1)), *coded)
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,20 +150,9 @@ class IoTrace:
     @classmethod
     def from_rows(cls, rows: list[tuple[int, str, float]]) -> IoTrace:
         """The trace of ``(timestamp_ms, tag, value)`` rows, stably sorted
-        by timestamp. A non-finite value or an empty tag raises
-        ``TraceError``, as in ``load_io_trace``."""
-        values = np.array([r[2] for r in rows], dtype=float)
-        if not np.isfinite(values).all():
-            raise TraceError("non-finite value")
-        if not all(r[1] for r in rows):
-            raise TraceError("empty tag name")
-        tags: dict[str | None, int] = {}
-        return _time_sorted(
-            cls,
-            _int64_times([r[0] for r in rows]),
-            values,
-            ([tags.setdefault(r[1], len(tags)) for r in rows], tags),
-        )
+        by timestamp. Refuses what ``load_io_trace`` refuses in a row's
+        values, with ``TraceError`` and the same words."""
+        return _from_rows(cls, _IO, rows)
 
 
 @dataclass(frozen=True, eq=False)
@@ -135,31 +179,9 @@ class RtlsTrace:
     def from_rows(cls, rows: list[tuple[int, str, float, float, float, str | None]]) -> RtlsTrace:
         """The trace of ``(timestamp_ms, tracker_id, x, y, z,
         location_label)`` rows, stably sorted by timestamp; an empty or
-        None label counts as unlabeled. A non-finite coordinate or an
-        empty tracker id raises ``TraceError``, as in ``load_rtls_trace``."""
-        points = np.array([r[2:5] for r in rows], dtype=float).reshape(-1, 3)
-        if not np.isfinite(points).all():
-            raise TraceError("non-finite coordinate")
-        if not all(r[1] for r in rows):
-            raise TraceError("empty tracker id")
-        trackers: dict[str | None, int] = {}
-        labels: dict[str | None, int] = {}
-        return _time_sorted(
-            cls,
-            _int64_times([r[0] for r in rows]),
-            points,
-            ([trackers.setdefault(r[1], len(trackers)) for r in rows], trackers),
-            ([labels.setdefault(r[5] or None, len(labels)) for r in rows], labels),
-        )
-
-
-def _name_order(codes, first_seen: dict[str | None, int]) -> tuple[np.ndarray, tuple[str, ...]]:
-    """Renumber first-seen codes into the order of the sorted names; the
-    code of None becomes -1."""
-    names = sorted(n for n in first_seen if n is not None)
-    rank = {n: r for r, n in enumerate(names)}
-    remap = np.array([rank.get(n, -1) for n in first_seen], dtype=np.intp)
-    return remap[np.asarray(codes, dtype=np.intp)], tuple(names)
+        None label counts as unlabeled. Refuses what ``load_rtls_trace``
+        refuses in a row's values, with ``TraceError`` and the same words."""
+        return _from_rows(cls, _RTLS, rows)
 
 
 def _time_sorted(cls, timestamps, values, *coded):
@@ -167,18 +189,19 @@ def _time_sorted(cls, timestamps, values, *coded):
 
     ``values`` has one leading entry per sample. Each of ``coded`` is a
     pair of first-seen codes and their name-to-code dict; it becomes a
-    code column into the sorted names, after the value columns, and the
-    names tuple, after all code columns.
+    code column into the sorted names (None: -1), after the value
+    columns, and the names tuple, after all code columns.
     """
     ts = np.asarray(timestamps, dtype=np.int64)
     order = np.argsort(ts, kind="stable")
-    ranked = [_name_order(codes, first_seen) for codes, first_seen in coded]
-    return cls(
-        ts[order],
-        np.asarray(values, dtype=float)[order],
-        *(codes[order] for codes, _ in ranked),
-        *(names for _, names in ranked),
-    )
+    code_columns, name_tuples = [], []
+    for codes, first_seen in coded:
+        names = sorted(n for n in first_seen if n is not None)
+        rank = {n: r for r, n in enumerate(names)}
+        remap = np.array([rank.get(n, -1) for n in first_seen], dtype=np.intp)
+        code_columns.append(remap[np.asarray(codes, dtype=np.intp)][order])
+        name_tuples.append(tuple(names))
+    return cls(ts[order], np.asarray(values, dtype=float)[order], *code_columns, *name_tuples)
 
 
 @dataclass(eq=False)
@@ -215,44 +238,23 @@ class PositionEstimate:
     status: EstimateStatus
 
 
-# The loaders read a trace body in blocks of whole lines of about this
-# many characters, and parse each plain block column by column.
+# The loader reads a trace body in blocks of whole lines of about this
+# many characters, and parses each plain block column by column.
 _BLOCK_CHARS = 64 * 1024
-
-
-def _open_csv(path, expected_header: tuple[str, ...], optional: tuple[str, ...]):
-    """Open a trace CSV and check its header; return the file, positioned
-    at the first row, and whether the optional columns are present."""
-    fh = open(path, encoding="utf-8", newline="")
-    try:
-        header = next(csv.reader(fh))
-    except StopIteration:
-        fh.close()
-        raise MalformedRowError("empty file, header expected", 1) from None
-    base = tuple(header[: len(expected_header)])
-    extra = tuple(header[len(expected_header):])
-    if base != expected_header or extra not in ((), optional):
-        fh.close()
-        raise MalformedRowError(
-            f"header must be {','.join(expected_header)}"
-            + (f"[,{','.join(optional)}]" if optional else "")
-            + f", got {','.join(header)}",
-            1,
-        )
-    return fh, bool(extra)
 
 
 def _parse_block(lines: list[str], is_float: tuple[bool, ...]):
     """A block of whole lines parsed column by column: its timestamps, its
     float fields in row order and all its fields, row after row. None if
-    the block is not plain or fails a check of the row loop.
+    the block is not plain or ``_column_fault`` finds a fault.
 
     A block is plain when it holds no ``"``, no ``\\r`` and no NUL (which
     ``csv.reader`` refuses before Python 3.11), each line has exactly one
     field per entry of ``is_float`` (so no line is blank), and the block
-    is no longer than the csv field limit, so no field is either. ``csv.reader`` then reads each line as one row, split at its
-    commas, and ``int`` and ``float`` see the strings the row loop sees.
-    The first column is the timestamp and the second a name.
+    is no longer than the csv field limit, so no field is either.
+    ``csv.reader`` then reads each line as one row, split at its commas,
+    and ``int`` and ``float`` see the strings the row loop sees. The
+    first column is the timestamp and the second a name.
     """
     width = len(is_float)
     text = "".join(lines)
@@ -271,57 +273,101 @@ def _parse_block(lines: list[str], is_float: tuple[bool, ...]):
         floats = array("d", list(map(float, compress(fields, cycle(is_float)))))
     except (ValueError, OverflowError):  # OverflowError: beyond int64
         return None
-    ts = np.frombuffer(timestamps, dtype=np.int64)
-    if (
-        "" in fields[1::width]
-        or not np.isfinite(np.frombuffer(floats)).all()
-        or not (-_TIMESTAMP_LIMIT_MS < ts.min() and ts.max() < _TIMESTAMP_LIMIT_MS)
-    ):
+    if _column_fault(timestamps, np.frombuffer(floats), fields[1::width]) is not None:
         return None
     return timestamps, floats, fields
 
 
 def _code_column(first_seen: dict[str | None, int], names: list[str]):
-    """A block's name column as first-seen codes, numbered as the row
-    loop numbers them; an empty name is coded as None."""
+    """A name column as first-seen codes, numbered as the row loop numbers
+    them; an empty name is coded as None."""
     block = {n: first_seen.setdefault(n or None, len(first_seen)) for n in dict.fromkeys(names)}
     return list(map(block.__getitem__, names))
 
 
-def _read_rows(path, fh, is_float: tuple[bool, ...], keep_block, take_rows) -> None:
-    """Feed the rows after the header of ``path``, open as ``fh``, to a
-    loader.
+def _load_csv(path, shape: _CsvShape):
+    """A trace CSV of ``shape`` as columns in file order: int64
+    timestamps, the float fields and, per name column (``name_columns``),
+    first-seen codes and their name-to-code dict.
 
-    Each leading block that ``_parse_block`` parses goes to
-    ``keep_block``. From the first block it refuses, the rest of the file
-    goes to ``take_rows`` as ``csv.reader`` rows numbered from that
-    block's first row: the row loop is the one definition of quoting,
-    line endings, blank rows and every row error.
+    Each leading block that ``_parse_block`` parses is kept whole. From
+    the first block it refuses, the rest of the file goes through the
+    ``csv.reader`` row loop, its rows numbered on from that block: the
+    one definition of quoting, line endings, blank rows and row errors.
     """
-    parsed = 0
-    while True:
+    timestamps = array("q")
+    floats = array("d")
+    with open(path, encoding="utf-8", newline="") as fh:
         try:
-            lines = fh.readlines(_BLOCK_CHARS)
-        except UnicodeDecodeError as exc:
-            error = exc
-            break
-        if not lines:
-            return
-        block = _parse_block(lines, is_float)
-        if block is None:
-            take_rows(enumerate(csv.reader(chain(lines, fh)), start=parsed + 2))
-            return
-        keep_block(*block)
-        parsed += len(lines)
-    # readlines dropped the lines it read before the chunk it could not
-    # decode. The row loop over the whole body meets that chunk after the
-    # same rows, so it raises what it raises on its own: a bad row before
-    # the chunk, or this error.
-    with open(path, encoding="utf-8", newline="") as again:
-        reader = csv.reader(again)
-        next(reader)
-        take_rows(enumerate(reader, start=2))
-    raise error  # the file changed while it was read
+            header = next(csv.reader(fh))
+        except StopIteration:
+            raise MalformedRowError("empty file, header expected", 1) from None
+        except csv.Error as exc:  # such as a field beyond the csv field limit
+            raise MalformedRowError(str(exc), 1) from None
+        optional = (shape.label,) if shape.label else ()
+        if tuple(header) not in (shape.header, shape.header + optional):
+            raise MalformedRowError(
+                f"header must be {','.join(shape.header)}"
+                + (f"[,{shape.label}]" if shape.label else "")
+                + f", got {','.join(header)}",
+                1,
+            )
+        width = len(header)
+        columns = shape.name_columns(width > len(shape.header))
+        coded = [(array("q"), {}) for _ in columns]
+        is_float = tuple(k in shape.float_fields for k in range(width))
+        rowno = 1  # the last row read
+        undecodable = None
+        while True:
+            try:
+                lines = fh.readlines(_BLOCK_CHARS)
+            except UnicodeDecodeError as exc:
+                # readlines dropped the lines it read before the chunk it
+                # could not decode. The row loop over the whole body meets
+                # that chunk after the same rows, so it raises what it
+                # raises on its own: a bad row before the chunk, or this.
+                undecodable = exc
+                fh.seek(0)
+                next(csv.reader(fh))
+                lines, rowno = [], 1
+                break
+            block = _parse_block(lines, is_float) if lines else None
+            if block is None:
+                break
+            block_ts, block_floats, fields = block
+            timestamps.extend(block_ts)
+            floats.extend(block_floats)
+            for (codes, first_seen), k in zip(coded, columns):
+                codes.fromlist(_code_column(first_seen, fields[k::width]))
+            rowno += len(lines)
+        float_fields = shape.float_fields
+        try:
+            for rowno, row in enumerate(csv.reader(chain(lines, fh)), start=rowno + 1):
+                if not row:
+                    continue
+                if len(row) != width:
+                    raise MalformedRowError(f"expected {width} fields, got {len(row)}", rowno)
+                try:
+                    ts = int(row[0])
+                    values = [float(row[k]) for k in float_fields]
+                except ValueError as exc:
+                    raise MalformedRowError(str(exc), rowno) from None
+                if not all(map(math.isfinite, values)):
+                    raise MalformedRowError(shape.float_error, rowno)
+                if not row[1]:
+                    raise MalformedRowError(shape.name_error, rowno)
+                if not -_TIMESTAMP_LIMIT_MS < ts < _TIMESTAMP_LIMIT_MS:
+                    raise MalformedRowError(_TIMESTAMP_ERROR, rowno)
+                timestamps.append(ts)
+                floats.extend(values)
+                for (codes, first_seen), k in zip(coded, columns):
+                    codes.append(first_seen.setdefault(row[k] or None, len(first_seen)))
+        except csv.Error as exc:  # such as a field beyond the csv field limit
+            raise MalformedRowError(str(exc), rowno + 1) from None
+    if undecodable is not None:
+        raise undecodable  # the file changed while it was read
+    coded = [(np.frombuffer(codes, dtype=np.int64), first_seen) for codes, first_seen in coded]
+    return np.frombuffer(timestamps, dtype=np.int64), shape.values(np.frombuffer(floats)), coded
 
 
 def load_io_trace(path) -> IoTrace:
@@ -330,48 +376,13 @@ def load_io_trace(path) -> IoTrace:
     A malformed row is reported by its number; a tag whose timestamps go
     back is only a warning.
     """
-    fh, _ = _open_csv(path, IO_COLUMNS, ())
-    timestamps = array("q")
-    values = array("d")
-    tag_codes = array("q")
-    tags: dict[str | None, int] = {}
-
-    def keep_block(block_ts: array, block_values: array, fields: list[str]) -> None:
-        timestamps.extend(block_ts)
-        values.extend(block_values)
-        tag_codes.fromlist(_code_column(tags, fields[1::3]))
-
-    def take_rows(rows) -> None:
-        for rowno, row in rows:
-            if not row:
-                continue
-            if len(row) != 3:
-                raise MalformedRowError(f"expected 3 fields, got {len(row)}", rowno)
-            try:
-                ts = int(row[0])
-                value = float(row[2])
-            except ValueError as exc:
-                raise MalformedRowError(str(exc), rowno) from None
-            if not math.isfinite(value):
-                raise MalformedRowError("non-finite value", rowno)
-            if not row[1]:
-                raise MalformedRowError("empty tag name", rowno)
-            if not -_TIMESTAMP_LIMIT_MS < ts < _TIMESTAMP_LIMIT_MS:
-                raise MalformedRowError("timestamp magnitude must be below 2**62 ms", rowno)
-            timestamps.append(ts)
-            values.append(value)
-            tag_codes.append(tags.setdefault(row[1], len(tags)))
-
-    with fh:
-        _read_rows(path, fh, (False, False, True), keep_block, take_rows)
-    ts = np.frombuffer(timestamps, dtype=np.int64)
-    codes = np.frombuffer(tag_codes, dtype=np.int64)
+    ts, values, [(codes, tags)] = _load_csv(path, _IO)
     # Each tag's samples in file order, one tag after the other.
     by_tag = np.argsort(codes, kind="stable")
     same_tag = codes[by_tag][1:] == codes[by_tag][:-1]
     if np.any(same_tag & (np.diff(ts[by_tag]) < 0)):
         logger.warning("%s: non-monotonic timestamps, sorting", path)
-    trace = _time_sorted(IoTrace, ts, np.frombuffer(values), (codes, tags))
+    trace = _time_sorted(IoTrace, ts, values, (codes, tags))
     logger.info("%s: %d IO samples", path, len(trace))
     return trace
 
@@ -382,57 +393,12 @@ def load_rtls_trace(path) -> RtlsTrace:
     A malformed row is reported by its number; non-monotonic input is only
     a warning.
     """
-    fh, labeled = _open_csv(path, RTLS_COLUMNS, (RTLS_LABEL_COLUMN,))
-    want = 6 if labeled else 5
-    # Raw values and first-seen name codes only: no Python object per row
-    # outlives its row.
-    timestamps = array("q")
-    coords = array("d")
-    tracker_codes = array("q")
-    label_codes = array("q")
-    trackers: dict[str | None, int] = {}
-    labels: dict[str | None, int] = {None: 0}  # code 0: unlabeled
-    def keep_block(block_ts: array, block_coords: array, fields: list[str]) -> None:
-        timestamps.extend(block_ts)
-        coords.extend(block_coords)
-        tracker_codes.fromlist(_code_column(trackers, fields[1::want]))
-        label_codes.fromlist(_code_column(labels, fields[5::6]) if labeled else [0] * len(block_ts))
-
-    def take_rows(rows) -> None:
-        for rowno, row in rows:
-            if not row:
-                continue
-            if len(row) != want:
-                raise MalformedRowError(f"expected {want} fields, got {len(row)}", rowno)
-            try:
-                ts = int(row[0])
-                x, y, z = float(row[2]), float(row[3]), float(row[4])
-            except ValueError as exc:
-                raise MalformedRowError(str(exc), rowno) from None
-            if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
-                raise MalformedRowError("non-finite coordinate", rowno)
-            if not row[1]:
-                raise MalformedRowError("empty tracker id", rowno)
-            if not -_TIMESTAMP_LIMIT_MS < ts < _TIMESTAMP_LIMIT_MS:
-                raise MalformedRowError("timestamp magnitude must be below 2**62 ms", rowno)
-            timestamps.append(ts)
-            coords.extend((x, y, z))
-            tracker_codes.append(trackers.setdefault(row[1], len(trackers)))
-            label_codes.append(labels.setdefault(row[5] or None, len(labels)) if labeled else 0)
-
-    with fh:
-        # The float columns are x, y and z.
-        _read_rows(path, fh, (False, False, True, True, True, False)[:want], keep_block, take_rows)
-    ts = np.frombuffer(timestamps, dtype=np.int64)
+    ts, points, coded = _load_csv(path, _RTLS)
+    if len(coded) == 1:  # no label column: every sample is unlabeled
+        coded.append((np.zeros(len(ts), dtype=np.int64), {None: 0}))
     if np.any(ts[1:] < ts[:-1]):
         logger.warning("%s: non-monotonic timestamps, sorting", path)
-    trace = _time_sorted(
-        RtlsTrace,
-        ts,
-        np.frombuffer(coords).reshape(-1, 3),
-        (tracker_codes, trackers),
-        (label_codes, labels),
-    )
+    trace = _time_sorted(RtlsTrace, ts, points, *coded)
     logger.info("%s: %d RTLS samples", path, len(trace))
     return trace
 
@@ -495,6 +461,8 @@ def match_events(
         return PositionSeries(owner_tag=tag)
     times = rtls.timestamps_ms
     at = _int64_times(events_ms)
+    if at is None:
+        raise TraceError(_TIMESTAMP_ERROR)
     # The samples just before (or at) and just after each event hold the
     # nearest time; an equal distance goes to the earlier one.
     after = np.searchsorted(times, at, side="right")

@@ -344,25 +344,22 @@ def events_oracle(samples, analog=False, threshold=0.5, hysteresis=0.0) -> list[
 _TIMESTAMP_LIMIT_MS = 2**62
 
 
-def _oracle_open_csv(path, expected_header, optional):
-    fh = open(path, encoding="utf-8", newline="")
+def _oracle_read_header(fh, expected_header, optional):
     reader = csv.reader(fh)
     try:
         header = next(reader)
     except StopIteration:
-        fh.close()
         raise MalformedRowError("empty file, header expected", 1) from None
     base = tuple(header[: len(expected_header)])
     extra = tuple(header[len(expected_header):])
     if base != expected_header or extra not in ((), optional):
-        fh.close()
         raise MalformedRowError(
             f"header must be {','.join(expected_header)}"
             + (f"[,{','.join(optional)}]" if optional else "")
             + f", got {','.join(header)}",
             1,
         )
-    return fh, reader, bool(extra)
+    return reader, bool(extra)
 
 
 def _oracle_name_order(codes, first_seen):
@@ -386,12 +383,12 @@ def _oracle_time_sorted(cls, timestamps, values, *coded):
 
 def io_trace_oracle(path):
     """An IO trace CSV loaded one csv.reader row at a time."""
-    fh, reader, _ = _oracle_open_csv(path, IO_COLUMNS, ())
     timestamps = array("q")
     values = array("d")
     tag_codes = array("q")
     tags = {}
-    with fh:
+    with open(path, encoding="utf-8", newline="") as fh:
+        reader, _ = _oracle_read_header(fh, IO_COLUMNS, ())
         for rowno, row in enumerate(reader, start=2):
             if not row:
                 continue
@@ -418,15 +415,15 @@ def io_trace_oracle(path):
 
 def rtls_trace_oracle(path):
     """An RTLS trace CSV loaded one csv.reader row at a time."""
-    fh, reader, labeled = _oracle_open_csv(path, RTLS_COLUMNS, (RTLS_LABEL_COLUMN,))
-    want = 6 if labeled else 5
     timestamps = array("q")
     coords = array("d")
     tracker_codes = array("q")
     label_codes = array("q")
     trackers = {}
     labels = {None: 0}
-    with fh:
+    with open(path, encoding="utf-8", newline="") as fh:
+        reader, labeled = _oracle_read_header(fh, RTLS_COLUMNS, (RTLS_LABEL_COLUMN,))
+        want = 6 if labeled else 5
         for rowno, row in enumerate(reader, start=2):
             if not row:
                 continue

@@ -386,6 +386,20 @@ class TestCli:
         assert result.exit_code == 1, result.output
         assert "code=1 type=UnicodeDecodeError" in result.output
 
+    def test_trace_field_beyond_csv_limit_exit_2(self, mini_workspace, tmp_path):
+        rtls = tmp_path / "rtls.csv"
+        rtls.write_bytes((mini_workspace / "rtls.csv").read_bytes() + b"0,%s,0,0,0\n" % (b"t" * 140_000))
+        conf = read_kv_file(mini_workspace / "pipeline.conf")
+        conf["rtls_csv"] = str(rtls)
+        bad = tmp_path / "bad.conf"
+        write_kv_file(bad, conf)
+        result = CliRunner().invoke(
+            main, ["--config", str(bad), "--out-dir", str(tmp_path / "o"), "analyze-dynamics"]
+        )
+        assert result.exit_code == 2, result.output
+        assert "type=MalformedRowError" in result.output
+        assert "field larger than field limit" in result.output
+
     def test_individual_commands(self, mini_workspace, tmp_path):
         out = tmp_path / "steps"
         runner = CliRunner()

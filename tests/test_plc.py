@@ -87,6 +87,16 @@ class TestParse:
         with pytest.raises(SchemaViolationError):
             parse_project(xml)
 
+    @pytest.mark.parametrize(("channels", "ok"), [(256, True), (257, False), (200000, False)])
+    def test_channel_count_bound(self, channels, ok):
+        xml = MINI_LIKE_XML.replace('name="in card" channels="8"', f'name="in card" channels="{channels}"')
+        if ok:
+            counts = {d.id: d.channel_count for d in parse_project(xml).devices}
+            assert counts["DI1"] == channels
+        else:
+            with pytest.raises(SchemaViolationError, match="at most 256"):
+                parse_project(xml)
+
     def test_unknown_element_rejected(self):
         xml = MINI_LIKE_XML.replace("<TagTable>", "<TagTable><Surprise/>")
         with pytest.raises(SchemaViolationError) as info:

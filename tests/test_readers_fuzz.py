@@ -5,7 +5,9 @@ in an internal error.
 The inputs are the mini plant's own files, mutated by byte replacement,
 truncation and line duplication; a stored graph also by replacing one
 label value with another scalar, which keeps every record valid JSON.
-Hypothesis runs derandomized, so every run draws the same examples.
+The reference plant's stored graph and AML document get the same
+mutations, with fewer examples. Hypothesis runs derandomized, so every
+run draws the same examples.
 """
 
 import json
@@ -24,17 +26,26 @@ from plantrecon.graph import NodeKind, load_graph
 from plantrecon.traces import load_io_trace, load_rtls_trace
 
 FUZZ = settings(derandomize=True, max_examples=150, deadline=None, database=None)
+REFERENCE_FUZZ = settings(FUZZ, max_examples=60)
 
 
-@pytest.fixture(scope="module")
-def plant_dir(tmp_path_factory):
-    """The mini plant's inputs and the outputs of one run-all over them."""
+def _run_all_dir(tmp_path_factory, spec):
+    """A plant's inputs and the outputs of one run-all over them."""
     out = tmp_path_factory.mktemp("fuzz_plant")
-    spec = synth.mini_spec()
     synth.generate(spec).write_outputs(out)
     write_kv_file(out / "pipeline.conf", synth.recommended_config(spec, out))
     pipeline.run_all(PipelineConfig.load(out / "pipeline.conf"))
     return out
+
+
+@pytest.fixture(scope="module")
+def plant_dir(tmp_path_factory):
+    return _run_all_dir(tmp_path_factory, synth.mini_spec())
+
+
+@pytest.fixture(scope="module")
+def reference_dir(tmp_path_factory):
+    return _run_all_dir(tmp_path_factory, synth.reference_spec())
 
 
 @st.composite
@@ -121,6 +132,37 @@ def _analyze_mutated_trace(plant_dir, name: str, data) -> None:
     _exits_1_or_2(analyze)
 
 
+def _read_mutated_graph(plant_dir, name: str, data) -> None:
+    """Read a stored graph, mutated, as evaluate does."""
+    original = (plant_dir / name).read_bytes()
+    mutated = data.draw(st.one_of(mutations(original), label_edits(original)))
+    path = _mutated_file(plant_dir, name, mutated)
+    cfg = PipelineConfig.load(plant_dir / "pipeline.conf")
+
+    def read():
+        # load_graph, then the readers of stored labels that evaluate
+        # runs, and the clustering of the stored positions.
+        graph = load_graph(path)
+        pipeline.templates_from_graph(graph)
+        mining.summarize(graph)
+        estimates = dynamics.stored_estimates(graph)
+        if estimates:
+            cluster_positions(estimates, KMeansParams(cfg.kmeans_k, cfg.seed))
+
+    _exits_1_or_2(read)
+
+
+def _aml_validates_exactly_when_it_imports(plant_dir, data) -> None:
+    doc = data.draw(mutations((plant_dir / "plant.aml").read_bytes()))
+    try:
+        aml.import_aml(doc)
+    except Exception as exc:
+        _assert_exit_1_or_2(exc)
+        assert [f.message for f in aml.validate_aml(doc)] == [str(exc)]
+    else:
+        assert aml.validate_aml(doc) == []
+
+
 class TestReaderFuzz:
     @FUZZ
     @given(data=st.data())
@@ -147,34 +189,22 @@ class TestReaderFuzz:
     @FUZZ
     @given(data=st.data())
     def test_dtgraph(self, plant_dir, name, data):
-        original = (plant_dir / name).read_bytes()
-        mutated = data.draw(st.one_of(mutations(original), label_edits(original)))
-        path = _mutated_file(plant_dir, name, mutated)
-        cfg = PipelineConfig.load(plant_dir / "pipeline.conf")
+        _read_mutated_graph(plant_dir, name, data)
 
-        def read():
-            # load_graph, then the readers of stored labels that evaluate
-            # runs, and the clustering of the stored positions.
-            graph = load_graph(path)
-            pipeline.templates_from_graph(graph)
-            mining.summarize(graph)
-            estimates = dynamics.stored_estimates(graph)
-            if estimates:
-                cluster_positions(estimates, KMeansParams(cfg.kmeans_k, cfg.seed))
-
-        _exits_1_or_2(read)
+    @REFERENCE_FUZZ
+    @given(data=st.data())
+    def test_reference_dtgraph(self, reference_dir, data):
+        _read_mutated_graph(reference_dir, "plant.dtgraph", data)
 
     @FUZZ
     @given(data=st.data())
     def test_aml_validates_exactly_when_it_imports(self, plant_dir, data):
-        doc = data.draw(mutations((plant_dir / "plant.aml").read_bytes()))
-        try:
-            aml.import_aml(doc)
-        except Exception as exc:
-            _assert_exit_1_or_2(exc)
-            assert [f.message for f in aml.validate_aml(doc)] == [str(exc)]
-        else:
-            assert aml.validate_aml(doc) == []
+        _aml_validates_exactly_when_it_imports(plant_dir, data)
+
+    @REFERENCE_FUZZ
+    @given(data=st.data())
+    def test_reference_aml_validates_exactly_when_it_imports(self, reference_dir, data):
+        _aml_validates_exactly_when_it_imports(reference_dir, data)
 
     @FUZZ
     @given(data=st.data())

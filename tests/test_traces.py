@@ -293,6 +293,38 @@ class TestFromRowsChecks:
             RtlsTrace.from_rows([(1, "t1", 0.0, 0.0, 0.0, None), row])
 
 
+class TestFieldLimit:
+    """A field longer than the csv field limit is a malformed row, in the
+    header and in the body, not a csv.Error."""
+
+    LONG = "t" * 140_000
+
+    @pytest.mark.parametrize(
+        ("load", "header", "body"),
+        [
+            (load_io_trace, "timestamp_ms,tag,value\n", "{n},a,0.0\n"),
+            (load_rtls_trace, RTLS_HEADER, "{n},t1,0.0,1.0,2.0\n"),
+        ],
+    )
+    @pytest.mark.parametrize("good_rows", [1, 3000])
+    def test_body(self, tmp_path, load, header, body, good_rows):
+        p = tmp_path / "trace.csv"
+        rows = "".join(body.format(n=n) for n in range(good_rows))
+        p.write_text(header + rows + body.format(n=0).replace(",", f",{self.LONG}", 1) + rows)
+        with pytest.raises(MalformedRowError) as info:
+            load(p)
+        assert str(info.value) == f"row {good_rows + 2}: field larger than field limit (131072)"
+
+    @pytest.mark.parametrize("load", [load_io_trace, load_rtls_trace])
+    def test_header(self, tmp_path, load):
+        p = tmp_path / "trace.csv"
+        p.write_text(f"timestamp_ms,{self.LONG},value\n1,a,0.0\n")
+        with pytest.raises(MalformedRowError) as info:
+            load(p)
+        assert info.value.row == 1
+        assert "field larger than field limit" in str(info.value)
+
+
 class TestTimestampBound:
     """API callers' timestamps are held to the loaders' 2**62 ms bound."""
 
@@ -540,6 +572,29 @@ class TestBlockParsing:
         with pytest.raises(MalformedRowError) as info:
             load_io_trace(p)
         assert str(info.value) == "row 12: expected 3 fields, got 2"
+
+    @pytest.mark.parametrize("timestamp", ["1", "4611686018427387904", "9223372036854775808"])
+    @pytest.mark.parametrize("name", ["t1", ""])
+    @pytest.mark.parametrize("value", ["0.5", "nan"])
+    def test_from_rows_refuses_as_row_loop(self, tmp_path, timestamp, name, value):
+        # A row that breaks several rules: the column check that parses
+        # blocks and serves from_rows reports the rule the row loop does.
+        p = tmp_path / "trace.csv"
+        ts, v = int(timestamp), float(value)
+        for header, line, load, from_rows, row in [
+            ("timestamp_ms,tag,value", f"{timestamp},{name},{value}", load_io_trace, IoTrace.from_rows,
+             (ts, name, v)),
+            (RTLS_HEADER, f"{timestamp},{name},0,{value},0", load_rtls_trace, RtlsTrace.from_rows,
+             (ts, name, 0.0, v, 0.0, None)),
+        ]:
+            p.write_text(f"{header.strip()}\n{line}\n")
+            loaded = _outcome(load, p)
+            try:
+                from_rows([row])
+            except TraceError as exc:
+                assert loaded[:2] == (MalformedRowError, f"row 2: {exc}")
+            else:
+                assert isinstance(loaded, dict)
 
     def test_nul_goes_to_row_loop(self, tmp_path):
         # csv.reader refuses NUL before Python 3.11, so a block holding one
