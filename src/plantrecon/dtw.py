@@ -4,15 +4,16 @@ The distance is the classic full-table dynamic program: per-point
 Euclidean local cost, symmetric unit steps (match / insert / delete) and
 no path-length normalization — rankings only need consistent scaling, and
 leaving the raw sum makes the numbers reproducible. An optional
-Sakoe-Chiba band restricts alignment to ``|i - j| <= band``.
+Sakoe-Chiba band restricts alignment to ``|i - j| <= band``; a negative
+band is refused.
 
-``dtw_distance`` fills the table row by row for one pair and is the
-reference. ``knn_classify`` runs the same recurrence for one query
-against every training series of one length at once: it fills the table
-one anti-diagonal at a time, whose cells depend only on the two previous
-anti-diagonals, with the series on numpy's fast axis. Every cell takes
-the same minimum of the same three neighbours and adds the same local
-cost as in ``dtw_distance``, so the distances are bit-identical.
+One recurrence, ``_wavefront``, fills the table one anti-diagonal at a
+time, whose cells depend only on the two previous anti-diagonals, for
+many series at once on numpy's fast axis. It has two entry points:
+``dtw_distance`` for one pair, whose band must reach the end cell, and
+``knn_distances`` (behind ``knn_classify``) for one query against every
+training series of one length, with the band widened per pair to the
+length difference. The tests check it against an independent scalar DP.
 """
 
 from __future__ import annotations
@@ -51,44 +52,28 @@ def _as_matrix(series) -> np.ndarray:
     return data
 
 
-def dtw_distance(a, b, band: int | None = None) -> float:
-    """DTW distance between two series of points (1-D values or vectors).
+def _check_band(band: int | None) -> None:
+    if band is not None and band < 0:
+        raise BandTooNarrowError("band must be non-negative")
 
-    ``band``, when given, must be at least ``|len(a) - len(b)|`` or the
-    end cell is unreachable.
+
+def dtw_distance(a, b, band: int | None = None) -> float:
+    """DTW distance between two series of points (1-D values or vectors),
+    from the kernel ``knn_distances`` runs, on a one-series cost tensor.
+
+    ``band``, when given, must be non-negative and at least
+    ``|len(a) - len(b)|``, or the end cell is unreachable.
     """
     am = _as_matrix(a)
     bm = _as_matrix(b)
     if am.shape[1] != bm.shape[1]:
         raise SeriesError(f"dimension mismatch: {am.shape[1]} vs {bm.shape[1]}")
     n, m = am.shape[0], bm.shape[0]
-    if band is not None:
-        if band < 0:
-            raise BandTooNarrowError("band must be non-negative")
-        if band < abs(n - m):
-            raise BandTooNarrowError(
-                f"band {band} narrower than length difference {abs(n - m)}"
-            )
-    cost = _local_cost(am.T[:, :, None], bm.T[:, None, :])
-    inf = math.inf
-    prev = [inf] * (m + 1)
-    prev[0] = 0.0
-    for i in range(1, n + 1):
-        cur = [inf] * (m + 1)
-        row = cost[i - 1]
-        j_lo, j_hi = 1, m
-        if band is not None:
-            j_lo = max(1, i - band)
-            j_hi = min(m, i + band)
-        for j in range(j_lo, j_hi + 1):
-            best = prev[j - 1]
-            if prev[j] < best:
-                best = prev[j]
-            if cur[j - 1] < best:
-                best = cur[j - 1]
-            cur[j] = row[j - 1] + best
-        prev = cur
-    return float(prev[m])
+    _check_band(band)
+    if band is not None and band < abs(n - m):
+        raise BandTooNarrowError(f"band {band} narrower than length difference {abs(n - m)}")
+    cost = _local_cost(am.T[:, :, None, None], bm.T[:, None, :, None])
+    return float(_wavefront(cost, band)[0])
 
 
 def _local_cost(a, b) -> np.ndarray:
@@ -111,7 +96,7 @@ def _wavefront(cost: np.ndarray, band: int | None) -> np.ndarray:
     indexed by ``i``, so cell ``(i, j)`` finds its diagonal, upper and
     left neighbours at ``i - 1`` on diagonal ``k - 2`` and at ``i - 1``
     and ``i`` on diagonal ``k - 1``. Cells off the table or outside the
-    band stay infinite, as in ``dtw_distance``.
+    band stay infinite.
     """
     n, m, count = cost.shape
     prev2 = np.full((n + 1, count), math.inf)  # diagonal k - 2
@@ -172,6 +157,7 @@ class NnModel:
 def knn_train(labeled_segments: list[tuple[PositionSeries, str]], band: int | None = None) -> NnModel:
     if not labeled_segments:
         raise EmptyTrainingSetError("at least one labeled training series required")
+    _check_band(band)
     for series, _ in labeled_segments:
         if len(series) == 0:
             raise EmptySeriesError("training series must be non-empty")
@@ -191,9 +177,7 @@ def knn_distances(model: NnModel, query) -> list[float]:
     distances = np.empty(len(model.training))
     for group in model.groups:
         m = group.points.shape[1]
-        band = model.band
-        if band is not None and band < abs(m - n):
-            band = abs(m - n)
+        band = None if model.band is None else max(model.band, abs(m - n))
         cost = _local_cost(qm.T[:, :, None, None], group.points[:, None, :, :])
         distances[group.rows] = _wavefront(cost, band)
     return distances.tolist()

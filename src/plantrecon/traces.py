@@ -58,6 +58,7 @@ RTLS_LABEL_COLUMN = "location_label"
 # any two also fits in int64.
 _TIMESTAMP_LIMIT_MS = 2**62
 _TIMESTAMP_ERROR = "timestamp magnitude must be below 2**62 ms"
+_INTEGER_TIME_ERROR = "timestamp must be an integer number of ms"
 
 
 class MalformedRowError(TraceError):
@@ -90,27 +91,33 @@ _IO = _CsvShape(IO_COLUMNS, None, range(2, 3), "non-finite value", "empty tag na
 _RTLS = _CsvShape(RTLS_COLUMNS, RTLS_LABEL_COLUMN, range(2, 5), "non-finite coordinate", "empty tracker id")
 
 
-def _int64_times(values) -> np.ndarray | None:
-    """Timestamps as an int64 column, or None if one is not a number or
-    has a magnitude of 2**62 ms or more."""
-    try:
-        ts = np.asarray(values, dtype=np.int64)
-    except (OverflowError, ValueError):  # beyond int64, or not a number
-        return None
+def _int64_times(values) -> np.ndarray:
+    """Timestamps as an int64 column. Raises ``TraceError`` if one is not
+    an integer (a float or a bool is not, as ``int()`` refuses ``1.5`` in
+    a CSV) or has a magnitude of 2**62 ms or more."""
+    ts = np.asarray(values)
+    if isinstance(values, (list, tuple)):  # numpy reads True beside ints as 1
+        integral = all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in values)
+    else:
+        integral = ts.dtype.kind in "iu" or not ts.size
+    if not integral:
+        raise TraceError(_INTEGER_TIME_ERROR)
     if ts.size and not (-_TIMESTAMP_LIMIT_MS < ts.min() and ts.max() < _TIMESTAMP_LIMIT_MS):
-        return None
-    return ts
+        raise TraceError(_TIMESTAMP_ERROR)
+    return ts.astype(np.int64, copy=False)
 
 
 def _column_fault(timestamps, floats: np.ndarray, names) -> int | None:
     """The first row rule that whole columns break, in the row loop's
-    order: 0 a non-finite float, 1 an empty name, 2 a timestamp out of
-    bounds. None if they break none."""
+    order: 0 a non-finite float, 1 an empty name, 2 a timestamp that is
+    no integer or out of bounds. None if they break none."""
     if not np.isfinite(floats).all():
         return 0
     if not all(names):
         return 1
-    if _int64_times(timestamps) is None:
+    try:
+        _int64_times(timestamps)
+    except TraceError:
         return 2
     return None
 
@@ -118,17 +125,22 @@ def _column_fault(timestamps, floats: np.ndarray, names) -> int | None:
 def _from_rows(cls, shape: _CsvShape, rows: list[tuple]):
     """A ``cls`` trace of row tuples laid out as ``shape``'s columns, the
     label column included; an empty or None label counts as unlabeled."""
+    width = len(shape.header) + (shape.label is not None)
+    for r in rows:
+        if len(r) != width:
+            raise TraceError(f"expected {width} fields, got {len(r)}")
     fields = shape.float_fields
     floats = np.array([r[fields.start:fields.stop] for r in rows], dtype=float)
     timestamps = [r[0] for r in rows]
     fault = _column_fault(timestamps, floats, [r[1] for r in rows])
-    if fault is not None:
-        raise TraceError((shape.float_error, shape.name_error, _TIMESTAMP_ERROR)[fault])
+    if fault is not None and fault < 2:
+        raise TraceError((shape.float_error, shape.name_error)[fault])
+    ts = _int64_times(timestamps)  # raises the timestamp's own words
     coded = []
     for k in shape.name_columns(shape.label is not None):
         first_seen: dict[str | None, int] = {}
         coded.append((_code_column(first_seen, [r[k] for r in rows]), first_seen))
-    return _time_sorted(cls, _int64_times(timestamps), shape.values(floats.reshape(-1)), *coded)
+    return _time_sorted(cls, ts, shape.values(floats.reshape(-1)), *coded)
 
 
 @dataclass(frozen=True, eq=False)
@@ -461,8 +473,6 @@ def match_events(
         return PositionSeries(owner_tag=tag)
     times = rtls.timestamps_ms
     at = _int64_times(events_ms)
-    if at is None:
-        raise TraceError(_TIMESTAMP_ERROR)
     # The samples just before (or at) and just after each event hold the
     # nearest time; an equal distance goes to the earlier one.
     after = np.searchsorted(times, at, side="right")

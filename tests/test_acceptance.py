@@ -6,6 +6,7 @@ Each test prints one machine-readable pass/fail line; run with
 
 import random
 import time
+from types import SimpleNamespace
 
 import pytest
 
@@ -13,13 +14,14 @@ from plantrecon import pipeline, plc, synth
 from plantrecon.aml import export_aml, import_aml
 from plantrecon.clustering import KMeansParams, cluster_positions
 from plantrecon.config import PipelineConfig, write_kv_file
-from plantrecon.dtw import dtw_distance
+from plantrecon.dtw import dtw_distance, knn_distances, knn_train
 from plantrecon.dynamics import DynamicsParams, analyze_dynamics
 from plantrecon.graph import NodeKind, load_graph
 from plantrecon.grouping import call_tree_shape, functional_grouping, group_tree_shape
 from plantrecon.metrics import ari, functional_partition_of
 from plantrecon.mining import (
     MiningGraph,
+    mine,
     mine_frequent,
     patterns_isomorphic,
     project_for_mining,
@@ -27,7 +29,14 @@ from plantrecon.mining import (
 )
 from plantrecon.traces import EstimateStatus, IoTrace, RtlsTrace
 
-from oracles import dtw_oracle, mine_oracle, mni_oracle, tiny_graphs_isomorphic
+from oracles import (
+    dtw_oracle,
+    enumerate_embeddings,
+    mine_oracle,
+    mni_oracle,
+    root_anchored,
+    tiny_graphs_isomorphic,
+)
 
 
 class _criterion:
@@ -115,6 +124,12 @@ def test_criterion_2_dtw_oracle_equivalence():
             assert dtw_distance(a, b) == dtw_oracle(a, b)
             band = max(n, m)
             assert dtw_distance(a, b, band) == dtw_distance(a, b)
+            # The pipeline's entry point, unbanded and at a narrow band.
+            assert knn_distances(knn_train([(b, "x")]), a) == [dtw_oracle(a, b)]
+            narrow = abs(n - m) + case % 4
+            expected = dtw_oracle(a, b, narrow)
+            assert dtw_distance(a, b, narrow) == expected
+            assert knn_distances(knn_train([(b, "x")], narrow), a) == [expected]
             pairs += 1
         assert pairs == 200
 
@@ -151,32 +166,58 @@ def test_criterion_3_classification_accuracy():
                 clustering_checked = True
 
 
+def _random_mining_graph(rng, edge_labels):
+    n = rng.randint(3, 7)
+    vlabels = [rng.choice("AB") for _ in range(n)]
+    possible = [(u, v) for u in range(n) for v in range(n) if u != v]
+    rng.shuffle(possible)
+    arcs = [(u, v, rng.choice(edge_labels)) for (u, v) in possible[: rng.randint(n - 1, n + 4)]]
+    view = MiningGraph(
+        vertex_ids=[f"v{i}" for i in range(n)],
+        vertex_labels={f"v{i}": lab for i, lab in enumerate(vlabels)},
+        edges=[(f"v{u}", f"v{v}", lab) for (u, v, lab) in arcs],
+    )
+    return vlabels, arcs, view
+
+
+def _assert_same_patterns(mined, expected, case):
+    """``mined`` holds one pattern per oracle (labels, arcs, support), by
+    structure and support."""
+    assert len(mined) == len(expected), case
+    for (evl, earcs, esup) in expected:
+        hits = [
+            p
+            for p in mined
+            if p.support == esup
+            and tiny_graphs_isomorphic(evl, list(earcs), p.vertex_labels, list(p.arcs))
+        ]
+        assert len(hits) == 1, (case, evl, earcs)
+
+
+def _closed_rooted(patterns):
+    """The oracle's root-anchored patterns that no other root-anchored
+    pattern of equal support contains."""
+    rooted = [
+        p for p in patterns if root_anchored(SimpleNamespace(arcs=p[1], vertex_count=len(p[0])))
+    ]
+    return [
+        p
+        for p in rooted
+        if not any(
+            q is not p and q[2] == p[2] and enumerate_embeddings(p[0], list(p[1]), q[0], list(q[1]))
+            for q in rooted
+        )
+    ]
+
+
 def test_criterion_4_mining_oracle_equivalence():
     with _criterion(4, "mining oracle equivalence"):
         rng = random.Random(24601)
         graphs = 0
         for case in range(100):
-            n = rng.randint(3, 7)
-            vlabels = [rng.choice("AB") for _ in range(n)]
-            possible = [(u, v) for u in range(n) for v in range(n) if u != v]
-            rng.shuffle(possible)
-            arcs = [(u, v, rng.choice("xy")) for (u, v) in possible[: rng.randint(n - 1, n + 4)]]
-            view = MiningGraph(
-                vertex_ids=[f"v{i}" for i in range(n)],
-                vertex_labels={f"v{i}": lab for i, lab in enumerate(vlabels)},
-                edges=[(f"v{u}", f"v{v}", lab) for (u, v, lab) in arcs],
-            )
+            vlabels, arcs, view = _random_mining_graph(rng, "xy")
             mined = mine_frequent(view, min_support=2, min_nodes=2, max_nodes=12)
-            expected = mine_oracle(vlabels, arcs, 2, 2, 12)
-            assert len(mined) == len(expected), (case, vlabels, arcs)
-            for (evl, earcs, esup) in expected:
-                hits = [
-                    p
-                    for p in mined
-                    if p.support == esup
-                    and tiny_graphs_isomorphic(evl, list(earcs), p.vertex_labels, list(p.arcs))
-                ]
-                assert len(hits) == 1, (case, evl, earcs)
+            _assert_same_patterns(mined, mine_oracle(vlabels, arcs, 2, 2, 12), (case, vlabels, arcs))
             # Anti-monotonicity of every reported pattern, via the oracle.
             host_vl = {f"v{i}": lab for i, lab in enumerate(vlabels)}
             host_arcs = view.edges
@@ -192,6 +233,16 @@ def test_criterion_4_mining_oracle_equivalence():
                     assert mni_oracle(sub_vl, sub_arcs, host_vl, host_arcs) >= p.support
             graphs += 1
         assert graphs == 100
+        # mine, the pipeline's search, on graphs with Contains arcs to grow
+        # along; four vertices keep the oracle's enumeration short.
+        rng = random.Random(8128)
+        with_templates = 0
+        for case in range(100):
+            vlabels, arcs, view = _random_mining_graph(rng, ("Contains", "y"))
+            expected = _closed_rooted(mine_oracle(vlabels, arcs, 2, 2, 4))
+            _assert_same_patterns(mine(view, 2, 2, 4), expected, (case, vlabels, arcs))
+            with_templates += bool(expected)
+        assert with_templates >= 30  # 39 of the 100 at this seed
 
 
 def _connected(arcs, vertices):

@@ -42,6 +42,13 @@ class TestDtwBasics:
         with pytest.raises(BandTooNarrowError):
             dtw_distance([0.0] * 5, [0.0] * 2, band=1)
 
+    @pytest.mark.parametrize("band", [-1, -3])
+    def test_negative_band_refused_by_both_entry_points(self, band):
+        with pytest.raises(BandTooNarrowError, match="band must be non-negative"):
+            dtw_distance([0.0, 1.0, 2.0], [0.0, 2.0], band)
+        with pytest.raises(BandTooNarrowError, match="band must be non-negative"):
+            knn_train([([0.0, 1.0, 2.0], "a"), ([0.0, 2.0], "b")], band)
+
     def test_position_series_inputs(self):
         a = _series([0, 1, 2])
         b = _series([0, 2])
@@ -178,8 +185,8 @@ class TestKnn:
 
 
 def _scalar_knn(training, query, band):
-    """Per-pair reference: dtw_distance of every training series with the
-    band widened to the length difference, then the (distance, label)
+    """Per-pair reference: the scalar oracle on every training series with
+    the band widened to the length difference, then the (distance, label)
     tie-break of knn_classify."""
     distances = []
     best_label, best = None, math.inf
@@ -187,7 +194,7 @@ def _scalar_knn(training, query, band):
         pair_band = band
         if pair_band is not None and pair_band < abs(len(series) - len(query)):
             pair_band = abs(len(series) - len(query))
-        d = dtw_distance(query, series, pair_band)
+        d = dtw_oracle(query, series, pair_band)
         distances.append(d)
         if d < best or (d == best and (best_label is None or label < best_label)):
             best_label, best = label, d

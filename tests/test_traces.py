@@ -292,6 +292,37 @@ class TestFromRowsChecks:
         with pytest.raises(TraceError, match=message):
             RtlsTrace.from_rows([(1, "t1", 0.0, 0.0, 0.0, None), row])
 
+    @pytest.mark.parametrize("ts", [1.5, True, 2.0, np.float64(3.0), "4"])
+    def test_non_integer_timestamp(self, ts):
+        # The loaders' int() refuses "1.5"; numpy would truncate it to 1.
+        with pytest.raises(TraceError, match="timestamp must be an integer"):
+            IoTrace.from_rows([(1, "a", 0.0), (ts, "b", 1.0)])
+        with pytest.raises(TraceError, match="timestamp must be an integer"):
+            RtlsTrace.from_rows([(1, "t1", 0.0, 0.0, 0.0, None), (ts, "t1", 0.0, 0.0, 0.0, None)])
+
+    def test_integer_timestamp_types(self):
+        rows = [(np.int64(3), "a", 0.0), (np.uint16(1), "a", 1.0), (2, "b", 0.0)]
+        assert IoTrace.from_rows(rows).timestamps_ms.tolist() == [1, 2, 3]
+
+    @pytest.mark.parametrize("events", [[1.9, 2.2], np.array([1.9, 2.2]), [1, True], np.array([True])])
+    def test_match_events_non_integer_times(self, events):
+        rtls = RtlsTrace.from_rows([(1, "t1", 0.0, 0.0, 0.0, None), (2, "t1", 1.0, 0.0, 0.0, None)])
+        with pytest.raises(TraceError, match="timestamp must be an integer"):
+            match_events("a", events, rtls, 500)
+
+    @pytest.mark.parametrize(
+        ("from_rows", "row", "message"),
+        [
+            (IoTrace.from_rows, (1, "t"), "expected 3 fields, got 2"),
+            (IoTrace.from_rows, (1, "t", 0.0, "x"), "expected 3 fields, got 4"),
+            (RtlsTrace.from_rows, (1, "t", 0.0, 0.0), "expected 6 fields, got 4"),
+            (RtlsTrace.from_rows, (1, "t", 0.0, 0.0, 0.0), "expected 6 fields, got 5"),
+        ],
+    )
+    def test_row_length(self, from_rows, row, message):
+        with pytest.raises(TraceError, match=message):
+            from_rows([row])
+
 
 class TestFieldLimit:
     """A field longer than the csv field limit is a malformed row, in the
