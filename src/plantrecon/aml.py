@@ -163,7 +163,6 @@ def build_aml_document(graph: PropertyGraph) -> ET.Element:
             if targets:
                 attrs["RefBaseSystemUnitPath"] = f"TemplateLibrary/{targets[0].name}"
         elem = ET.SubElement(parent, "InternalElement", attrs)
-        _attribute(elem, "nodeKind", node.kind.value)
         _attribute(elem, "provenance", node.provenance.value)
         for key in sorted(node.labels):
             _attribute(elem, f"label:{key}", node.labels[key])
@@ -244,16 +243,13 @@ def import_aml(xml_bytes: bytes) -> PropertyGraph:
         ref = elem.get("RefBaseSystemUnitPath")
         if ref is not None and ref not in suc_paths:
             raise DanglingLinkError(f"element {nid!r}: unknown system unit class {ref!r}")
-        kind: NodeKind | None = None
         provenance = Provenance.IMPORT
         labels: dict[str, LabelValue] = {}
         role_path: str | None = None
         for child in elem:
             if child.tag == "Attribute":
                 key, value = _parse_attribute(child)
-                if key == "nodeKind":
-                    kind = NodeKind(str(value))
-                elif key == "provenance":
+                if key == "provenance":
                     provenance = Provenance(str(value))
                 elif key.startswith("label:"):
                     labels[key[len("label:"):]] = value
@@ -280,8 +276,7 @@ def import_aml(xml_bytes: bytes) -> PropertyGraph:
             raise UnknownRoleError(f"element {nid!r} lacks a RoleRequirements entry")
         if role_path not in KIND_OF_ROLE:
             raise UnknownRoleError(f"role class path {role_path!r} not in the role table")
-        if kind is None:
-            kind = KIND_OF_ROLE[role_path]
+        kind = KIND_OF_ROLE[role_path]
         graph.add_node(Node(nid, kind, name, dict(sorted(labels.items())), provenance))
         if parent_id is not None:
             contains.append((parent_id, nid))
@@ -299,7 +294,7 @@ def import_aml(xml_bytes: bytes) -> PropertyGraph:
         for elem in hierarchies[0]:
             if elem.tag == "InternalElement":
                 walk(elem, None, 0)
-    except ValueError as exc:  # a nodeKind, provenance, xs:integer or xs:double value
+    except ValueError as exc:  # a provenance, xs:integer or xs:double value
         raise AmlSyntaxError(f"bad attribute value: {exc}") from None
 
     for parent_id, child_id in contains:

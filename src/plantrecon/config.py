@@ -128,40 +128,22 @@ class PipelineConfig:
                 raise ConfigError(f"{key}: file not found: {value}")
 
 
-_SPEC_KEYS = {
-    "levels": int,
-    "rows_per_level": int,
-    "places_per_row": int,
-    "tray_count": int,
-    "material_kinds": int,
-    "seed": int,
-    "rtls_rate_hz": float,
-    "rtls_noise_sigma_m": float,
-    "sim_duration_s": float,
-    "location_granularity": str,
-    "extra_components": str,
-}
-
-
 def plant_spec_from_dict(values: dict[str, str]) -> PlantSpec:
-    """Build a PlantSpec from ``plantspec`` file values.
+    """Build a PlantSpec from ``plantspec`` file values. The keys are
+    PlantSpec's fields, each read as the type of the field's default.
 
     ``extra_components`` is a semicolon list of
     ``name:sensors:actuators:attach:waypoint`` entries.
     """
     from .synth import ExtraUnit, Granularity, PlantSpec
 
+    defaults = {f.name: f.default for f in fields(PlantSpec)}
     kwargs: dict = {}
     for key, raw in values.items():
-        if key not in _SPEC_KEYS:
+        if key not in defaults:
             raise ConfigError(f"unknown plantspec key {key!r}")
-        caster = _SPEC_KEYS[key]
-        if key == "location_granularity":
-            try:
-                kwargs[key] = Granularity(raw)
-            except ValueError:
-                raise ConfigError(f"location_granularity must be Place|Row|Level, got {raw!r}") from None
-        elif key == "extra_components":
+        caster = type(defaults[key])
+        if caster is tuple:
             units = []
             for chunk in str(raw).split(";"):
                 chunk = chunk.strip()
@@ -184,25 +166,25 @@ def plant_spec_from_dict(values: dict[str, str]) -> PlantSpec:
             try:
                 kwargs[key] = caster(raw)
             except ValueError:
+                if caster is Granularity:
+                    raise ConfigError(f"{key} must be Place|Row|Level, got {raw!r}") from None
                 raise ConfigError(f"{key}: expected {caster.__name__}, got {raw!r}") from None
     return PlantSpec(**kwargs)
 
 
 def plant_spec_to_dict(spec: PlantSpec) -> dict[str, str]:
-    extras = ";".join(
-        f"{u.name}:{u.sensors}:{u.actuators}:{u.attach}:{u.waypoint}"
-        for u in spec.extra_components
-    )
-    return {
-        "levels": str(spec.levels),
-        "rows_per_level": str(spec.rows_per_level),
-        "places_per_row": str(spec.places_per_row),
-        "tray_count": str(spec.tray_count),
-        "material_kinds": str(spec.material_kinds),
-        "seed": str(spec.seed),
-        "rtls_rate_hz": repr(spec.rtls_rate_hz),
-        "rtls_noise_sigma_m": repr(spec.rtls_noise_sigma_m),
-        "sim_duration_s": repr(spec.sim_duration_s),
-        "location_granularity": spec.location_granularity.value,
-        "extra_components": extras,
-    }
+    """``spec`` as ``plantspec`` file values, one per PlantSpec field."""
+    from .synth import Granularity
+
+    values = {}
+    for f in fields(spec):
+        value = getattr(spec, f.name)
+        if isinstance(value, Granularity):
+            values[f.name] = value.value
+        elif isinstance(value, tuple):
+            values[f.name] = ";".join(
+                f"{u.name}:{u.sensors}:{u.actuators}:{u.attach}:{u.waypoint}" for u in value
+            )
+        else:
+            values[f.name] = str(value)  # str of a float is its shortest round-trip form
+    return values

@@ -31,8 +31,8 @@ are data errors (exit 2).
 
 Persistence is newline-delimited JSON records (``*.dtgraph``): one object
 per line, node records before edge records, keys sorted, UTF-8. Record
-order must not matter on load. An edge's id is derived from its kind and
-endpoints (``edge_id``); a record whose stored id differs is refused.
+order must not matter on load. Edge records store no id; one that does
+(as older files do) must hold ``edge_id`` of the record's kind and endpoints.
 
 Concurrency: single writer, any number of concurrent readers; instances
 may be handed between threads but must not be mutated concurrently.
@@ -503,7 +503,6 @@ def _node_record(node: Node) -> dict:
 def _edge_record(edge: Edge) -> dict:
     return {
         "recordType": "edge",
-        "id": edge.id,
         "kind": edge.kind.value,
         "source": edge.source,
         "target": edge.target,
@@ -529,7 +528,7 @@ def _parse_record(raw: str, lineno: int) -> dict:
 
 
 _NODE_FIELDS = {"id": str, "kind": str, "name": str, "labels": dict, "provenance": str}
-_EDGE_FIELDS = {"id": str, "kind": str, "source": str, "target": str, "labels": dict}
+_EDGE_FIELDS = {"kind": str, "source": str, "target": str, "labels": dict}
 
 
 def _require(record: dict, fields: Mapping[str, type], lineno: int) -> None:
@@ -581,7 +580,7 @@ def load_graph(path: str | Path) -> PropertyGraph:
     for lineno, rec in edges:
         try:
             edge = Edge(EdgeKind(rec["kind"]), rec["source"], rec["target"], dict(rec["labels"]))
-            if rec["id"] != edge.id:
+            if rec.get("id", edge.id) != edge.id:
                 raise GraphError(f"edge id {rec['id']!r} must be {edge.id!r}")
             graph.add_edge(edge)
         except (ValueError, GraphError) as exc:

@@ -130,16 +130,25 @@ def _from_rows(cls, shape: _CsvShape, rows: list[tuple]):
         if len(r) != width:
             raise TraceError(f"expected {width} fields, got {len(r)}")
     fields = shape.float_fields
-    floats = np.array([r[fields.start:fields.stop] for r in rows], dtype=float)
+    try:
+        floats = np.array([r[fields.start:fields.stop] for r in rows], dtype=float)
+    except (TypeError, ValueError) as exc:  # float()'s own words, as the loader raises them
+        raise TraceError(str(exc)) from None
+    columns = {k: [r[k] for r in rows] for k in shape.name_columns(shape.label is not None)}
+    for k, names in columns.items():  # k > 1 is the label column, where None is unlabeled
+        bad = [n for n in names if not (isinstance(n, str) or n is None and k > 1)]
+        if bad:
+            wanted = "a string or None" if k > 1 else "a string"
+            raise TraceError(f"{(*shape.header, shape.label)[k]} must be {wanted}, got {bad[0]!r}")
     timestamps = [r[0] for r in rows]
-    fault = _column_fault(timestamps, floats, [r[1] for r in rows])
+    fault = _column_fault(timestamps, floats, columns[1])
     if fault is not None and fault < 2:
         raise TraceError((shape.float_error, shape.name_error)[fault])
     ts = _int64_times(timestamps)  # raises the timestamp's own words
     coded = []
-    for k in shape.name_columns(shape.label is not None):
+    for names in columns.values():
         first_seen: dict[str | None, int] = {}
-        coded.append((_code_column(first_seen, [r[k] for r in rows]), first_seen))
+        coded.append((_code_column(first_seen, names), first_seen))
     return _time_sorted(cls, ts, shape.values(floats.reshape(-1)), *coded)
 
 
@@ -163,7 +172,8 @@ class IoTrace:
     def from_rows(cls, rows: list[tuple[int, str, float]]) -> IoTrace:
         """The trace of ``(timestamp_ms, tag, value)`` rows, stably sorted
         by timestamp. Refuses what ``load_io_trace`` refuses in a row's
-        values, with ``TraceError`` and the same words."""
+        values, with ``TraceError`` and the same words, and a tag that is
+        not a string."""
         return _from_rows(cls, _IO, rows)
 
 
@@ -192,7 +202,8 @@ class RtlsTrace:
         """The trace of ``(timestamp_ms, tracker_id, x, y, z,
         location_label)`` rows, stably sorted by timestamp; an empty or
         None label counts as unlabeled. Refuses what ``load_rtls_trace``
-        refuses in a row's values, with ``TraceError`` and the same words."""
+        refuses in a row's values, with ``TraceError`` and the same words,
+        and a tracker id or label that is not a string."""
         return _from_rows(cls, _RTLS, rows)
 
 

@@ -194,16 +194,32 @@ def connected_edge_subsets(arcs, max_vertices):
     return [s for s in seen if len(vertices_of(s)) <= max_vertices]
 
 
+def _isomorphism_invariant(p_vlabels, p_arcs):
+    """Equal for isomorphic graphs: the sorted tuple of each vertex's
+    (label, sorted out-arc labels, sorted in-arc labels)."""
+    out_labels = {v: [] for v in p_vlabels}
+    in_labels = {v: [] for v in p_vlabels}
+    for (u, v, label) in p_arcs:
+        out_labels[u].append(label)
+        in_labels[v].append(label)
+    return tuple(sorted(
+        (lab, tuple(sorted(out_labels[v])), tuple(sorted(in_labels[v])))
+        for v, lab in p_vlabels.items()
+    ))
+
+
 def mine_oracle(h_vlabels, h_arcs, min_support, min_nodes, max_nodes):
     """Exhaustive mining reference: enumerate connected subgraphs, group
     them into isomorphism classes, count MNI per class, filter.
 
     Returns a list of (vlabels tuple, arcs tuple, support) class
-    representatives with vertices renumbered 0..k-1.
+    representatives with vertices renumbered 0..k-1. A subgraph is
+    compared only with the representatives that share its
+    ``_isomorphism_invariant``.
     """
     hv = _vlabel_map(h_vlabels)
     classes: list[tuple[tuple, tuple, int]] = []
-    reps: list[tuple[dict, list]] = []
+    reps: dict[tuple, list[tuple[dict, list]]] = {}
     for subset in connected_edge_subsets(h_arcs, max_nodes):
         verts = sorted({x for idx in subset for x in (h_arcs[idx][0], h_arcs[idx][1])})
         if not (min_nodes <= len(verts) <= max_nodes):
@@ -214,11 +230,12 @@ def mine_oracle(h_vlabels, h_arcs, min_support, min_nodes, max_nodes):
             (renum[h_arcs[idx][0]], renum[h_arcs[idx][1]], h_arcs[idx][2])
             for idx in sorted(subset)
         ]
+        bucket = reps.setdefault(_isomorphism_invariant(p_vlabels, p_arcs), [])
         if any(
-            tiny_graphs_isomorphic(p_vlabels, p_arcs, rv, ra) for (rv, ra) in reps
+            tiny_graphs_isomorphic(p_vlabels, p_arcs, rv, ra) for (rv, ra) in bucket
         ):
             continue
-        reps.append((p_vlabels, p_arcs))
+        bucket.append((p_vlabels, p_arcs))
         support = mni_oracle(p_vlabels, p_arcs, hv, h_arcs)
         if support >= min_support:
             classes.append(

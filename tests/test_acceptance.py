@@ -336,7 +336,8 @@ def test_criterion_6_aml_round_trip():
             project = plc.prepare(plc.parse_project(plant.plc_xml))
             graph = functional_grouping(project, plc.build_call_tree(project))
             if case % 10 == 0:
-                # Exercise the template mapping path as well.
+                # Exercise the template mapping path as well, with the
+                # templates of the search the pipeline runs.
                 from plantrecon.mining import mark_templates
 
                 view = project_for_mining(
@@ -346,8 +347,8 @@ def test_criterion_6_aml_round_trip():
                          NodeKind.DATA_BLOCK, NodeKind.FUNCTION_BLOCK_TYPE}
                     ),
                 )
-                templates = select_templates(mine_frequent(view, 2, 3, 10))
-                mark_templates(graph, templates)
+                mark_templates(graph, mine(view, 2, 3, 10))
+                assert graph.query(kinds={NodeKind.TEMPLATE_PATTERN}), case
             xml_bytes = export_aml(graph)
             back = import_aml(xml_bytes)
             assert back.node_count == graph.node_count

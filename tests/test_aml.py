@@ -1,5 +1,6 @@
 import random
 import re
+import xml.etree.ElementTree as ET
 
 import pytest
 
@@ -40,15 +41,11 @@ def marked_mini_aml(mini_functional):
 
 
 def _element_count(xml_bytes):
-    import xml.etree.ElementTree as ET
-
     root = ET.fromstring(xml_bytes)
     return sum(1 for _ in root.iter("InternalElement"))
 
 
 def _link_count(xml_bytes):
-    import xml.etree.ElementTree as ET
-
     root = ET.fromstring(xml_bytes)
     return sum(1 for _ in root.iter("InternalLink"))
 
@@ -89,8 +86,6 @@ class TestExport:
         templates = select_templates(mine_frequent(view, min_support=2, min_nodes=3, max_nodes=12))
         mark_templates(graph, templates)
         xml_bytes = export_aml(graph)
-        import xml.etree.ElementTree as ET
-
         root = ET.fromstring(xml_bytes)
         sucs = list(root.iter("SystemUnitClass"))
         assert len(sucs) == len(templates)
@@ -172,6 +167,21 @@ class TestImportRoundTrip:
         with pytest.raises(UnknownRoleError):
             import_aml(text.encode())
 
+    @pytest.mark.parametrize("stated_kind", [None, "Actuator"], ids=["own-kind", "other-kind"])
+    def test_node_kind_attribute_ignored(self, marked_mini_aml, stated_kind):
+        # Older exports also stated each element's kind in a nodeKind
+        # Attribute; the RoleRequirements path alone gives the kind.
+        root = ET.fromstring(marked_mini_aml)
+        elements = list(root.iter("InternalElement"))
+        assert not any(a.get("Name") == "nodeKind" for e in elements for a in e.findall("Attribute"))
+        for elem in elements:
+            role = elem.find("RoleRequirements").get("RefBaseRoleClassPath")
+            attr = ET.Element("Attribute", Name="nodeKind", AttributeDataType="xs:string")
+            ET.SubElement(attr, "Value").text = stated_kind or role.rsplit("/", 1)[1]
+            elem.insert(0, attr)
+        older = ET.tostring(root, encoding="utf-8", xml_declaration=True)
+        assert import_aml(older).equals(import_aml(marked_mini_aml))
+
     def test_syntax_error(self):
         with pytest.raises(AmlSyntaxError):
             import_aml(b"<CAEXFile><broken")
@@ -241,7 +251,6 @@ class TestValidate:
     @pytest.mark.parametrize(
         "pattern, repl, error, code",
         [
-            (r"<Value>Sensor</Value>", "<Value>Bogus</Value>", AmlSyntaxError, "syntax"),
             (r"<Value>PlcAnalysis</Value>", "<Value>Nope</Value>", AmlSyntaxError, "syntax"),
             (r'(channelIndex" AttributeDataType="xs:integer">\s*<Value>)', r"\1x",
              AmlSyntaxError, "syntax"),
@@ -259,7 +268,7 @@ class TestValidate:
             (r'RefBaseRoleClassPath="PlantReconRoleLib/Sensor"',
              'RefBaseRoleClassPath="SomeVendorLib/Sensor"', UnknownRoleError, "role"),
         ],
-        ids=["node-kind", "provenance", "integer", "library-integer", "encoding",
+        ids=["provenance", "integer", "library-integer", "encoding",
              "two-hierarchies", "duplicate-id", "duplicate-interface-id", "missing-id",
              "unresolved-link", "unknown-system-unit-class", "unknown-role"],
     )

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -178,6 +180,25 @@ class TestPersistence:
     def test_round_trip(self, tmp_path, mini_functional):
         path = tmp_path / "g.dtgraph"
         save_graph(mini_functional, path)
+        assert load_graph(path).equals(mini_functional)
+
+    def test_edge_records_store_no_id(self, tmp_path, mini_functional):
+        path = tmp_path / "g.dtgraph"
+        save_graph(mini_functional, path)
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        edges = [r for r in records if r["recordType"] == "edge"]
+        assert len(edges) == mini_functional.edge_count
+        assert all(set(r) == {"recordType", "kind", "source", "target", "labels"} for r in edges)
+
+    def test_edge_records_with_their_ids_load(self, tmp_path, mini_functional):
+        # Older files also stored each edge's derived id in its record.
+        path = tmp_path / "g.dtgraph"
+        save_graph(mini_functional, path)
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        for r in records:
+            if r["recordType"] == "edge":
+                r["id"] = f"{r['kind']}:{r['source']}->{r['target']}"
+        path.write_text("".join(json.dumps(r, sort_keys=True) + "\n" for r in records))
         assert load_graph(path).equals(mini_functional)
 
     def test_round_trip_record_order_independent(self, tmp_path):

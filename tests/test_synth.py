@@ -1,10 +1,12 @@
 import json
 import math
+from pathlib import Path
 
 import pytest
 
 from plantrecon import plc, synth
-from plantrecon.config import plant_spec_from_dict, plant_spec_to_dict
+from plantrecon.config import plant_spec_from_dict, plant_spec_to_dict, read_kv_file
+from plantrecon.errors import ConfigError
 from plantrecon.synth import (
     ExtraUnit,
     Granularity,
@@ -180,11 +182,50 @@ class TestRecommendedConfig:
         assert {key: conf[key] for key in paths} == {k: str(p) for k, p in paths.items()}
 
 
+def _bench_spec(name):
+    path = Path(__file__).parents[1] / "perfbench" / "specs" / f"{name}.plantspec"
+    return plant_spec_from_dict(read_kv_file(path))
+
+
 class TestSpecConfigRoundTrip:
     def test_plant_spec_round_trip(self):
         spec = reference_spec(seed=9, noise_sigma_m=0.02)
         again = plant_spec_from_dict(plant_spec_to_dict(spec))
         assert again == spec
+
+    @pytest.mark.parametrize(
+        "make_spec",
+        [
+            mini_spec,
+            lambda: _bench_spec("levels3"),
+            lambda: _bench_spec("recording"),
+            lambda: PlantSpec(location_granularity=Granularity.LEVEL, rtls_rate_hz=7.5,
+                              extra_components=(ExtraUnit("lift", 2, 1, "level", "lift"),)),
+        ],
+        ids=["mini", "levels3", "recording", "level-lift"],
+    )
+    def test_other_specs_round_trip(self, make_spec):
+        spec = make_spec()
+        assert plant_spec_from_dict(plant_spec_to_dict(spec)) == spec
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("rows", "1", "unknown plantspec key 'rows'"),
+            ("levels", "2.0", "levels: expected int, got '2.0'"),
+            ("sim_duration_s", "long", "sim_duration_s: expected float, got 'long'"),
+            ("location_granularity", "Zone",
+             "location_granularity must be Place|Row|Level, got 'Zone'"),
+            ("extra_components", "lift:1:2:level",
+             "extra component 'lift:1:2:level' must be name:sensors:actuators:attach:waypoint"),
+            ("extra_components", "a:1:2:system:none;lift:x:2:level:lift",
+             "extra component 'lift:x:2:level:lift': sensors and actuators must be integers"),
+        ],
+    )
+    def test_bad_value_message(self, key, value, message):
+        with pytest.raises(ConfigError) as info:
+            plant_spec_from_dict({key: value})
+        assert str(info.value) == message
 
     def test_granularity_parsing(self):
         spec = plant_spec_from_dict({"location_granularity": "Level"})

@@ -274,6 +274,9 @@ class TestFromRowsChecks:
             ((2, "a", math.inf), "non-finite value"),
             ((2, "a", math.nan), "non-finite value"),
             ((2, "", 1.0), "empty tag name"),
+            ((2, "a", "x"), "could not convert string to float: 'x'"),
+            ((2, 5, 1.0), "tag must be a string, got 5"),
+            ((2, None, 1.0), "tag must be a string, got None"),
         ],
     )
     def test_io(self, row, message):
@@ -286,6 +289,9 @@ class TestFromRowsChecks:
             ((2, "t1", math.nan, 0.0, 0.0, None), "non-finite coordinate"),
             ((2, "t1", 0.0, 0.0, -math.inf, "Z"), "non-finite coordinate"),
             ((2, "", 0.0, 0.0, 0.0, None), "empty tracker id"),
+            ((2, "t1", 0.0, "x", 0.0, None), "could not convert string to float: 'x'"),
+            ((2, 7, 0.0, 0.0, 0.0, None), "tracker_id must be a string, got 7"),
+            ((2, "t1", 0.0, 0.0, 0.0, 3), "location_label must be a string or None, got 3"),
         ],
     )
     def test_rtls(self, row, message):
