@@ -441,7 +441,9 @@ def _rooted_moves(host: _IntHost, emb: np.ndarray, arcs, grow: bool):
     when ``grow``, a fresh Contains child of any vertex and a fresh
     Contains parent of any spanning vertex (a move from the new position
     n, used only to test closedness). Arcs are enumerated from their
-    source, so every embedding meets each closing move once."""
+    source, so every embedding meets each closing move at most once. A
+    closing move that every embedding meets is returned alone, the
+    smallest such (early termination, see ``mine``)."""
     n = emb.shape[1]
     locate = _row_locator(emb, len(host.ids))
     owner, arc = _csr_expand(host.out_ptr, emb.ravel())
@@ -451,7 +453,13 @@ def _rooted_moves(host: _IntHost, emb: np.ndarray, arcs, grow: bool):
     used = np.zeros((n, n, len(host.edge_label_names)), dtype=bool)
     used[tuple(np.array(arcs).T)] = True
     closing = (j >= 0) & ~used[i, j, label]
-    parts = [(host.move_code(n, i, j, label, 0), row, emb[row, 0], arc, closing)]
+    code = host.move_code(n, i, j, label, 0)
+    codes, counts = np.unique(code[closing], return_counts=True)
+    every_row = codes[counts == len(emb)]
+    if len(every_row):
+        take = closing & (code == every_row[0])
+        return code[take], row[take], emb[row[take], 0], arc[take]
+    parts = [(code, row, emb[row, 0], arc, closing)]
     if grow:
         forward = (j < 0) & (label == host.contains)
         new_label = host.vertex_labels[target] + 1
@@ -549,6 +557,23 @@ def mine(
     enters P once, at a vertex that reaches that root inside P and so
     spans P. The one-move pattern lies between P and Q, so its support
     equals theirs.
+
+    Early termination (CloseGraph's, Yan & Han 2003, for closing arcs
+    only): when an unused arc e between two of P's vertices lies on every
+    embedding of P, only P + e is visited. Arcs are enumerated from their
+    source, so e is a closing move with one row per embedding. P is then
+    not closed, as P + e has its support. Let C be a closed pattern grown
+    from P. Each embedding of C restricts to one of P, so each has e; C + e
+    has C's embeddings and support, so C contains e, as C is closed.
+    Adding e first and then C's other moves stays inside C, and each step
+    keeps a support of at least C's. Induction on the arcs C has beyond
+    the visited pattern applies the rule at every step. The rule depends
+    only on the pattern's embeddings, so the image-keyed expansion stays
+    exact, and it adds no vertex, so ``max_nodes`` cannot cut the path to
+    C. A Contains child on every embedding of P gives no such rule: it
+    adds a vertex, which ``max_nodes`` may leave no room for, and on an
+    embedding of C every image the child could take may already be one
+    of C's vertices.
     """
     _check_caps(min_support, min_nodes, max_nodes)
     host = _IntHost(g)

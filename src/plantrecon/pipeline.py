@@ -1,6 +1,10 @@
 """Stage wiring shared by the CLI: each stage reads and writes only its
 declared files, and run_all composes them in order, so running the
-subcommands by hand produces the same artifacts as one run-all.
+subcommands by hand produces the same artifacts as one run-all. run_all
+still writes every file, but hands each stage's graph to the next in
+memory: it mines the merge of the two fragments it just built, and
+exports and evaluates the graph it just mined. The standalone
+sub-commands read those graphs from the files.
 
 Stage outputs inside ``out_dir``:
 
@@ -116,10 +120,13 @@ def merge_fragments(cfg: PipelineConfig) -> PropertyGraph:
     return merged
 
 
-def stage_mine(cfg: PipelineConfig) -> tuple[PropertyGraph, list[mining.Pattern]]:
+def stage_mine(
+    cfg: PipelineConfig, merged: PropertyGraph | None = None
+) -> tuple[PropertyGraph, list[mining.Pattern]]:
     from . import mining
 
-    merged = merge_fragments(cfg)
+    if merged is None:
+        merged = merge_fragments(cfg)
     view = mining.project_for_mining(merged, frozenset(cfg.excluded_kinds))
     patterns = mining.mine(
         view, min_support=cfg.min_support, min_nodes=cfg.min_nodes, max_nodes=cfg.max_nodes
@@ -132,9 +139,7 @@ def stage_mine(cfg: PipelineConfig) -> tuple[PropertyGraph, list[mining.Pattern]
     mining.write_templates_report(templates, _out(cfg, "templates.txt"))
     summary = mining.summarize(merged)
     _out(cfg, "summary.txt").write_text(summary.to_text(), encoding="utf-8")
-    logger.info(
-        "mined %d patterns, %d maximal templates", len(patterns), len(templates)
-    )
+    logger.info("mined %d templates", len(templates))
     return merged, templates
 
 
@@ -201,9 +206,13 @@ def run_all(cfg: PipelineConfig) -> RunResult:
         result.timings.append((name, time.perf_counter() - start))
         return value
 
-    timed("analyze-plc", stage_analyze_plc, cfg)
-    timed("analyze-dynamics", stage_analyze_dynamics, cfg)
-    graph, _ = timed("mine", stage_mine, cfg)
+    # Mine the fragments as built, not read back from their files. Only
+    # their merge is kept, so they are freed before mining starts.
+    merged = merge(
+        timed("analyze-plc", stage_analyze_plc, cfg),
+        timed("analyze-dynamics", stage_analyze_dynamics, cfg),
+    )
+    graph, _ = timed("mine", stage_mine, cfg, merged)
     timed("export", stage_export, cfg, graph)
     if cfg.ground_truth is not None:
         result.report = timed("evaluate", stage_evaluate, cfg, graph)

@@ -107,12 +107,14 @@ class TestMineSmall:
 
 class TestOracleEquivalence:
     @staticmethod
-    def _random_graph(rng: random.Random, edge_labels=("x", "y")):
-        n = rng.randint(3, 7)
-        vlabels = [rng.choice("AB") for _ in range(n)]
+    def _random_graph(
+        rng: random.Random, edge_labels=("x", "y"), vertex_labels="AB", max_vertices=7, dense=False
+    ):
+        n = rng.randint(3, max_vertices)
+        vlabels = [rng.choice(vertex_labels) for _ in range(n)]
         possible = [(u, v) for u in range(n) for v in range(n) if u != v]
         rng.shuffle(possible)
-        m = rng.randint(n - 1, min(len(possible), n + 4))
+        m = rng.randint(n - 1, min(len(possible), 3 * n if dense else n + 4))
         arcs = []
         for (u, v) in possible[:m]:
             arcs.append((u, v, rng.choice(edge_labels)))
@@ -172,12 +174,18 @@ class TestOracleEquivalence:
         ]
 
 
-def _rooted_equals_post_filter(g, min_nodes, max_nodes, min_support=2):
+def _rooted_equals_post_filter(g, min_nodes, max_nodes, min_support=2, general=None):
     """The rooted search against ``select_templates`` over the general
     search filtered by the root-anchored oracle, as (code, support,
-    embeddings); returns the number of rooted patterns."""
-    general = mine_frequent(g, min_support, min_nodes, max_nodes)
-    expected = select_templates([p for p in general if root_anchored(p)])
+    embeddings); returns the number of rooted patterns. ``general`` may
+    be the general search's result for wider caps, to filter instead of
+    searching again."""
+    if general is None:
+        general = mine_frequent(g, min_support, min_nodes, max_nodes)
+    frequent = [
+        p for p in general if p.support >= min_support and min_nodes <= p.vertex_count <= max_nodes
+    ]
+    expected = select_templates([p for p in frequent if root_anchored(p)])
     rooted = mine(g, min_support, min_nodes, max_nodes)
     assert [(p.code, p.support, p.embeddings) for p in rooted] == [
         (p.code, p.support, p.embeddings) for p in expected
@@ -205,6 +213,27 @@ class TestRootedSearch:
             graphs_with_patterns.append(count)
         # 91 and 53 of the 200 at this seed.
         assert graphs_with_patterns[0] >= 50 and graphs_with_patterns[1] >= 40
+
+    @pytest.mark.parametrize(
+        "vertex_labels, max_vertices, graphs", [("AB", 7, 150), ("A", 5, 200)], ids=["denser", "one-label"]
+    )
+    def test_equals_post_filter_on_denser_contains_graphs(self, vertex_labels, max_vertices, graphs):
+        # Up to three arcs per vertex, or one vertex label, so embeddings
+        # share vertices. There a search that visits only a Contains child
+        # every embedding has loses closed patterns, even where max_nodes
+        # (40) leaves room for every vertex.
+        rng = random.Random(9090)
+        count = 0
+        for _ in range(graphs):
+            vlabels, arcs = TestOracleEquivalence._random_graph(
+                rng, ("Contains", "y"), vertex_labels, max_vertices, dense=True
+            )
+            g = _graph_from(vlabels, arcs)
+            general = mine_frequent(g, 2, 2, 40)
+            for (min_support, min_nodes, max_nodes) in ((2, 2, 12), (2, 3, 40), (3, 2, 4)):
+                count += _rooted_equals_post_filter(g, min_nodes, max_nodes, min_support, general) > 0
+        # 171 of the 450 searches and 303 of the 600 at this seed.
+        assert count >= graphs
 
     @pytest.mark.parametrize("max_nodes", [3, 4, 12])
     def test_equals_post_filter_on_mini_plant(self, mini_view, max_nodes):
