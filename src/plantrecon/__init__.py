@@ -11,7 +11,7 @@ The package is organized along the pipeline:
 ``dtw``        dynamic time warping and 1-NN classification
 ``clustering`` seeded k-means alternative
 ``dynamics``   dynamics analysis orchestration, physical groups
-``mining``     gSpan-style frequent subgraph mining, template marking
+``mining``     closed rooted template mining (MNI support), template marking
 ``aml``        AutomationML/CAEX export, import, validation
 ``synth``      synthetic plant generator with ground truth
 ``metrics``    ARI, pairwise F1, template recovery, evaluation

@@ -270,9 +270,6 @@ class PropertyGraph:
 
     # -- basic accessors ---------------------------------------------------
 
-    def __len__(self) -> int:
-        return len(self._nodes)
-
     @property
     def node_count(self) -> int:
         return len(self._nodes)
@@ -380,13 +377,8 @@ class PropertyGraph:
                 f"{child!r} already has Contains parent {self._parent[child]!r}"
             )
         # A cycle arises iff the new child is an ancestor of the new parent.
-        cur: str | None = parent
-        while cur is not None:
-            if cur == child:
-                raise HierarchyCycleError(
-                    f"Contains edge {parent!r}->{child!r} would close a cycle"
-                )
-            cur = self._parent.get(cur)
+        if child in self.ancestors(parent):
+            raise HierarchyCycleError(f"Contains edge {parent!r}->{child!r} would close a cycle")
 
     # -- queries -----------------------------------------------------------
 
@@ -420,7 +412,9 @@ class PropertyGraph:
 
     # -- equality and copying -------------------------------------------------
 
-    def equals(self, other: "PropertyGraph") -> bool:
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, PropertyGraph):
+            return NotImplemented
         if set(self._nodes) != set(other._nodes):
             return False
         for nid, node in self._nodes.items():
@@ -435,11 +429,6 @@ class PropertyGraph:
         if set(self._edges) != set(other._edges):
             return False
         return all(e.labels == other._edges[t].labels for t, e in self._edges.items())
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, PropertyGraph):
-            return NotImplemented
-        return self.equals(other)
 
     def copy(self) -> "PropertyGraph":
         g = PropertyGraph()

@@ -9,10 +9,12 @@ The rule set is deliberately small and isolated here so it can be swapped:
   component, or in the lowest common ancestor group of all accessors.
   Tags accessed by no block land in the top group, with a warning.
 * R5 — the call graph induces the FunctionalGroup containment: one group
-  per call node; an instance called from several places is placed under
-  the lowest common ancestor of its callers' groups. Groups are built in
-  ``CallTree.order``, the call tree's topological order, so every
-  caller's group exists before its callees' groups.
+  per call node, placed under the lowest common ancestor of its callers'
+  groups (``lowest_common_ancestor``, as in R4), so a called-once
+  instance lands under its caller's group and a shared one under the
+  groups' LCA. OBs and uncalled instances land in the top group. Groups
+  are built in ``CallTree.order``, the call tree's topological order, so
+  every caller's group exists before its callees' groups.
 
 None of the rules look at names, so the grouping is invariant under a
 consistent renaming of blocks and tags.
@@ -60,40 +62,8 @@ def field_device_kind(tag: IoTag) -> NodeKind:
     return NodeKind.SENSOR if tag.is_input else NodeKind.ACTUATOR
 
 
-def effective_group_parents(tree: CallTree) -> dict[str, str | None]:
-    """Single group parent per call node, applying the R5 rules.
-
-    Roots and uncalled instances get ``None`` (placed under the top
-    group); shared instances get the lowest common ancestor of their
-    callers in the effective-parent tree.
-    """
-    eff: dict[str, str | None] = {}
-
-    def chain(node: str) -> list[str]:
-        out = [node]
-        cur = eff[node]
-        while cur is not None:
-            out.append(cur)
-            cur = eff[cur]
-        return out
-
-    for name in tree.order:
-        callers = tree.parents[name]
-        if not callers:
-            eff[name] = None
-        elif len(callers) == 1:
-            eff[name] = callers[0]
-        else:
-            chains = [chain(c) for c in callers]
-            common = set(chains[0]).intersection(*map(set, chains[1:]))
-            eff[name] = next((n for n in chains[0] if n in common), None)
-    return eff
-
-
 def functional_grouping(project: PlcProject, tree: CallTree) -> PropertyGraph:
     """Emit the software / field-device / hardware fragment for a project."""
-    if not project.prepared:
-        raise ValueError("project must be prepared before grouping")
     g = PropertyGraph()
 
     root_id = node_id(NodeKind.SYSTEM_ROOT, project.name)
@@ -106,22 +76,18 @@ def functional_grouping(project: PlcProject, tree: CallTree) -> PropertyGraph:
     if uncalled:
         logger.warning("instances never called, attached to top group: %s", uncalled)
 
-    # R5: one FunctionalGroup per call node.
-    eff = effective_group_parents(tree)
+    # R5: one FunctionalGroup per call node, under its callers' groups' LCA.
     group_of: dict[str, str] = {}
-    path_of: dict[str, str] = {}
+    path_of: dict[str, str] = {top_id: ""}  # group id -> call path
     for name in tree.order:
-        parent = eff[name]
-        if parent is None:
-            parent_group, parent_path = top_id, ""
-        else:
-            parent_group, parent_path = group_of[parent], path_of[parent]
-        path = f"{parent_path}/{name}" if parent_path else name
+        caller_groups = [group_of[c] for c in tree.parents[name]]
+        parent = lowest_common_ancestor(g, caller_groups) or top_id
+        path = f"{path_of[parent]}/{name}" if path_of[parent] else name
         gid = node_id(NodeKind.FUNCTIONAL_GROUP, path)
         g.add_node(_node(NodeKind.FUNCTIONAL_GROUP, name, gid))
-        g.add_edge(Edge(EdgeKind.CONTAINS, parent_group, gid))
+        g.add_edge(Edge(EdgeKind.CONTAINS, parent, gid))
         group_of[name] = gid
-        path_of[name] = path
+        path_of[gid] = path
 
     # R1: software components, their backing data blocks and types.
     blocks = project.block_map()
@@ -146,7 +112,7 @@ def functional_grouping(project: PlcProject, tree: CallTree) -> PropertyGraph:
             g.add_edge(Edge(EdgeKind.CONTAINS, group_of[name], did))
             g.add_edge(Edge(EdgeKind.BACKED_BY, sid, did))
             g.add_edge(Edge(EdgeKind.TYPED_BY, sid, fbt_ids[block.of_type]))
-    for caller, callee in project.call_edges:
+    for caller, callee in tree.call_edges:
         if not g.has_edge(EdgeKind.CALLS, sc_of[caller], sc_of[callee]):
             g.add_edge(Edge(EdgeKind.CALLS, sc_of[caller], sc_of[callee]))
 
@@ -171,7 +137,7 @@ def functional_grouping(project: PlcProject, tree: CallTree) -> PropertyGraph:
 
     # R2 + R3 + R4: field devices, access edges, containment placement.
     accessors_of: dict[str, set[str]] = {}
-    for owner, accesses in project.accesses.items():
+    for owner, accesses in tree.accesses.items():
         for access in accesses:
             accessors_of.setdefault(access.tag, set()).add(owner)
     for tag in sorted(project.tags, key=lambda t: t.name):
@@ -190,48 +156,14 @@ def functional_grouping(project: PlcProject, tree: CallTree) -> PropertyGraph:
         accessors = sorted(accessors_of.get(tag.name, ()))
         if not accessors:
             logger.warning("tag %s accessed by no block; attached to top group", tag.name)
-            parent = top_id
-        elif len(accessors) == 1:
-            parent = group_of[accessors[0]]
-        else:
-            lca = lowest_common_ancestor(g, [group_of[a] for a in accessors])
-            parent = lca if lca is not None else top_id
+        parent = lowest_common_ancestor(g, [group_of[a] for a in accessors]) or top_id
         g.add_edge(Edge(EdgeKind.CONTAINS, parent, tid))
         ch_id = node_id(NodeKind.CHANNEL, f"{tag.device_id}/{tag.channel_index}")
         if g.has_node(ch_id):
             g.add_edge(Edge(EdgeKind.WIRED_TO, tid, ch_id))
         for owner in accessors:
-            modes = {a.mode for a in project.accesses[owner] if a.tag == tag.name}
+            modes = {a.mode for a in tree.accesses[owner] if a.tag == tag.name}
             for mode in sorted(modes, key=lambda m: m.value):
                 ekind = EdgeKind.READS if mode.value == "Read" else EdgeKind.WRITES
                 g.add_edge(Edge(ekind, sc_of[owner], tid))
     return g
-
-
-def group_tree_shape(graph: PropertyGraph, group_id: str) -> tuple:
-    """Canonical shape of a FunctionalGroup subtree (names ignored).
-
-    Two group trees are isomorphic iff their shapes compare equal. Only
-    FunctionalGroup children contribute to the shape.
-    """
-    children = [
-        group_tree_shape(graph, c)
-        for c in graph.contains_children(group_id)
-        if graph.node(c).kind is NodeKind.FUNCTIONAL_GROUP
-    ]
-    return tuple(sorted(children))
-
-
-def call_tree_shape(tree: CallTree) -> tuple:
-    """Test reference: the canonical shape of the call tree, comparable with
-    group_tree_shape of the top group (shared instances placed at their
-    LCA, as in R5)."""
-    eff = effective_group_parents(tree)
-    children: dict[str | None, list[str]] = {}
-    for name, parent in eff.items():
-        children.setdefault(parent, []).append(name)
-
-    def shape(node: str | None) -> tuple:
-        return tuple(sorted(shape(c) for c in children.get(node, [])))
-
-    return shape(None)

@@ -8,15 +8,14 @@ pattern vertices, and expand each pattern once. It reports only the
 closed patterns, those that no rooted super-pattern of equal support
 contains, which are exactly the templates ``select_templates`` keeps. It
 works on the graph coded as integers and extends all embeddings of a
-pattern in one vectorized pass. The general search, ``mine_frequent``,
-the reference ``mine`` is checked against, is gSpan: grow
-canonical DFS codes along the rightmost path, prune non-minimal codes,
-and prune by support. Because everything lives in one
-large graph rather than a transaction database, support is
-minimum-image-based (MNI): the number of distinct graph vertices seen at
-the pattern position with the fewest distinct images. MNI is
-anti-monotone, which keeps the support pruning sound; this deliberately
-diverges from the transaction-based support of textbook gSpan.
+pattern in one vectorized pass. Each pattern it reports carries its
+canonical code, gSpan's minimal DFS code along the rightmost path.
+Because everything lives in one large graph rather than a transaction
+database, support is minimum-image-based (MNI): the number of distinct
+graph vertices seen at the pattern position with the fewest distinct
+images. MNI is anti-monotone, which keeps the support pruning sound;
+this deliberately diverges from the transaction-based support of
+textbook gSpan.
 
 Edge direction is part of the edge label, so ``A -Contains-> B`` and
 ``B -Contains-> A`` are different patterns. The mining projection leaves
@@ -27,6 +26,7 @@ functional structure (see ``DEFAULT_EXCLUDED_KINDS``).
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,8 +72,8 @@ class MiningGraph:
     edges: list[tuple]  # (src, dst, label)
 
     def __post_init__(self) -> None:
-        if len(set(self.edges)) != len(self.edges):
-            duplicates = sorted({e for e in self.edges if self.edges.count(e) > 1})
+        duplicates = sorted(e for e, count in Counter(self.edges).items() if count > 1)
+        if duplicates:
             raise MiningError(f"duplicate (src, dst, label) edges {duplicates}")
         self._adj: dict = {v: [] for v in self.vertex_ids}
         for (src, dst, label) in self.edges:
@@ -240,16 +240,13 @@ def _initial_codes(view: MiningGraph) -> dict[CodeEdge, list[_Embedding]]:
 
 
 # Candidate extensions are enumerated as light (embedding index, new vertex
-# | None) entries; full embeddings are materialized only for candidates
-# that survive the support and canonicality pruning.
+# | None) entries; full embeddings are materialized only for the extension
+# taken.
 _Entry = tuple[int, object]
 
 
 def _extension_entries(
-    code: DfsCode,
-    embeddings: list[_Embedding],
-    view: MiningGraph,
-    max_nodes: int | None,
+    code: DfsCode, embeddings: list[_Embedding], view: MiningGraph
 ) -> dict[CodeEdge, list[_Entry]]:
     rmpath = _rightmost_path(code)
     maxtoc = rmpath[0]
@@ -257,7 +254,6 @@ def _extension_entries(
     nverts = len(labels_by_pos)
     used_arcs = set(arcs)
     exts: dict[CodeEdge, list[_Entry]] = {}
-    allow_forward = max_nodes is None or nverts < max_nodes
     vlabels = view.vertex_labels
     adjacency = view.adjacency
     for emb_idx, vmap in enumerate(embeddings):
@@ -275,31 +271,15 @@ def _extension_entries(
                 ce: CodeEdge = (maxtoc, j, labels_by_pos[maxtoc], (direction, elabel), labels_by_pos[j])
                 exts.setdefault(ce, []).append((emb_idx, None))
         # Forward: from any rightmost-path vertex to a fresh vertex.
-        if allow_forward:
-            vset = set(vmap)
-            for i in rmpath:
-                src_label = labels_by_pos[i]
-                for (nb, direction, elabel) in adjacency(vmap[i]):
-                    if nb in vset:
-                        continue
-                    ce = (i, nverts, src_label, (direction, elabel), vlabels[nb])
-                    exts.setdefault(ce, []).append((emb_idx, nb))
+        vset = set(vmap)
+        for i in rmpath:
+            src_label = labels_by_pos[i]
+            for (nb, direction, elabel) in adjacency(vmap[i]):
+                if nb in vset:
+                    continue
+                ce = (i, nverts, src_label, (direction, elabel), vlabels[nb])
+                exts.setdefault(ce, []).append((emb_idx, nb))
     return exts
-
-
-def _entries_mni(entries: list[_Entry], embeddings: list[_Embedding], nverts: int) -> int:
-    best = None
-    for p in range(nverts):
-        images = {embeddings[idx][p] for (idx, _) in entries}
-        if best is None or len(images) < best:
-            best = len(images)
-            if best == 0:
-                return 0
-    if entries and entries[0][1] is not None:  # forward: the new position
-        images = {nb for (_, nb) in entries}
-        if best is None or len(images) < best:
-            best = len(images)
-    return best or 0
 
 
 def _materialize(entries: list[_Entry], embeddings: list[_Embedding]) -> list[_Embedding]:
@@ -316,12 +296,6 @@ def _extension_rank(ce: CodeEdge):
     return (1, -i, el, lj)
 
 
-def _mni(embeddings: list[_Embedding]) -> int:
-    if not embeddings:
-        return 0
-    return min(len({vmap[p] for vmap in embeddings}) for p in range(len(embeddings[0])))
-
-
 def _min_code_walk(view: MiningGraph):
     """Yield the minimal DFS code of a connected pattern graph, edge by
     edge. Each code edge comes with one map from the code positions so far
@@ -331,22 +305,11 @@ def _min_code_walk(view: MiningGraph):
     embeddings = seeds[code[0]]
     yield code[0], embeddings[0]
     while len(code) < len(view.edges):
-        exts = _extension_entries(code, embeddings, view, None)
+        exts = _extension_entries(code, embeddings, view)
         best = min(exts, key=_extension_rank)
         embeddings = _materialize(exts[best], embeddings)
         code += (best,)
         yield best, embeddings[0]
-
-
-def min_dfs_code(vertex_labels: tuple[str, ...], arcs: tuple[tuple[int, int, str], ...]) -> DfsCode:
-    """Test reference: the canonical (minimal) DFS code of a connected pattern graph."""
-    return tuple(ce for ce, _ in _min_code_walk(_pattern_graph(vertex_labels, arcs)))
-
-
-def _is_canonical(code: DfsCode) -> bool:
-    """Stepwise minimality check with early exit at the first divergence."""
-    walk = _min_code_walk(_pattern_graph(*code_to_structure(code)))
-    return all(best == ce for (best, _), ce in zip(walk, code))
 
 
 _CONTAINS = EdgeKind.CONTAINS.value
@@ -539,8 +502,8 @@ def mine(
     """The templates: the closed patterns that one vertex spans along
     Contains arcs (no rooted super-pattern within ``max_nodes`` has their
     MNI support), within the caps, sorted by (-support, -size, code). They
-    are the rooted patterns ``select_templates`` keeps of
-    ``mine_frequent``'s, each the same ``Pattern``.
+    are the rooted patterns ``select_templates`` keeps of all the frequent
+    patterns a general gSpan search finds, each the same ``Pattern``.
 
     Every rooted pattern is reached from a Contains arc by adding Contains
     children and closing arcs: take away the arcs outside one Contains
@@ -619,53 +582,6 @@ def mine(
         if support >= min_support:
             seed_labels = divmod(labels, len(host.vertex_label_names))
             visit(seed_labels, ((0, 1, host.contains),), emb, contains[hit][:, None], support)
-    return sorted(results, key=Pattern.sort_key)
-
-
-def mine_frequent(
-    g: MiningGraph, min_support: int = 2, min_nodes: int = 3, max_nodes: int = 12
-) -> list[Pattern]:
-    """All patterns with MNI support >= min_support and a vertex count in
-    [min_nodes, max_nodes], sorted by (-support, -size, code), found by
-    the general gSpan search. The pipeline does not run it; it is the
-    reference the tests check ``mine`` against."""
-    _check_caps(min_support, min_nodes, max_nodes)
-    results: list[Pattern] = []
-    seeds = _initial_codes(g)
-
-    def recurse(code: DfsCode, embeddings: list[_Embedding], support: int) -> None:
-        labels, arcs = code_to_structure(code)
-        nverts = len(labels)
-        if min_nodes <= nverts <= max_nodes:
-            results.append(
-                Pattern(
-                    code=code,
-                    support=support,
-                    embeddings=sorted(embeddings),
-                    vertex_labels=labels,
-                    arcs=arcs,
-                )
-            )
-        exts = _extension_entries(code, embeddings, g, max_nodes)
-        for ce in sorted(exts, key=_extension_rank):
-            entries = exts[ce]
-            child_support = _entries_mni(entries, embeddings, nverts)
-            if child_support < min_support:
-                continue
-            child_code = code + (ce,)
-            if not _is_canonical(child_code):
-                continue
-            recurse(child_code, _materialize(entries, embeddings), child_support)
-
-    for ce in sorted(seeds):
-        embeddings = seeds[ce]
-        support = _mni(embeddings)
-        if support < min_support:
-            continue
-        if not _is_canonical((ce,)):
-            continue
-        recurse((ce,), embeddings, support)
-
     return sorted(results, key=Pattern.sort_key)
 
 

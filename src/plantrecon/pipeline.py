@@ -69,7 +69,6 @@ def _cluster_method(cfg: PipelineConfig) -> KMeansParams | None:
 def stage_analyze_plc(cfg: PipelineConfig) -> PropertyGraph:
     cfg.require("plc_xml")
     project = plc.parse_project(cfg.plc_xml.read_bytes())
-    plc.prepare(project)
     tree = plc.build_call_tree(project)
     graph = grouping.functional_grouping(project, tree)
     graph.save(_out(cfg, "functional.dtgraph"))

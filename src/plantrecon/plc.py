@@ -36,8 +36,9 @@ Digital addresses are ``%I<byte>.<bit>`` / ``%Q<byte>.<bit>`` (bit 0-7),
 analog word addresses are ``%IW<n>`` / ``%QW<n>``. Unknown elements and
 attributes are rejected, not ignored.
 
-``build_call_tree`` makes the one pass over the call graph: a topological
-sort that also finds recursion and gives the grouping stage its order.
+``build_call_tree`` resolves every reference and makes the one pass over
+the call graph: a topological sort that also finds recursion and gives
+the grouping stage its order.
 """
 
 from __future__ import annotations
@@ -163,11 +164,6 @@ class PlcProject:
     devices: list[HardwareDevice]
     tags: list[IoTag]
     blocks: list[Block]
-    # Filled by prepare(): instance-level call edges and tag accesses, with
-    # type-level entries expanded to every instance of the type.
-    prepared: bool = False
-    call_edges: list[tuple[str, str]] = field(default_factory=list)
-    accesses: dict[str, list[TagAccess]] = field(default_factory=dict)
 
     def block_map(self) -> dict[str, Block]:
         return {b.name: b for b in self.blocks}
@@ -405,14 +401,45 @@ def serialize_project(project: PlcProject) -> bytes:
     return buf.getvalue() + b"\n"
 
 
-def prepare(project: PlcProject) -> PlcProject:
-    """Resolve every call, instance-DB and tag reference to explicit edges.
+@dataclass
+class CallTree:
+    """Call graph over OB and FB-instance nodes; acyclic, rooted at OBs.
 
-    Expands type-scoped calls and accesses to each instance, records the
-    per-instance call edges and tag accesses on the project, and flags
-    instances reached from more than one caller. All dangling names are
-    collected and reported at once.
+    Shared instances make this a DAG rather than a strict tree; they are
+    listed in ``shared`` and handled by the grouping stage via a lowest
+    common ancestor placement. ``order`` lists every node after all its
+    callers, taking the smallest ready name first. ``call_edges`` and
+    ``accesses`` are the instance-level calls and tag accesses, with
+    type-scoped entries expanded to every instance of the type.
     """
+
+    roots: list[str]
+    nodes: list[str]
+    children: dict[str, list[str]]
+    parents: dict[str, list[str]]
+    order: list[str]
+    call_edges: list[tuple[str, str]]
+    accesses: dict[str, list[TagAccess]]
+
+    @cached_property
+    def shared(self) -> set[str]:
+        """The instances with more than one caller."""
+        return {n for n, callers in self.parents.items() if len(callers) > 1}
+
+    def depth(self) -> int:
+        best = 0
+        stack = [(r, 1) for r in self.roots]
+        while stack:
+            node, d = stack.pop()
+            best = max(best, d)
+            stack.extend((c, d + 1) for c in self.children.get(node, []))
+        return best
+
+
+def _resolve(project: PlcProject) -> tuple[list[tuple[str, str]], dict[str, list[TagAccess]]]:
+    """Every call, instance-DB and tag reference as explicit instance-level
+    call edges and tag accesses; type-scoped calls and accesses apply to
+    each instance of the type. All dangling names are reported at once."""
     blocks = project.block_map()
     tag_names = set(project.tag_map())
     dangling: list[str] = []
@@ -451,9 +478,7 @@ def prepare(project: PlcProject) -> PlcProject:
         accesses.setdefault(owner, []).append(access)
 
     for block in project.blocks:
-        if block.block_type is BlockType.ORGANIZATION_BLOCK:
-            owners = [block.name]
-        elif block.block_type is BlockType.INSTANCE_DATA_BLOCK:
+        if block.block_type is not BlockType.FUNCTION_BLOCK_TYPE:  # an OB or one instance
             owners = [block.name]
         else:  # FunctionBlock type scope: applies to every instance
             owners = sorted(instances_of_type.get(block.name, []))
@@ -468,59 +493,25 @@ def prepare(project: PlcProject) -> PlcProject:
 
     if dangling:
         raise UnresolvedReferenceError(dangling)
-
-    project.call_edges = sorted(set(call_edges))
-    project.accesses = accesses
-    project.prepared = True
-    return project
-
-
-@dataclass
-class CallTree:
-    """Call graph over OB and FB-instance nodes; acyclic, rooted at OBs.
-
-    Shared instances make this a DAG rather than a strict tree; they are
-    listed in ``shared`` and handled by the grouping stage via a lowest
-    common ancestor placement. ``order`` lists every node after all its
-    callers, taking the smallest ready name first.
-    """
-
-    roots: list[str]
-    nodes: list[str]
-    children: dict[str, list[str]]
-    parents: dict[str, list[str]]
-    order: list[str]
-
-    @cached_property
-    def shared(self) -> set[str]:
-        """The instances with more than one caller."""
-        return {n for n, callers in self.parents.items() if len(callers) > 1}
-
-    def depth(self) -> int:
-        best = 0
-        stack = [(r, 1) for r in self.roots]
-        while stack:
-            node, d = stack.pop()
-            best = max(best, d)
-            stack.extend((c, d + 1) for c in self.children.get(node, []))
-        return best
+    return sorted(set(call_edges)), accesses
 
 
 def build_call_tree(project: PlcProject) -> CallTree:
-    """Derive the call graph from a prepared project, rejecting recursion.
+    """Resolve the project's references and derive its call graph,
+    rejecting recursion.
 
-    One topological pass (Kahn's algorithm, smallest ready name first)
-    orders the nodes; a node it never reaches lies on or below a call
-    cycle.
+    A dangling name raises ``UnresolvedReferenceError``, listing every
+    one. One topological pass (Kahn's algorithm, smallest ready name
+    first) orders the nodes; a node it never reaches lies on or below a
+    call cycle.
     """
-    if not project.prepared:
-        raise PlcError("project must be prepared before building the call tree")
+    call_edges, accesses = _resolve(project)
     obs = sorted(b.name for b in project.organization_blocks())
     instances = sorted(b.name for b in project.instance_blocks())
     nodes = obs + instances
     children: dict[str, list[str]] = {n: [] for n in nodes}
     parents: dict[str, list[str]] = {n: [] for n in nodes}
-    for caller, callee in project.call_edges:
+    for caller, callee in call_edges:
         children[caller].append(callee)
         parents[callee].append(caller)
     for n in nodes:
@@ -556,4 +547,6 @@ def build_call_tree(project: PlcProject) -> CallTree:
         children=children,
         parents=parents,
         order=order,
+        call_edges=call_edges,
+        accesses=accesses,
     )

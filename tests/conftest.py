@@ -17,9 +17,7 @@ def mini_plant():
 
 @pytest.fixture(scope="session")
 def mini_project(mini_plant):
-    project = plc.parse_project(mini_plant.plc_xml)
-    plc.prepare(project)
-    return project
+    return plc.parse_project(mini_plant.plc_xml)
 
 
 @pytest.fixture(scope="session")

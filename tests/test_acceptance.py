@@ -17,12 +17,11 @@ from plantrecon.config import PipelineConfig, write_kv_file
 from plantrecon.dtw import dtw_distance, knn_distances, knn_train
 from plantrecon.dynamics import DynamicsParams, analyze_dynamics
 from plantrecon.graph import NodeKind, load_graph
-from plantrecon.grouping import call_tree_shape, functional_grouping, group_tree_shape
+from plantrecon.grouping import functional_grouping
 from plantrecon.metrics import ari, functional_partition_of
 from plantrecon.mining import (
     MiningGraph,
     mine,
-    mine_frequent,
     patterns_isomorphic,
     project_for_mining,
     select_templates,
@@ -37,6 +36,7 @@ from oracles import (
     root_anchored,
     tiny_graphs_isomorphic,
 )
+from references import call_tree_shape, group_tree_shape, mine_frequent
 
 
 class _criterion:
@@ -92,7 +92,7 @@ def test_criterion_1_functional_grouping_exactness():
     with _criterion(1, "functional grouping exactness"):
         start = time.perf_counter()
         plant = synth.generate(synth.reference_spec(noise_sigma_m=0.0))
-        project = plc.prepare(plc.parse_project(plant.plc_xml))
+        project = plc.parse_project(plant.plc_xml)
         tree = plc.build_call_tree(project)
         graph = functional_grouping(project, tree)
         elapsed = time.perf_counter() - start
@@ -333,7 +333,7 @@ def test_criterion_6_aml_round_trip():
                 seed=rng.randint(0, 9999),
             )
             plant = synth.generate(spec)
-            project = plc.prepare(plc.parse_project(plant.plc_xml))
+            project = plc.parse_project(plant.plc_xml)
             graph = functional_grouping(project, plc.build_call_tree(project))
             if case % 10 == 0:
                 # Exercise the template mapping path as well, with the

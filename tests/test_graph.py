@@ -144,11 +144,11 @@ class TestQuery:
 class TestMerge:
     def test_merge_with_empty_is_identity(self):
         g = _basic_graph()
-        assert merge(g, PropertyGraph()).equals(g)
+        assert merge(g, PropertyGraph()) == g
 
     def test_merge_idempotent(self):
         g = _basic_graph()
-        assert merge(g, g).equals(g)
+        assert merge(g, g) == g
 
     def test_conflicting_kind(self):
         a = PropertyGraph()
@@ -173,14 +173,14 @@ class TestMerge:
             return g
 
         a, b, c = frag("ka"), frag("kb"), frag("kc")
-        assert merge(merge(a, b), c).equals(merge(a, merge(b, c)))
+        assert merge(merge(a, b), c) == merge(a, merge(b, c))
 
 
 class TestPersistence:
     def test_round_trip(self, tmp_path, mini_functional):
         path = tmp_path / "g.dtgraph"
         save_graph(mini_functional, path)
-        assert load_graph(path).equals(mini_functional)
+        assert load_graph(path) == mini_functional
 
     def test_edge_records_store_no_id(self, tmp_path, mini_functional):
         path = tmp_path / "g.dtgraph"
@@ -199,7 +199,7 @@ class TestPersistence:
             if r["recordType"] == "edge":
                 r["id"] = f"{r['kind']}:{r['source']}->{r['target']}"
         path.write_text("".join(json.dumps(r, sort_keys=True) + "\n" for r in records))
-        assert load_graph(path).equals(mini_functional)
+        assert load_graph(path) == mini_functional
 
     def test_round_trip_record_order_independent(self, tmp_path):
         g = _basic_graph()
@@ -207,7 +207,7 @@ class TestPersistence:
         save_graph(g, path)
         lines = path.read_text().strip().splitlines()
         path.write_text("\n".join(reversed(lines)) + "\n")
-        assert load_graph(path).equals(g)
+        assert load_graph(path) == g
 
     def test_truncated_record(self, tmp_path):
         g = _basic_graph()
@@ -223,7 +223,7 @@ class TestPersistence:
         path = tmp_path / "empty.dtgraph"
         save_graph(PropertyGraph(), path)
         assert path.read_text() == ""
-        assert load_graph(path).equals(PropertyGraph())
+        assert load_graph(path) == PropertyGraph()
 
     def test_unknown_record_type(self, tmp_path):
         path = tmp_path / "bad.dtgraph"
@@ -277,7 +277,7 @@ def test_merge_associative_property(labels_a, labels_b, labels_c):
         return g
 
     a, b, c = frag(labels_a), frag(labels_b), frag(labels_c)
-    assert merge(merge(a, b), c).equals(merge(a, merge(b, c)))
+    assert merge(merge(a, b), c) == merge(a, merge(b, c))
 
 
 @settings(max_examples=30, deadline=None)
@@ -306,4 +306,4 @@ def test_save_load_round_trip_random_graphs(seed, tmp_path_factory):
         g.add_edge(Edge(EdgeKind.CONTAINS, parent, f"FunctionalGroup:{name}"))
     path = tmp_path_factory.mktemp("roundtrip") / "g.dtgraph"
     save_graph(g, path)
-    assert load_graph(path).equals(g)
+    assert load_graph(path) == g

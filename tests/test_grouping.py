@@ -1,15 +1,16 @@
 import pytest
 
 from plantrecon.graph import EdgeKind, NodeKind
-from plantrecon.grouping import call_tree_shape, functional_grouping, group_tree_shape
-from plantrecon.plc import build_call_tree, parse_project, prepare
+from plantrecon.grouping import functional_grouping
+from plantrecon.plc import build_call_tree, parse_project
 
+from references import call_tree_shape, group_tree_shape
 from test_plc import MINI_LIKE_XML
 
 
 @pytest.fixture()
 def mini_like():
-    project = prepare(parse_project(MINI_LIKE_XML))
+    project = parse_project(MINI_LIKE_XML)
     tree = build_call_tree(project)
     return project, tree, functional_grouping(project, tree)
 
@@ -82,7 +83,7 @@ class TestR4Placement:
             '<TagAccess tag="S_occ_1_1" mode="Read"/>',
             '<TagAccess tag="S_occ_1_1" mode="Read"/><TagAccess tag="S_occ_1_2" mode="Read"/>',
         )
-        project = prepare(parse_project(xml))
+        project = parse_project(xml)
         tree = build_call_tree(project)
         g = functional_grouping(project, tree)
         # S_occ_1_2 is now read by both place instances: LCA is the row group.
@@ -92,7 +93,7 @@ class TestR4Placement:
         xml = MINI_LIKE_XML.replace(
             '<TagAccess tag="A_eject_1_2" mode="Write"/>', ""
         )
-        project = prepare(parse_project(xml))
+        project = parse_project(xml)
         g = functional_grouping(project, build_call_tree(project))
         assert g.contains_parent("Actuator:A_eject_1_2") == "FunctionalGroup:Mini"
 
@@ -102,11 +103,34 @@ class TestR4Placement:
             "<OrganizationBlock name=\"OB1\">\n      <Call callee=\"FB_Row\" instanceDb=\"DB_Row_1\"/>\n    </OrganizationBlock>"
             "<OrganizationBlock name=\"OB2\">\n      <Call callee=\"FB_Row\" instanceDb=\"DB_Row_1\"/>\n    </OrganizationBlock>",
         )
-        project = prepare(parse_project(xml))
+        project = parse_project(xml)
         tree = build_call_tree(project)
         g = functional_grouping(project, tree)
         # Shared between OB1 and OB2: lands under their LCA, the top group.
         assert g.contains_parent("FunctionalGroup:DB_Row_1") == "FunctionalGroup:Mini"
+
+
+class TestR5Placement:
+    def test_nested_shared_instance_placed_at_lca(self):
+        # Both place instances call DB_Helper (a type-scoped call), which
+        # calls DB_Sub; DB_Orphan is never called.
+        xml = MINI_LIKE_XML.replace(
+            '<FunctionBlock name="FB_Place"/>',
+            '<FunctionBlock name="FB_Place"><Call callee="FB_Helper" instanceDb="DB_Helper"/></FunctionBlock>'
+            '<FunctionBlock name="FB_Helper"/><FunctionBlock name="FB_Sub"/>'
+            '<DataBlock name="DB_Helper" ofType="FB_Helper"><Call callee="FB_Sub" instanceDb="DB_Sub"/></DataBlock>'
+            '<DataBlock name="DB_Sub" ofType="FB_Sub"/><DataBlock name="DB_Orphan" ofType="FB_Sub"/>',
+        )
+        project = parse_project(xml)
+        tree = build_call_tree(project)
+        assert tree.parents["DB_Helper"] == ["DB_Place_1_1", "DB_Place_1_2"]
+        g = functional_grouping(project, tree)
+        helper = "FunctionalGroup:OB1/DB_Row_1/DB_Helper"
+        assert g.contains_parent(helper) == "FunctionalGroup:OB1/DB_Row_1"
+        assert g.contains_parent("FunctionalGroup:OB1/DB_Row_1/DB_Helper/DB_Sub") == helper
+        assert g.contains_parent("FunctionalGroup:DB_Orphan") == "FunctionalGroup:Mini"
+        assert g.node("SoftwareComponent:DB_Helper").labels["shared"] is True
+        assert group_tree_shape(g, "FunctionalGroup:Mini") == call_tree_shape(tree)
 
 
 class TestRenamingInvariance:
@@ -127,8 +151,8 @@ class TestRenamingInvariance:
         xml = MINI_LIKE_XML
         for old, new in renames.items():
             xml = xml.replace(f'"{old}"', f'"{new}"')
-        original = prepare(parse_project(MINI_LIKE_XML))
-        renamed = prepare(parse_project(xml))
+        original = parse_project(MINI_LIKE_XML)
+        renamed = parse_project(xml)
         g1 = functional_grouping(original, build_call_tree(original))
         g2 = functional_grouping(renamed, build_call_tree(renamed))
         assert g1.node_count == g2.node_count
@@ -144,7 +168,7 @@ class TestRenamingInvariance:
 
 class TestPaperScaleGrouping:
     def test_all_field_devices_grouped(self, reference_plant):
-        project = prepare(parse_project(reference_plant.plc_xml))
+        project = parse_project(reference_plant.plc_xml)
         tree = build_call_tree(project)
         g = functional_grouping(project, tree)
         sensors = g.query(kinds={NodeKind.SENSOR})
@@ -158,7 +182,7 @@ class TestPaperScaleGrouping:
         assert g.validate() == []
 
     def test_functional_partition_matches_ground_truth_exactly(self, reference_plant):
-        project = prepare(parse_project(reference_plant.plc_xml))
+        project = parse_project(reference_plant.plc_xml)
         g = functional_grouping(project, build_call_tree(project))
         truth = reference_plant.ground_truth.functional_partition
         mined = {}

@@ -9,7 +9,6 @@ from plantrecon.plc import (
     XmlSyntaxError,
     build_call_tree,
     parse_project,
-    prepare,
     serialize_project,
 )
 
@@ -147,12 +146,13 @@ class TestParse:
 
 
 class TestPrepare:
+    """Reference resolution, the first step of ``build_call_tree``."""
+
     def test_mini_resolves(self):
-        project = prepare(parse_project(MINI_LIKE_XML))
-        assert project.prepared
-        assert ("OB1", "DB_Row_1") in project.call_edges
-        assert ("DB_Row_1", "DB_Place_1_1") in project.call_edges
-        assert build_call_tree(project).shared == set()
+        tree = build_call_tree(parse_project(MINI_LIKE_XML))
+        assert ("OB1", "DB_Row_1") in tree.call_edges
+        assert ("DB_Row_1", "DB_Place_1_1") in tree.call_edges
+        assert tree.shared == set()
 
     def test_dangling_callee_listed(self):
         xml = MINI_LIKE_XML.replace(
@@ -160,7 +160,7 @@ class TestPrepare:
             '<Call callee="FB_Row" instanceDb="DB_Row_1"/><Call callee="FB_Ghost" instanceDb="DB_Ghost"/>',
         )
         with pytest.raises(UnresolvedReferenceError) as info:
-            prepare(parse_project(xml))
+            build_call_tree(parse_project(xml))
         assert "FB_Ghost" in info.value.names
         assert "DB_Ghost" in info.value.names
 
@@ -170,7 +170,7 @@ class TestPrepare:
             '<TagAccess tag="S_missing_a" mode="Read"/><TagAccess tag="S_missing_b" mode="Read"/>',
         )
         with pytest.raises(UnresolvedReferenceError) as info:
-            prepare(parse_project(xml))
+            build_call_tree(parse_project(xml))
         assert {"S_missing_a", "S_missing_b"} <= set(info.value.names)
 
     def test_instance_type_mismatch(self):
@@ -179,7 +179,7 @@ class TestPrepare:
             '<Call callee="FB_Row" instanceDb="DB_Place_1_1"/>',
         )
         with pytest.raises(UnresolvedReferenceError):
-            prepare(parse_project(xml))
+            build_call_tree(parse_project(xml))
 
     def test_shared_instance_flagged(self):
         # Two OBs calling the same FB instance.
@@ -188,7 +188,7 @@ class TestPrepare:
             "<OrganizationBlock name=\"OB1\">\n      <Call callee=\"FB_Row\" instanceDb=\"DB_Row_1\"/>\n    </OrganizationBlock>"
             "<OrganizationBlock name=\"OB2\">\n      <Call callee=\"FB_Row\" instanceDb=\"DB_Row_1\"/>\n    </OrganizationBlock>",
         )
-        project = prepare(parse_project(xml))
+        project = parse_project(xml)
         tree = build_call_tree(project)
         assert tree.parents["DB_Row_1"] == ["OB1", "OB2"]
         assert tree.shared == {"DB_Row_1"}
@@ -198,10 +198,10 @@ class TestPrepare:
             '<FunctionBlock name="FB_Place"/>',
             '<FunctionBlock name="FB_Place"><TagAccess tag="S_occ_1_1" mode="Read"/></FunctionBlock>',
         )
-        project = prepare(parse_project(xml))
+        tree = build_call_tree(parse_project(xml))
         readers = {
             owner
-            for owner, accesses in project.accesses.items()
+            for owner, accesses in tree.accesses.items()
             if any(a.tag == "S_occ_1_1" and a.mode is AccessMode.READ for a in accesses)
         }
         assert {"DB_Place_1_1", "DB_Place_1_2"} <= readers
@@ -209,7 +209,7 @@ class TestPrepare:
 
 class TestCallTree:
     def test_mini_tree_shape(self):
-        project = prepare(parse_project(MINI_LIKE_XML))
+        project = parse_project(MINI_LIKE_XML)
         tree = build_call_tree(project)
         assert tree.roots == ["OB1"]
         assert tree.children["OB1"] == ["DB_Row_1"]
@@ -223,7 +223,7 @@ class TestCallTree:
             '<Call callee="FB_Row" instanceDb="DB_Row_1"/>',
         )
         with pytest.raises(RecursiveCallError, match="chain: DB_Row_1 -> DB_Row_1$"):
-            build_call_tree(prepare(parse_project(xml)))
+            build_call_tree(parse_project(xml))
 
     def test_mutual_recursion_rejected(self):
         xml = MINI_LIKE_XML.replace(
@@ -234,7 +234,7 @@ class TestCallTree:
         with pytest.raises(
             RecursiveCallError, match="chain: DB_Row_1 -> DB_Place_1_2 -> DB_Row_1$"
         ):
-            build_call_tree(prepare(parse_project(xml)))
+            build_call_tree(parse_project(xml))
 
     def test_three_cycle_reported_in_call_order(self):
         xml = MINI_LIKE_XML.replace(
@@ -246,23 +246,29 @@ class TestCallTree:
             '<FunctionBlock name="FB_Z"/><DataBlock name="DB_Z" ofType="FB_Z">'
             '<Call callee="FB_Row" instanceDb="DB_Row_1"/></DataBlock></Blocks>',
         )
-        project = prepare(parse_project(xml))
+        project = parse_project(xml)
         with pytest.raises(RecursiveCallError) as info:
             build_call_tree(project)
         cycle = info.value.cycle
         assert len(cycle) == 4 and cycle[0] == cycle[-1]
         assert set(cycle) == {"DB_Row_1", "DB_Place_1_1", "DB_Z"}
-        assert all(edge in project.call_edges for edge in zip(cycle, cycle[1:]))
+        blocks = project.block_map()
+
+        def callees(name):  # the instance's own calls and its type's
+            scopes = (blocks[name], blocks[blocks[name].of_type])
+            return {call.instance_db for block in scopes for call in block.calls}
+
+        assert all(callee in callees(caller) for caller, callee in zip(cycle, cycle[1:]))
 
     def test_order_lists_callers_first(self, reference_plant):
-        tree = build_call_tree(prepare(parse_project(reference_plant.plc_xml)))
+        tree = build_call_tree(parse_project(reference_plant.plc_xml))
         assert sorted(tree.order) == sorted(tree.nodes)
         position = {name: k for k, name in enumerate(tree.order)}
         for name in tree.nodes:
             assert all(position[p] < position[name] for p in tree.parents[name])
 
     def test_reference_depth_three_controller_levels(self, reference_plant):
-        project = prepare(parse_project(reference_plant.plc_xml))
+        project = parse_project(reference_plant.plc_xml)
         tree = build_call_tree(project)
         assert tree.roots == ["OB1"]
         level_dbs = [n for n in tree.children["OB1"] if n.startswith("DB_Level")]

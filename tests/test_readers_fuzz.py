@@ -108,7 +108,7 @@ def _plc_inputs(plant_dir):
 
 
 def _analyze_plc(xml_bytes: bytes) -> None:
-    project = plc.prepare(plc.parse_project(xml_bytes))
+    project = plc.parse_project(xml_bytes)
     grouping.functional_grouping(project, plc.build_call_tree(project))
 
 
