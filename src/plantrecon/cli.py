@@ -1,12 +1,21 @@
 """Command-line entry point wiring the pipeline stages.
 
-Exit codes: 0 success, 1 input or configuration error, 2 data invariant
+Every flag is a plain string. ``--seed``, ``--out-dir`` and
+``--log-level`` override the configuration keys of the same name and are
+checked as those keys are, after ``--config`` is read. One wrapper runs
+each subcommand and maps whatever it raises to an exit code.
+
+Exit codes: 0 success, 1 input or configuration error (a bad flag or key,
+or a file that cannot be opened, read or written), 2 data invariant
 violation, 3 internal error. Failures print one machine-parsable line to
 stderr: ``plantrecon: error code=<n> type=<ExceptionName> msg="..."``.
+An unknown subcommand or option is click's usage error, exit 2.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import logging
 
 import click
@@ -21,12 +30,11 @@ from .config import (
 )
 from .errors import DataError, InputError
 
-logger = logging.getLogger(__name__)
-
 
 def _fail(exc: BaseException) -> "click.exceptions.Exit":
-    # An absent or undecodable file is unusable input, like a bad config.
-    if isinstance(exc, (InputError, FileNotFoundError, UnicodeDecodeError)):
+    # A file that cannot be opened, read, written or decoded is unusable
+    # input, like a bad config.
+    if isinstance(exc, (InputError, OSError, UnicodeDecodeError)):
         code = 1
     elif isinstance(exc, DataError):
         code = 2
@@ -39,161 +47,112 @@ def _fail(exc: BaseException) -> "click.exceptions.Exit":
     return click.exceptions.Exit(code)
 
 
-def _build_config(ctx: click.Context) -> PipelineConfig:
-    params = ctx.obj
-    if params["config"] is not None:
-        cfg = PipelineConfig.load(params["config"])
-    else:
-        cfg = PipelineConfig()
-    overrides = {
-        k: params[k] for k in ("seed", "out_dir", "log_level") if params[k] is not None
-    }
-    cfg.update(overrides)
-    return cfg
-
-
 @click.group()
-@click.option("--config", type=click.Path(exists=True, dir_okay=False), default=None,
-              help="Pipeline configuration file (key = value).")
-@click.option("--seed", type=int, default=None, help="Override the configured seed.")
-@click.option("--out-dir", type=click.Path(file_okay=False), default=None,
-              help="Directory for all stage outputs.")
-@click.option("--log-level", default=None, help="DEBUG, INFO, WARNING or ERROR.")
-@click.pass_context
-def main(ctx: click.Context, config, seed, out_dir, log_level):
+@click.option("--config", metavar="PATH", help="Pipeline configuration file (key = value).")
+@click.option("--seed", metavar="N", help="Override the configured seed.")
+@click.option("--out-dir", metavar="PATH", help="Directory for all stage outputs.")
+@click.option("--log-level", metavar="LEVEL", help="DEBUG, INFO, WARNING or ERROR.")
+def main(**flags):
     """Reconstruct a plant's relational model from recorded data."""
-    ctx.obj = {"config": config, "seed": seed, "out_dir": out_dir, "log_level": log_level}
-    logging.basicConfig(
-        level=(log_level or "INFO").upper(),
-        format="%(levelname)s %(name)s: %(message)s",
-    )
+    logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
 
 
-def _stage_command(ctx: click.Context, runner) -> None:
-    try:
-        cfg = _build_config(ctx)
-        logging.getLogger().setLevel(cfg.log_level.upper())
-        runner(cfg)
-    except click.exceptions.Exit:
-        raise
-    except BaseException as exc:  # mapped to the declared exit codes
-        if isinstance(exc, (KeyboardInterrupt, SystemExit)):
-            raise
-        raise _fail(exc) from None
+def _command(name: str):
+    """Register ``fn(cfg, **options)`` as the subcommand ``name``. ``cfg``
+    is ``--config`` updated with the other global flags; any exception
+    ``fn`` or that update raises ends in ``_fail``."""
+
+    def register(fn):
+        def run(**options):
+            try:
+                flags = dict(click.get_current_context().find_root().params)
+                path = flags.pop("config")
+                cfg = PipelineConfig() if path is None else PipelineConfig.load(path)
+                cfg.update({k: v for k, v in flags.items() if v is not None})
+                logging.getLogger().setLevel(cfg.log_level.upper())
+                fn(cfg, **options)
+            except Exception as exc:  # mapped to the declared exit codes
+                raise _fail(exc) from None
+
+        return main.command(name)(functools.update_wrapper(run, fn))
+
+    return register
 
 
-@main.command("analyze-plc")
-@click.pass_context
-def cmd_analyze_plc(ctx):
+@_command("analyze-plc")
+def cmd_analyze_plc(cfg: PipelineConfig):
     """Parse the PLC project and emit the functional-grouping fragment."""
-
-    def run(cfg: PipelineConfig):
-        graph = pipeline.stage_analyze_plc(cfg)
-        click.echo(f"analyze-plc: {graph.node_count} nodes, {graph.edge_count} edges")
-
-    _stage_command(ctx, run)
+    graph = pipeline.stage_analyze_plc(cfg)
+    click.echo(f"analyze-plc: {graph.node_count} nodes, {graph.edge_count} edges")
 
 
-@main.command("analyze-dynamics")
-@click.pass_context
-def cmd_analyze_dynamics(ctx):
+@_command("analyze-dynamics")
+def cmd_analyze_dynamics(cfg: PipelineConfig):
     """Correlate IO and RTLS traces and emit the physical-grouping fragment."""
-
-    def run(cfg: PipelineConfig):
-        graph = pipeline.stage_analyze_dynamics(cfg)
-        click.echo(f"analyze-dynamics: {graph.node_count} nodes, {graph.edge_count} edges")
-
-    _stage_command(ctx, run)
+    graph = pipeline.stage_analyze_dynamics(cfg)
+    click.echo(f"analyze-dynamics: {graph.node_count} nodes, {graph.edge_count} edges")
 
 
-@main.command("mine")
-@click.pass_context
-def cmd_mine(ctx):
+@_command("mine")
+def cmd_mine(cfg: PipelineConfig):
     """Merge the stage fragments, mine templates, and mark them."""
-
-    def run(cfg: PipelineConfig):
-        graph, templates = pipeline.stage_mine(cfg)
-        click.echo(f"mine: {len(templates)} maximal templates, graph {graph.node_count} nodes")
-
-    _stage_command(ctx, run)
+    graph, templates = pipeline.stage_mine(cfg)
+    click.echo(f"mine: {len(templates)} maximal templates, graph {graph.node_count} nodes")
 
 
-@main.command("export")
-@click.pass_context
-def cmd_export(ctx):
+@_command("export")
+def cmd_export(cfg: PipelineConfig):
     """Export the assembled graph as an AutomationML file."""
-
-    def run(cfg: PipelineConfig):
-        data = pipeline.stage_export(cfg)
-        click.echo(f"export: {len(data)} bytes of AML")
-
-    _stage_command(ctx, run)
+    data = pipeline.stage_export(cfg)
+    click.echo(f"export: {len(data)} bytes of AML")
 
 
-@main.command("synth")
-@click.option("--preset", type=click.Choice(["mini", "reference"]), default=None,
-              help="Built-in plant spec.")
-@click.option("--spec", "spec_path", type=click.Path(exists=True, dir_okay=False),
-              default=None, help="plantspec file (key = value).")
-@click.pass_context
-def cmd_synth(ctx, preset, spec_path):
+@_command("synth")
+@click.option("--preset", metavar="NAME", help="Built-in plant spec: mini or reference.")
+@click.option("--spec", "spec_path", metavar="PATH", help="plantspec file (key = value).")
+def cmd_synth(cfg: PipelineConfig, preset, spec_path):
     """Generate a synthetic plant: PLC XML, traces, ground truth, config."""
+    from . import synth
 
-    def run(cfg: PipelineConfig):
-        from . import synth
-
-        if spec_path is not None:
-            spec = plant_spec_from_dict(read_kv_file(spec_path))
-        elif preset == "reference":
-            spec = synth.reference_spec()
-        elif preset == "mini":
-            spec = synth.mini_spec()
-        else:
-            raise InputError("synth needs --preset or --spec")
-        if ctx.obj["seed"] is not None:
-            import dataclasses
-
-            spec = dataclasses.replace(spec, seed=ctx.obj["seed"])
-        plant = synth.generate(spec)
-        paths = plant.write_outputs(cfg.out_dir)
-        conf = synth.recommended_config(spec, cfg.out_dir)
-        write_kv_file(cfg.out_dir / "pipeline.conf", conf)
-        write_kv_file(cfg.out_dir / "plantspec.conf", plant_spec_to_dict(spec))
-        click.echo(
-            f"synth: {plant.ground_truth.counts['sensors']} sensors, "
-            f"{plant.ground_truth.counts['actuators']} actuators, "
-            f"{plant.mission_count} missions -> {cfg.out_dir}"
-        )
-        for name, path in sorted(paths.items()):
-            click.echo(f"  {name}: {path}")
-
-    _stage_command(ctx, run)
+    presets = {"mini": synth.mini_spec, "reference": synth.reference_spec}
+    if spec_path is not None:
+        spec = plant_spec_from_dict(read_kv_file(spec_path))
+    elif preset is None:
+        raise InputError("synth needs --preset or --spec")
+    elif preset not in presets:
+        raise InputError(f"unknown preset {preset!r}, expected mini or reference")
+    else:
+        spec = presets[preset]()
+    if click.get_current_context().find_root().params["seed"] is not None:
+        spec = dataclasses.replace(spec, seed=cfg.seed)
+    plant = synth.generate(spec)
+    paths = plant.write_outputs(cfg.out_dir)
+    conf = synth.recommended_config(spec, cfg.out_dir)
+    write_kv_file(cfg.out_dir / "pipeline.conf", conf)
+    write_kv_file(cfg.out_dir / "plantspec.conf", plant_spec_to_dict(spec))
+    click.echo(
+        f"synth: {plant.ground_truth.counts['sensors']} sensors, "
+        f"{plant.ground_truth.counts['actuators']} actuators, "
+        f"{plant.mission_count} missions -> {cfg.out_dir}"
+    )
+    for name, path in sorted(paths.items()):
+        click.echo(f"  {name}: {path}")
 
 
-@main.command("evaluate")
-@click.pass_context
-def cmd_evaluate(ctx):
+@_command("evaluate")
+def cmd_evaluate(cfg: PipelineConfig):
     """Score the assembled graph against the generator's ground truth."""
-
-    def run(cfg: PipelineConfig):
-        report = pipeline.stage_evaluate(cfg)
-        click.echo(report.to_text(), nl=False)
-
-    _stage_command(ctx, run)
+    report = pipeline.stage_evaluate(cfg)
+    click.echo(report.to_text(), nl=False)
 
 
-@main.command("run-all")
-@click.pass_context
-def cmd_run_all(ctx):
+@_command("run-all")
+def cmd_run_all(cfg: PipelineConfig):
     """Run the whole pipeline and print a stage-timing summary."""
-
-    def run(cfg: PipelineConfig):
-        result = pipeline.run_all(cfg)
-        click.echo(result.timing_text(), nl=False)
-        if result.report is not None:
-            click.echo(result.report.to_text(), nl=False)
-
-    _stage_command(ctx, run)
+    result = pipeline.run_all(cfg)
+    click.echo(result.timing_text(), nl=False)
+    if result.report is not None:
+        click.echo(result.report.to_text(), nl=False)
 
 
 if __name__ == "__main__":

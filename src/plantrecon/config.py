@@ -2,7 +2,8 @@
 
 One format serves both the pipeline configuration and the ``plantspec``
 generator configuration: one assignment per line, ``#`` comments, blank
-lines ignored, unknown keys rejected. CLI flags override file values.
+lines ignored, unknown keys rejected. CLI flags override file values and
+are read and checked as the keys of the same name.
 """
 
 from __future__ import annotations
@@ -67,30 +68,27 @@ class PipelineConfig:
         cfg.update(values)
         return cfg
 
-    def update(self, values: dict[str, str | int | Path | None]) -> None:
+    def update(self, values: dict[str, str | Path]) -> None:
+        """Set each key from its file or flag text (a path may be a Path),
+        then check the whole configuration."""
         known = {f.name for f in fields(self) if not f.name.startswith("_")}
         for key, raw in values.items():
             if key not in known:
                 raise ConfigError(f"unknown configuration key {key!r}")
-            if raw is None:
-                continue
             if key in self._PATHS:
-                setattr(self, key, Path(str(raw)))
+                setattr(self, key, Path(raw))
             elif key in self._INTS:
                 try:
                     setattr(self, key, int(raw))
                 except ValueError:
                     raise ConfigError(f"{key}: expected integer, got {raw!r}") from None
             elif key == "excluded_kinds":
-                if isinstance(raw, (tuple, list)):
-                    kinds = tuple(raw)
-                else:
-                    names = [n.strip() for n in str(raw).split(",") if n.strip()]
-                    try:
-                        kinds = tuple(NodeKind(n) for n in names)
-                    except ValueError as exc:
-                        raise ConfigError(f"excluded_kinds: {exc}") from None
-                setattr(self, key, tuple(sorted(set(kinds))))
+                names = [n.strip() for n in raw.split(",") if n.strip()]
+                try:
+                    kinds = {NodeKind(n) for n in names}
+                except ValueError as exc:
+                    raise ConfigError(f"excluded_kinds: {exc}") from None
+                setattr(self, key, tuple(sorted(kinds)))
             else:
                 setattr(self, key, str(raw))
         self.validate()

@@ -1,8 +1,8 @@
 """Shared exception bases.
 
 Two families matter for the CLI exit-code contract: ``InputError`` covers
-bad configuration (exit code 1, as do a missing file and one that is not
-valid UTF-8), ``DataError`` covers well-formed inputs whose content
+bad configuration (exit code 1, as do a file that cannot be opened, read
+or written and one that is not valid UTF-8), ``DataError`` covers well-formed inputs whose content
 violates an invariant (exit code 2). Anything else is an internal error
 (exit code 3).
 """

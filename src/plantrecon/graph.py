@@ -470,8 +470,8 @@ def merge(base: PropertyGraph, overlay: PropertyGraph) -> PropertyGraph:
         else:
             result.add_node(node.copy())
     for edge in overlay.edges():
-        if result.has_edge(*edge.triple):
-            existing = [e for e in result.out_edges(edge.source, edge.kind) if e.target == edge.target][0]
+        existing = result._edges.get(edge.triple)
+        if existing is not None:
             existing.labels.update(edge.labels)
         else:
             result.add_edge(edge.copy())

@@ -9,6 +9,7 @@ expected repeated structures.
 
 from __future__ import annotations
 
+import logging
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -17,6 +18,8 @@ from .errors import DataError
 from .graph import EdgeKind, NodeKind, PropertyGraph
 from .mining import Pattern, patterns_isomorphic
 from .synth import GroundTruth
+
+logger = logging.getLogger(__name__)
 
 
 class UniverseMismatchError(DataError):
@@ -133,7 +136,8 @@ def evaluate(
     """Score a finished pipeline run against the generator's ground truth.
 
     ``classified`` says that the 1-NN classifier assigned the graph's
-    physical groups; only then is classification accuracy scored.
+    physical groups; only then is classification accuracy scored, and
+    only when it assigned at least one component.
     """
     truth_functional = ground_truth.functional_partition
     mined_functional = functional_partition_of(graph)
@@ -146,8 +150,11 @@ def evaluate(
     accuracy = None
     if classified:
         assignments = physical_assignments_of(graph)
-        correct = sum(1 for tag, label in assignments.items() if truth_physical.get(tag) == label)
-        accuracy = correct / len(assignments) if assignments else 0.0
+        if assignments:
+            correct = sum(1 for t, label in assignments.items() if truth_physical.get(t) == label)
+            accuracy = correct / len(assignments)
+        else:
+            logger.warning("no component has a physical group: classification_accuracy not scored")
 
     clustering_ari = None
     if clustering_assignments:

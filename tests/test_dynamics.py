@@ -1,10 +1,17 @@
 import logging
 import math
+import random
 
 import pytest
 
+from oracles import events_oracle
 from plantrecon import synth
-from plantrecon.dynamics import DynamicsParams, analyze_dynamics, build_physical_groups
+from plantrecon.dynamics import (
+    DynamicsParams,
+    analyze_dynamics,
+    build_physical_groups,
+    component_event_series,
+)
 from plantrecon.graph import EdgeKind, NodeKind, merge
 from plantrecon.plc import parse_project
 from plantrecon.traces import (
@@ -176,6 +183,49 @@ class TestDegenerateInputs:
         rows = [(t, tr, math.nan, y, z, None) for (t, tr, _, y, z, _) in mini_plant.rtls_rows]
         with pytest.raises(TraceError, match="non-finite coordinate"):
             analyze_dynamics(io, RtlsTrace.from_rows(rows), labeled, kinds, types, project.name)
+
+
+def _noisy_level_rows(tag: str, plateaus: int, seed: int) -> tuple[list, int]:
+    """An Int tag switching between about 0 and about 100, with integer
+    noise of up to 3 on each plateau. Each switch passes the mid-range
+    once and then falls back to it, inside the 2 % band, so a detector
+    without hysteresis would fire twice. Returns the rows and the number
+    of switches."""
+    rng = random.Random(seed)
+    rows, t, high = [], 0, False
+    for plateau in range(plateaus):
+        if plateau:
+            high = not high
+            for value in ((45, 55, 50) if high else (55, 45, 50)):
+                rows.append((t, tag, float(value)))
+                t += 10
+        for _ in range(rng.randint(3, 8)):
+            rows.append((t, tag, float((100 if high else 0) + rng.randint(-3, 3))))
+            t += 10
+    return rows, plateaus - 1
+
+
+class TestAnalogEvents:
+    """component_event_series on Int and Real tags: the threshold sits
+    mid-range and the hysteresis band is 2 % of the tag's value range."""
+
+    def test_noisy_int_tag_equals_oracle(self):
+        rows, switches = _noisy_level_rows("A_level", 30, seed=5)
+        bool_rows = [(t, "S_flag", float(k % 2)) for k, (t, _, _) in enumerate(rows[::4])]
+        io = IoTrace.from_rows(rows + bool_rows)
+        events = component_event_series(io, {"A_level": "Int", "S_flag": "Bool"})
+
+        samples = [(t, value) for t, _, value in rows]
+        lo, hi = min(v for _, v in samples), max(v for _, v in samples)
+        expected = events_oracle(samples, True, (lo + hi) / 2, 0.02 * (hi - lo))
+        assert events["A_level"].tolist() == expected
+        assert len(expected) == switches
+        bool_samples = [(t, value) for t, _, value in bool_rows]
+        assert events["S_flag"].tolist() == events_oracle(bool_samples)
+
+    def test_constant_analog_tag_has_no_events(self):
+        io = IoTrace.from_rows([(t, "A_temp", 12.5) for t in range(0, 1000, 10)])
+        assert component_event_series(io, {"A_temp": "Real"})["A_temp"].tolist() == []
 
 
 class TestBuildPhysicalGroups:

@@ -14,7 +14,7 @@ from click.testing import CliRunner
 from plantrecon import dynamics, metrics, synth
 from plantrecon.cli import main
 from plantrecon.clustering import KMeansParams, cluster_positions
-from plantrecon.config import PipelineConfig, read_kv_file, write_kv_file
+from plantrecon.config import PipelineConfig, plant_spec_to_dict, read_kv_file, write_kv_file
 from plantrecon.errors import ConfigError
 from plantrecon.graph import load_graph
 from plantrecon import pipeline
@@ -83,6 +83,53 @@ def _position_x(value):
 
 def _foreign_edge_id(records):
     next(r for r in records if r["recordType"] == "edge")["id"] = "Contains:elsewhere"
+
+
+def _with_key(ws: Path, tmp: Path, key: str, value: str) -> Path:
+    """The mini workspace's pipeline.conf with ``key`` set to ``value``."""
+    conf = read_kv_file(ws / "pipeline.conf")
+    conf[key] = value
+    write_kv_file(tmp / "bad.conf", conf)
+    return tmp / "bad.conf"
+
+
+def _mini_args(ws: Path, tmp: Path, *args: str) -> list[str]:
+    return ["--config", str(ws / "pipeline.conf"), "--out-dir", str(tmp / "o"), *args]
+
+
+def _out_dir_a_file(ws: Path, tmp: Path) -> list[str]:
+    (tmp / "taken").write_text("", encoding="utf-8")
+    return ["--config", str(ws / "pipeline.conf"), "--out-dir", str(tmp / "taken"), "run-all"]
+
+
+# Each bad flag value or unusable file: the arguments that give it, and
+# the error type and message the one error line names.
+_BAD_INPUTS = {
+    "log-level-foo": (
+        lambda ws, tmp: _mini_args(ws, tmp, "--log-level", "foo", "analyze-plc"),
+        "ConfigError", "unknown log_level 'foo'"),
+    "config-missing": (
+        lambda ws, tmp: ["--config", str(tmp / "nope.conf"), "analyze-plc"],
+        "FileNotFoundError", "nope.conf"),
+    "config-directory": (
+        lambda ws, tmp: ["--config", str(tmp), "analyze-plc"],
+        "IsADirectoryError", "Is a directory"),
+    "seed-abc": (
+        lambda ws, tmp: ["--out-dir", str(tmp / "o"), "--seed", "abc",
+                         "synth", "--preset", "mini"],
+        "ConfigError", "seed: expected integer, got 'abc'"),
+    "spec-missing": (
+        lambda ws, tmp: ["--out-dir", str(tmp / "o"), "synth", "--spec", str(tmp / "nope.spec")],
+        "FileNotFoundError", "nope.spec"),
+    "preset-bogus": (
+        lambda ws, tmp: ["--out-dir", str(tmp / "o"), "synth", "--preset", "bogus"],
+        "InputError", "unknown preset 'bogus'"),
+    "plc-xml-directory": (
+        lambda ws, tmp: ["--config", str(_with_key(ws, tmp, "plc_xml", str(tmp))),
+                         "--out-dir", str(tmp / "o"), "analyze-plc"],
+        "IsADirectoryError", "Is a directory"),
+    "out-dir-a-file": (_out_dir_a_file, "FileExistsError", "taken"),
+}
 
 
 class TestConfig:
@@ -216,6 +263,25 @@ class TestCli:
         assert (tmp_path / "o" / "pipeline.conf").exists()
         assert (tmp_path / "o" / "plantspec.conf").exists()
 
+    @pytest.mark.parametrize("preset", ["mini", "reference"])
+    def test_synth_seed_flag(self, tmp_path, preset):
+        # The benchmark sets up each plant with --seed N synth.
+        out = tmp_path / "o"
+        result = CliRunner().invoke(
+            main, ["--seed", "7", "--out-dir", str(out), "synth", "--preset", preset]
+        )
+        assert result.exit_code == 0, result.output
+        spec = {"mini": synth.mini_spec, "reference": synth.reference_spec}[preset](7)
+        expected = synth.generate(spec).write_outputs(tmp_path / "expected")
+        for key, path in expected.items():
+            assert (out / path.name).read_bytes() == path.read_bytes(), key
+        assert read_kv_file(out / "plantspec.conf") == plant_spec_to_dict(spec)
+        assert read_kv_file(out / "pipeline.conf") == synth.recommended_config(spec, out)
+        if preset == "reference":
+            # The noisy plant shows that the seed reached the generator.
+            default = synth.generate(synth.reference_spec())
+            assert (out / "rtls.csv").read_text(encoding="utf-8") != default.rtls_csv(False)
+
     def test_synth_from_spec_file(self, tmp_path):
         spec_file = tmp_path / "plantspec.conf"
         spec_file.write_text(
@@ -292,6 +358,42 @@ class TestCli:
         assert result.exit_code == 1, result.output
         assert "type=InvalidSpecError" in result.output
         assert "must be finite" in result.output
+
+    @pytest.mark.parametrize("case", list(_BAD_INPUTS))
+    def test_bad_flag_or_file_exit_1(self, mini_workspace, tmp_path, case):
+        build, error, message = _BAD_INPUTS[case]
+        args = build(mini_workspace, tmp_path)
+        result = CliRunner().invoke(main, args)
+        runs = [(result.exit_code, result.output)]
+        if case in ("log-level-foo", "config-missing"):
+            env = {**os.environ, "PYTHONPATH": str(Path(pipeline.__file__).parents[1])}
+            proc = subprocess.run([sys.executable, "-m", "plantrecon.cli", *args], env=env,
+                                  capture_output=True, text=True, timeout=120)
+            runs.append((proc.returncode, proc.stdout + proc.stderr))
+        for code, output in runs:
+            assert code == 1, output
+            assert "Traceback" not in output
+            errors = [line for line in output.splitlines() if line.startswith("plantrecon: ")]
+            assert len(errors) == 1, output
+            assert errors[0].startswith(f'plantrecon: error code=1 type={error} msg="')
+            assert message in errors[0]
+
+    def test_plc_only_flow(self, mini_workspace, tmp_path, caplog):
+        # Without analyze-dynamics, mine merges the functional fragment
+        # alone and no component has a physical group to score.
+        out = tmp_path / "o"
+        with caplog.at_level(logging.WARNING):
+            for cmd in ("analyze-plc", "mine", "export", "evaluate"):
+                result = CliRunner().invoke(main, _mini_args(mini_workspace, tmp_path, cmd))
+                assert result.exit_code == 0, (cmd, result.output)
+        assert not (out / "dynamics.dtgraph").exists()
+        graph = load_graph(out / "plant.dtgraph")
+        assert metrics.physical_assignments_of(graph) == {}
+        report = "ari = 1.0\npairwise_f1 = 1.0\ntemplate_recovery = 1.0\n"
+        assert (out / "metrics.report").read_text(encoding="utf-8") == report
+        assert "classification_accuracy" not in result.output
+        warned = [r.name for r in caplog.records if "not scored" in r.getMessage()]
+        assert warned == ["plantrecon.metrics"]
 
     def test_run_all_happy_path(self, mini_workspace, tmp_path):
         runner = CliRunner()
