@@ -11,10 +11,10 @@ The package is organized along the pipeline:
 ``dtw``        dynamic time warping and 1-NN classification
 ``clustering`` seeded k-means alternative
 ``dynamics``   dynamics analysis orchestration, physical groups
-``mining``     closed rooted template mining (MNI support), template marking
+``mining``     whole-unit template mining (MNI support), template marking
 ``aml``        AutomationML/CAEX export, import, validation
 ``synth``      synthetic plant generator with ground truth
-``metrics``    ARI, pairwise F1, template recovery, evaluation
+``metrics``    ARI, pairwise F1, template recovery and precision, evaluation
 ``pipeline``   stage wiring; ``cli`` is the command-line front end
 """
 

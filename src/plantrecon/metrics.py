@@ -3,8 +3,8 @@
 The original evaluation of this approach measured expert time; that is
 not reproducible at a desk, so the generator's ground truth is scored
 instead: adjusted Rand index and pairwise F1 for the functional grouping,
-per-component accuracy for the physical assignment, and recovery of the
-expected repeated structures.
+per-component accuracy for the physical assignment, and recovery and
+precision of the expected repeated structures.
 """
 
 from __future__ import annotations
@@ -69,19 +69,26 @@ def _as_pattern(structure: dict) -> Pattern:
     return Pattern.from_structure(structure, int(structure.get("support", 0)))
 
 
+def _same_template(a: Pattern, b: Pattern) -> bool:
+    return a.support == b.support and patterns_isomorphic(a, b)
+
+
 def template_recovery(expected: list[dict], mined: list[Pattern]) -> float:
     """Fraction of expected templates found among the mined maximal
     patterns with matching structure and support."""
     if not expected:
         return 1.0
-    hits = 0
-    for exp in expected:
-        pattern = _as_pattern(exp)
-        for candidate in mined:
-            if candidate.support == pattern.support and patterns_isomorphic(pattern, candidate):
-                hits += 1
-                break
-    return hits / len(expected)
+    wanted = [_as_pattern(exp) for exp in expected]
+    return sum(any(_same_template(w, m) for m in mined) for w in wanted) / len(expected)
+
+
+def template_precision(expected: list[dict], mined: list[Pattern]) -> float | None:
+    """Fraction of the mined templates that match an expected template in
+    structure and support; None when no template was mined."""
+    if not mined:
+        return None
+    wanted = [_as_pattern(exp) for exp in expected]
+    return sum(any(_same_template(w, m) for w in wanted) for m in mined) / len(mined)
 
 
 @dataclass
@@ -93,6 +100,8 @@ class MetricsReport:
     classification_accuracy: float | None = None
     # Set when k-means grouped the positions.
     clustering_ari: float | None = None
+    # Set when templates were mined.
+    template_precision: float | None = None
 
     def to_text(self) -> str:
         """Deterministic ``metrics.report`` body; a metric that is not set
@@ -102,6 +111,7 @@ class MetricsReport:
             "clustering_ari": self.clustering_ari,
             "classification_accuracy": self.classification_accuracy,
             "pairwise_f1": self.pairwise_f1,
+            "template_precision": self.template_precision,
             "template_recovery": self.template_recovery,
         }
         return "".join(f"{k} = {v!r}\n" for k, v in metrics.items() if v is not None)
@@ -167,4 +177,5 @@ def evaluate(
         classification_accuracy=accuracy,
         template_recovery=template_recovery(ground_truth.templates, templates),
         clustering_ari=clustering_ari,
+        template_precision=template_precision(ground_truth.templates, templates),
     )

@@ -1,21 +1,21 @@
-"""Frequent subgraph mining over the assembled graph.
+"""Template mining over the assembled graph: whole containment units.
 
-Patterns are connected, directed, labeled subgraphs. The pipeline's
-search, ``mine``, grows only root-anchored patterns, those one vertex
-spans along Contains arcs (the plant's repeated containment units): add a
-Contains child to a pattern vertex, or close an unused arc between two
-pattern vertices, and expand each pattern once. It reports only the
-closed patterns, those that no rooted super-pattern of equal support
-contains, which are exactly the templates ``select_templates`` keeps. It
-works on the graph coded as integers and extends all embeddings of a
-pattern in one vectorized pass. Each pattern it reports carries its
-canonical code, gSpan's minimal DFS code along the rightmost path.
+The plant's templates are its repeated units: a place is a
+FunctionalGroup with everything it contains, a row a group with its
+component and its places. The pipeline's search, ``mine``, takes each
+vertex's bottom-up subtree (the vertex, its Contains descendants and
+every arc among them), groups these units into isomorphism classes, and
+reports each class that repeats, with its canonical code (gSpan's
+minimal DFS code along the rightmost path) and its embeddings. Its cost
+grows with the units, not with the lattice of partly filled ones.
 Because everything lives in one large graph rather than a transaction
 database, support is minimum-image-based (MNI): the number of distinct
 graph vertices seen at the pattern position with the fewest distinct
-images. MNI is anti-monotone, which keeps the support pruning sound;
-this deliberately diverges from the transaction-based support of
-textbook gSpan.
+images, counted over the whole graph, so a unit inside a larger unit
+counts too. This deliberately diverges from the transaction-based
+support of textbook gSpan. The general gSpan search, ``mine_frequent``,
+and the closed rooted search the pipeline ran before,
+``mine_closed_rooted``, remain in ``tests/references.py`` as references.
 
 Edge direction is part of the edge label, so ``A -Contains-> B`` and
 ``B -Contains-> A`` are different patterns. The mining projection leaves
@@ -28,8 +28,6 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import DataError
 from .graph import (
@@ -296,197 +294,29 @@ def _extension_rank(ce: CodeEdge):
     return (1, -i, el, lj)
 
 
-def _min_code_walk(view: MiningGraph):
+def _min_code_walk(view: MiningGraph, keep=lambda vmap: True):
     """Yield the minimal DFS code of a connected pattern graph, edge by
     edge. Each code edge comes with one map from the code positions so far
-    to the pattern graph's vertices that realises the code."""
+    to the pattern graph's vertices that realises the code.
+
+    ``keep`` may drop maps, but must keep at least one map of each orbit
+    under a group of the pattern graph's automorphisms (see
+    ``_first_entry_rule``). Maps in one orbit realise the same code and
+    have the same extensions, so the minimum is unchanged, and a row of k
+    interchangeable places is walked with one map instead of k!."""
     seeds = _initial_codes(view)
     code = (min(seeds),)
-    embeddings = seeds[code[0]]
+    embeddings = [m for m in seeds[code[0]] if keep(m)]
     yield code[0], embeddings[0]
     while len(code) < len(view.edges):
         exts = _extension_entries(code, embeddings, view)
         best = min(exts, key=_extension_rank)
-        embeddings = _materialize(exts[best], embeddings)
+        embeddings = [m for m in _materialize(exts[best], embeddings) if keep(m)]
         code += (best,)
         yield best, embeddings[0]
 
 
 _CONTAINS = EdgeKind.CONTAINS.value
-
-
-class _IntHost:
-    """A mining graph coded as integers, for the rooted search.
-
-    Vertices are numbered in sorted-id order; vertex and edge labels are
-    coded in sorted order. Out-arcs are CSR arrays sorted by (source,
-    target, label), so an arc's index is its host-arc code; Contains
-    parents are CSR arrays by child, pointing at those arc indices.
-    """
-
-    def __init__(self, g: MiningGraph) -> None:
-        self.ids = sorted(g.vertex_ids)
-        number = {v: k for k, v in enumerate(self.ids)}
-        self.vertex_label_names = sorted({g.vertex_labels[v] for v in self.ids})
-        self.edge_label_names = sorted({label for (_, _, label) in g.edges})
-        vcode = {label: k for k, label in enumerate(self.vertex_label_names)}
-        ecode = {label: k for k, label in enumerate(self.edge_label_names)}
-        self.vertex_labels = np.array([vcode[g.vertex_labels[v]] for v in self.ids], dtype=np.int64)
-        arcs = sorted((number[s], number[d], ecode[label]) for (s, d, label) in g.edges)
-        self.arc_src, self.arc_dst, self.arc_label = np.array(arcs, dtype=np.int64).reshape(-1, 3).T
-        vertices = np.arange(len(self.ids) + 1)
-        self.out_ptr = np.searchsorted(self.arc_src, vertices)
-        self.contains = ecode.get(_CONTAINS, -1)
-        contains = np.flatnonzero(self.arc_label == self.contains)
-        self.parent_arc = contains[np.argsort(self.arc_dst[contains], kind="stable")]
-        self.parent_ptr = np.searchsorted(self.arc_dst[self.parent_arc], vertices)
-
-    def move_code(self, n: int, i, j, label, new_label):
-        """One integer per move (i, j, edge label, new vertex label + 1,
-        or 0 for a closing arc) of an n-vertex pattern, ordered as the tuple."""
-        labels = len(self.vertex_label_names) + 1
-        return ((i * (n + 1) + j) * len(self.edge_label_names) + label) * labels + new_label
-
-    def decode_move(self, n: int, code: int) -> tuple[int, int, int, int]:
-        """The (i, j, edge label, new vertex label + 1) of a move code."""
-        rest, new_label = divmod(code, len(self.vertex_label_names) + 1)
-        rest, label = divmod(rest, len(self.edge_label_names))
-        i, j = divmod(rest, n + 1)
-        return i, j, label, new_label
-
-
-def _csr_expand(ptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Every (k, item) with item in ptr[rows[k]]:ptr[rows[k] + 1]."""
-    start = ptr[rows]
-    count = ptr[rows + 1] - start
-    owner = np.repeat(np.arange(len(rows)), count)
-    item = np.arange(len(owner)) + np.repeat(start - np.cumsum(count) + count, count)
-    return owner, item
-
-
-def _row_locator(emb: np.ndarray, span: int):
-    """A function giving the position of values[k] in the embedding
-    emb[rows[k]], or -1. Vertex numbers are below ``span``."""
-    order = np.argsort(emb, axis=1)
-    keys = (np.arange(len(emb))[:, None] * span + np.take_along_axis(emb, order, axis=1)).ravel()
-    positions = order.ravel()
-
-    def locate(rows: np.ndarray, values: np.ndarray) -> np.ndarray:
-        query = rows * span + values
-        at = np.minimum(np.searchsorted(keys, query), len(keys) - 1)
-        return np.where(keys[at] == query, positions[at], -1)
-
-    return locate
-
-
-def _spanning_positions(arcs, contains: int) -> list[int]:
-    """Positions that reach every other along the pattern's Contains arcs:
-    position 0, from which the pattern was grown, and those that reach it."""
-    parents: dict[int, list[int]] = {}
-    for (i, j, label) in arcs:
-        if label == contains:
-            parents.setdefault(j, []).append(i)
-    found = {0}
-    stack = [0]
-    while stack:
-        for p in parents.get(stack.pop(), ()):
-            if p not in found:
-                found.add(p)
-                stack.append(p)
-    return sorted(found)
-
-
-def _rooted_moves(host: _IntHost, emb: np.ndarray, arcs, grow: bool):
-    """Every one-arc extension of every embedding of a rooted pattern, as
-    parallel arrays (move code, embedding row, image of the new position,
-    host arc). The moves are: an unused arc of any label between two
-    pattern vertices (the new position's image is position 0's); and,
-    when ``grow``, a fresh Contains child of any vertex and a fresh
-    Contains parent of any spanning vertex (a move from the new position
-    n, used only to test closedness). Arcs are enumerated from their
-    source, so every embedding meets each closing move at most once. A
-    closing move that every embedding meets is returned alone, the
-    smallest such (early termination, see ``mine``)."""
-    n = emb.shape[1]
-    locate = _row_locator(emb, len(host.ids))
-    owner, arc = _csr_expand(host.out_ptr, emb.ravel())
-    row, i = np.divmod(owner, n)
-    target, label = host.arc_dst[arc], host.arc_label[arc]
-    j = locate(row, target)
-    used = np.zeros((n, n, len(host.edge_label_names)), dtype=bool)
-    used[tuple(np.array(arcs).T)] = True
-    closing = (j >= 0) & ~used[i, j, label]
-    code = host.move_code(n, i, j, label, 0)
-    codes, counts = np.unique(code[closing], return_counts=True)
-    every_row = codes[counts == len(emb)]
-    if len(every_row):
-        take = closing & (code == every_row[0])
-        return code[take], row[take], emb[row[take], 0], arc[take]
-    parts = [(code, row, emb[row, 0], arc, closing)]
-    if grow:
-        forward = (j < 0) & (label == host.contains)
-        new_label = host.vertex_labels[target] + 1
-        parts.append((host.move_code(n, i, n, label, new_label), row, target, arc, forward))
-        spanning = np.array(_spanning_positions(arcs, host.contains))
-        owner, item = _csr_expand(host.parent_ptr, emb[:, spanning].ravel())
-        row, k = np.divmod(owner, len(spanning))
-        arc = host.parent_arc[item]
-        parent = host.arc_src[arc]
-        new_label = host.vertex_labels[parent] + 1
-        outside = locate(row, parent) < 0
-        code = host.move_code(n, n, spanning[k], host.contains, new_label)
-        parts.append((code, row, parent, arc, outside))
-    kept = [[column[mask] for column in columns] for (*columns, mask) in parts]
-    return tuple(np.concatenate(column) for column in zip(*kept))
-
-
-def _run_starts(values: np.ndarray) -> np.ndarray:
-    """Mask of the entries of a sorted array that differ from the one before."""
-    mask = np.ones(len(values), dtype=bool)
-    mask[1:] = values[1:] != values[:-1]
-    return mask
-
-
-def _move_supports(
-    emb: np.ndarray, row: np.ndarray, image: np.ndarray, rank: np.ndarray, moves: int, span: int
-) -> np.ndarray:
-    """MNI support per move from one sort of (move, position, image) codes:
-    distinct images per (move, position), minimum over the positions."""
-    width = emb.shape[1] + 1
-    images = np.column_stack((emb[row], image))
-    codes = ((rank[:, None] * width + np.arange(width)) * span + images).ravel()
-    codes.sort()
-    first = codes[_run_starts(codes)]
-    return np.bincount(first // span, minlength=moves * width).reshape(moves, width).min(axis=1)
-
-
-def _image_key(arc_ids: np.ndarray) -> tuple[int, ...]:
-    """The smallest sorted tuple of host-arc codes over a pattern's
-    embeddings. Each embedding's image is a copy of the pattern, so two
-    patterns have the same key exactly when they are isomorphic. Only the
-    images holding the smallest arc can give it."""
-    lowest = arc_ids.min(axis=1)
-    candidates = np.sort(arc_ids[lowest == lowest.min()], axis=1)
-    return min(map(tuple, candidates.tolist()))
-
-
-def _rooted_pattern(host: _IntHost, labels, arcs, emb: np.ndarray, support: int) -> Pattern:
-    """The string-id pattern of an int-coded one: canonical code, and the
-    embeddings re-indexed to its positions and sorted."""
-    vertex_labels = tuple(host.vertex_label_names[x] for x in labels)
-    pattern_arcs = tuple((i, j, host.edge_label_names[x]) for (i, j, x) in arcs)
-    code: DfsCode = ()
-    for ce, positions in _min_code_walk(_pattern_graph(vertex_labels, pattern_arcs)):
-        code += (ce,)
-    code_labels, code_arcs = code_to_structure(code)
-    ids = host.ids
-    return Pattern(
-        code=code,
-        support=support,
-        embeddings=sorted(tuple(ids[v] for v in row) for row in emb[:, list(positions)].tolist()),
-        vertex_labels=code_labels,
-        arcs=code_arcs,
-    )
 
 
 def _check_caps(min_support: int, min_nodes: int, max_nodes: int) -> None:
@@ -496,93 +326,249 @@ def _check_caps(min_support: int, min_nodes: int, max_nodes: int) -> None:
         raise MiningError("need 2 <= min_nodes <= max_nodes")
 
 
+class _ContainsForest:
+    """A labeled graph coded as integers (vertices in sorted-id order) with
+    its Contains forest: each vertex's out-arcs, parent, children (in
+    index order, and by label) and subtree size; ``top_down`` lists
+    parents first. Two Contains parents of a vertex, or a Contains cycle,
+    raise ``MiningError``: a unit is a vertex with all it contains."""
+
+    def __init__(self, g: MiningGraph) -> None:
+        self.ids = sorted(g.vertex_ids)
+        number = {v: k for k, v in enumerate(self.ids)}
+        self.labels = [g.vertex_labels[v] for v in self.ids]
+        n = len(self.ids)
+        self.arcs = {(number[s], number[d], label) for (s, d, label) in g.edges}
+        self.out: list[list[tuple[int, str]]] = [[] for _ in range(n)]
+        self.parent = [-1] * n
+        self.children: list[list[int]] = [[] for _ in range(n)]
+        for (s, d, label) in sorted(self.arcs):
+            self.out[s].append((d, label))
+            if label == _CONTAINS:
+                if self.parent[d] >= 0:
+                    raise MiningError(f"{self.ids[d]!r} has two Contains parents")
+                self.parent[d] = s
+                self.children[s].append(d)
+        self.top_down = [v for v in range(n) if self.parent[v] < 0]
+        for v in self.top_down:
+            self.top_down.extend(self.children[v])
+        if len(self.top_down) < n:
+            raise MiningError("the Contains arcs form a cycle")
+        self.size = [1] * n
+        self.kids: list[dict[str, list[int]]] = [{} for _ in range(n)]
+        for v in reversed(self.top_down):
+            for c in self.children[v]:
+                self.size[v] += self.size[c]
+                self.kids[v].setdefault(self.labels[c], []).append(c)
+
+    def subtree(self, v: int) -> list[int]:
+        """v and its descendants, parents before children."""
+        out = [v]
+        for u in out:
+            out.extend(self.children[u])
+        return out
+
+    def shapes(self, max_size: int) -> dict[int, int]:
+        """The AHU code of each subtree of at most ``max_size`` vertices,
+        numbered: equal numbers for isomorphic Contains subtrees."""
+        shape: dict[int, int] = {}
+        number: dict[tuple, int] = {}
+        for v in reversed(self.top_down):
+            if self.size[v] <= max_size:
+                code = (self.labels[v], tuple(sorted(shape[c] for c in self.children[v])))
+                shape[v] = number.setdefault(code, len(number))
+        return shape
+
+
+def _swap_classes(tree: _ContainsForest) -> list[list[list[int]]]:
+    """The sibling subtrees of a tree-shaped pattern that automorphisms
+    exchange. S and T are alike when an automorphism maps S's root to T's
+    and fixes every vertex outside S and T, so that it swaps S and T. That
+    is an equivalence: conjugating the S-T swap by a T-U swap swaps S and U.
+    Each class lists its subtrees, root first, in index order of their
+    roots; classes come parents first."""
+    shape = tree.shapes(len(tree.ids))
+
+    def swappable(s: list[int], t: list[int]) -> bool:
+        inside = set(s + t)
+
+        def pinned(root: int) -> Pattern:
+            # Outside vertices get labels only they match; so does the root.
+            labels = tuple(() if v == root else x if v in inside else (v,)
+                           for v, x in enumerate(tree.labels))
+            return Pattern((), 0, [], labels, tuple(tree.arcs))
+
+        return find_monomorphism(pinned(s[0]), pinned(t[0]))
+
+    classes = []
+    for x in tree.top_down:
+        found: list[list[list[int]]] = []
+        for c in tree.children[x]:
+            subtree = tree.subtree(c)
+            alike = (cls for cls in found if shape[cls[0][0]] == shape[c])
+            cls = next((cls for cls in alike if swappable(cls[0], subtree)), None)
+            if cls is None:
+                found.append([subtree])
+            else:
+                cls.append(subtree)
+        classes += [cls for cls in found if len(cls) > 1]
+    return classes
+
+
+def _first_entry_rule(classes):
+    """The ``keep`` rule of ``_min_code_walk`` for a pattern's swap
+    classes: a map must enter the subtrees of each class in their listed
+    order. Each map has an automorphic image that does: permute each
+    class's subtrees into the order the map enters them, parents' classes
+    first. A permutation below a subtree maps that subtree onto itself,
+    so it keeps the classes above in order."""
+    member: dict[int, list[tuple[int, int]]] = {}
+    for c, cls in enumerate(classes):
+        for i, subtree in enumerate(cls):
+            for v in subtree:
+                member.setdefault(v, []).append((c, i))
+
+    def keep(vmap) -> bool:
+        entered = [0] * len(classes)
+        for v in vmap:
+            for c, i in member.get(v, ()):
+                if i > entered[c]:
+                    return False
+                entered[c] += i == entered[c]
+        return True
+
+    return keep
+
+
+def _unit(forest: _ContainsForest, shape: dict, v: int) -> tuple[tuple, tuple]:
+    """The bottom-up subtree of v (v, its Contains descendants and every
+    arc among them) as vertex labels and arcs, top-down from v, and its
+    bucket key: its AHU code with the codes and label of each other arc."""
+    order = [v]
+    for u in order:
+        order.extend(sorted(forest.children[u], key=lambda c: (shape[c], c)))
+    position = {u: k for k, u in enumerate(order)}
+    arcs = sorted(
+        (position[u], position[w], label)
+        for u in order
+        for (w, label) in forest.out[u]
+        if w in position
+    )
+    others = sorted(
+        (shape[order[i]], label, shape[order[j]]) for (i, j, label) in arcs if label != _CONTAINS
+    )
+    return (tuple(forest.labels[u] for u in order), arcs), (shape[v], tuple(others))
+
+
+def _unit_embeddings(forest: _ContainsForest, tree: _ContainsForest, classes) -> list[tuple]:
+    """The embeddings of a unit's pattern, whose positions run top-down,
+    up to its swaps: the roots of each class's subtrees take increasing
+    images. Contains arcs go to host Contains children, and the forest
+    keeps different children's subtrees apart, so distinct images among
+    siblings make a map injective."""
+    n = len(tree.ids)
+    checks: list[list] = [[] for _ in range(n)]
+    for (u, w, label) in tree.arcs:
+        if label != _CONTAINS:
+            checks[max(u, w)].append((u, w, label))
+    after, later = [-1] * n, [0] * n
+    for cls in classes:
+        for i, subtree in enumerate(cls):
+            after[subtree[0]] = cls[i - 1][0] if i else -1
+            later[subtree[0]] = len(cls) - 1 - i
+    vmap = [0] * n
+    used: set[int] = set()
+    found: list[tuple[int, ...]] = []
+
+    def extend(p: int) -> None:
+        if p == n:
+            found.append(tuple(vmap))
+            return
+        low = vmap[after[p]] if after[p] >= 0 else -1
+        options = forest.kids[vmap[tree.parent[p]]].get(tree.labels[p], [])
+        # Leave an image for each later subtree of p's class.
+        for h in options[: len(options) - later[p]]:
+            vmap[p] = h
+            if h > low and h not in used and all(
+                (vmap[u], vmap[w], label) in forest.arcs for (u, w, label) in checks[p]
+            ):
+                used.add(h)
+                extend(p + 1)
+                used.discard(h)
+
+    for r, label in enumerate(forest.labels):
+        if label == tree.labels[0] and forest.size[r] >= n:
+            vmap[0] = r
+            extend(1)
+    return found
+
+
+def _unit_template(forest: _ContainsForest, unit: MiningGraph, classes, found) -> Pattern:
+    """A unit's template from its swap classes and embeddings (position 0
+    is the root), re-indexed to the positions of its canonical code."""
+    code: DfsCode = ()
+    for ce, positions in _min_code_walk(unit, _first_entry_rule(classes)):
+        code += (ce,)
+    labels, arcs = code_to_structure(code)
+    return Pattern(
+        code=code,
+        support=len({vmap[0] for vmap in found}),
+        embeddings=sorted(tuple(forest.ids[vmap[p]] for p in positions) for vmap in found),
+        vertex_labels=labels,
+        arcs=arcs,
+    )
+
+
 def mine(
     g: MiningGraph, min_support: int = 2, min_nodes: int = 3, max_nodes: int = 12
 ) -> list[Pattern]:
-    """The templates: the closed patterns that one vertex spans along
-    Contains arcs (no rooted super-pattern within ``max_nodes`` has their
-    MNI support), within the caps, sorted by (-support, -size, code). They
-    are the rooted patterns ``select_templates`` keeps of all the frequent
-    patterns a general gSpan search finds, each the same ``Pattern``.
+    """The templates, the whole containment units that repeat, sorted by
+    (-support, -size, code), each with its canonical code. A unit is a
+    vertex's bottom-up subtree (Valiente 2001): the vertex, its Contains
+    descendants and every arc among them. Units within the caps are
+    bucketed by their AHU code (Aho, Hopcroft & Ullman 1974) with the codes
+    of their other arcs. Units in a bucket have equal sizes and arc
+    counts, so one is isomorphic to another exactly when it embeds at the
+    other's root. A class of at least ``min_support`` units is a template.
 
-    Every rooted pattern is reached from a Contains arc by adding Contains
-    children and closing arcs: take away the arcs outside one Contains
-    spanning tree, then the tree's leaves one at a time. MNI is
-    anti-monotone, so pruning by support loses none of them, and each
-    pattern is expanded once, keyed by its smallest embedding image.
-
-    A rooted strict super-pattern Q of equal support exists exactly when
-    one move has P's support: a closing arc, a Contains child, or a
-    Contains parent above a vertex that spans P. If Q has an arc between
-    P's vertices that P lacks, that is a closing move; else, if a
-    Contains arc of Q leads from P to a new vertex, a child move; else
-    Q's root lies outside P, and the Contains path from it to P's root
-    enters P once, at a vertex that reaches that root inside P and so
-    spans P. The one-move pattern lies between P and Q, so its support
-    equals theirs.
-
-    Early termination (CloseGraph's, Yan & Han 2003, for closing arcs
-    only): when an unused arc e between two of P's vertices lies on every
-    embedding of P, only P + e is visited. Arcs are enumerated from their
-    source, so e is a closing move with one row per embedding. P is then
-    not closed, as P + e has its support. Let C be a closed pattern grown
-    from P. Each embedding of C restricts to one of P, so each has e; C + e
-    has C's embeddings and support, so C contains e, as C is closed.
-    Adding e first and then C's other moves stays inside C, and each step
-    keeps a support of at least C's. Induction on the arcs C has beyond
-    the visited pattern applies the rule at every step. The rule depends
-    only on the pattern's embeddings, so the image-keyed expansion stays
-    exact, and it adds no vertex, so ``max_nodes`` cannot cut the path to
-    C. A Contains child on every embedding of P gives no such rule: it
-    adds a vertex, which ``max_nodes`` may leave no room for, and on an
-    embedding of C every image the child could take may already be one
-    of C's vertices.
+    Its support is its MNI support over the whole view, where a unit may
+    also sit inside a larger one, from a rooted, non-induced match up to
+    symmetry: sibling subtrees that an automorphism swaps
+    (``_swap_classes``) take increasing images, so a row of k
+    interchangeable places has one embedding per row instead of k!. Every
+    embedding is an enumerated one composed with an automorphism the
+    swaps generate: sort each class's images, parents' classes first; a
+    swap below a subtree maps it onto itself and leaves the classes above
+    sorted. So a position's images over all embeddings are its orbit's
+    images over the enumerated ones, and each embedding has the vertex
+    set and root image of an enumerated one. In a Contains forest a
+    position's image fixes the root's (its ancestor that many levels up),
+    and the root is its own orbit, so the root's images set the MNI
+    support. For ``mark_templates``, any position with that many images
+    partitions the embeddings as the root does, so the per-image union
+    through the support-setting position is the same over the enumerated
+    embeddings as over all of them.
     """
     _check_caps(min_support, min_nodes, max_nodes)
-    host = _IntHost(g)
-    span = len(host.ids)
-    results: list[Pattern] = []
-    seen: set[tuple[int, ...]] = set()
-
-    def visit(labels, arcs, emb: np.ndarray, arc_ids: np.ndarray, support: int) -> None:
-        n = len(labels)
-        move, row, image, arc = _rooted_moves(host, emb, arcs, n < max_nodes)
-        order = np.argsort(move, kind="stable")
-        move, row, image, arc = move[order], row[order], image[order], arc[order]
-        new_move = _run_starts(move)
-        starts = np.flatnonzero(new_move)
-        rank = np.cumsum(new_move) - 1
-        supports = _move_supports(emb, row, image, rank, len(starts), span)
-        if n >= min_nodes and not (supports == support).any():
-            results.append(_rooted_pattern(host, labels, arcs, emb, support))
-        ends = np.r_[starts[1:], len(move)]
-        for start, end, child_support in zip(starts.tolist(), ends.tolist(), supports.tolist()):
-            i, j, label, new_label = host.decode_move(n, int(move[start]))
-            if i == n or child_support < min_support:
-                continue
-            rows = row[start:end]
-            child_arc_ids = np.column_stack((arc_ids[rows], arc[start:end]))
-            key = _image_key(child_arc_ids)
-            if key in seen:
-                continue
-            seen.add(key)
-            if j == n:
-                visit(labels + (new_label - 1,), arcs + ((i, j, label),),
-                      np.column_stack((emb[rows], image[start:end])), child_arc_ids, child_support)
-            else:
-                visit(labels, arcs + ((i, j, label),), emb[rows], child_arc_ids, child_support)
-
-    contains = np.flatnonzero(host.arc_label == host.contains)
-    src, dst = host.arc_src[contains], host.arc_dst[contains]
-    pair = host.vertex_labels[src] * len(host.vertex_label_names) + host.vertex_labels[dst]
-    for labels in np.unique(pair).tolist():
-        hit = pair == labels
-        emb = np.column_stack((src[hit], dst[hit]))
-        support = min(len(np.unique(emb[:, 0])), len(np.unique(emb[:, 1])))
-        if support >= min_support:
-            seed_labels = divmod(labels, len(host.vertex_label_names))
-            visit(seed_labels, ((0, 1, host.contains),), emb, contains[hit][:, None], support)
-    return sorted(results, key=Pattern.sort_key)
+    forest = _ContainsForest(g)
+    shape = forest.shapes(max_nodes)
+    buckets: dict[tuple, list[tuple[int, tuple]]] = {}
+    for v in range(len(forest.ids)):
+        if min_nodes <= forest.size[v] <= max_nodes:
+            unit, key = _unit(forest, shape, v)
+            buckets.setdefault(key, []).append((v, unit))
+    templates = []
+    for units in buckets.values():
+        while len(units) >= min_support:
+            unit = _pattern_graph(*units[0][1])
+            tree = _ContainsForest(unit)
+            classes = _swap_classes(tree)
+            found = _unit_embeddings(forest, tree, classes)
+            roots = {vmap[0] for vmap in found}
+            if sum(v in roots for v, _ in units) >= min_support:
+                templates.append(_unit_template(forest, unit, classes, found))
+            units = [(v, other) for (v, other) in units if v not in roots]
+    return sorted(templates, key=Pattern.sort_key)
 
 
 def find_monomorphism(small: Pattern, big: Pattern) -> bool:

@@ -130,8 +130,9 @@ def stage_mine(
     patterns = mining.mine(
         view, min_support=cfg.min_support, min_nodes=cfg.min_nodes, max_nodes=cfg.max_nodes
     )
-    # mine already returns only the templates, so this drops nothing; it
-    # stays because perfbench/tracing.py counts mining.templates from it.
+    # Keeps the maximal units: it drops a unit that occurs once inside each
+    # occurrence of a larger unit of equal support. perfbench/tracing.py
+    # counts mining.templates from it.
     templates = mining.select_templates(patterns)
     mining.mark_templates(merged, templates)
     merged.save(_out(cfg, "plant.dtgraph"))

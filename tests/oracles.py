@@ -3,8 +3,9 @@
 Everything here is deliberately written from first principles, sharing no
 code with the library paths it checks: a full-table DTW dynamic program
 over plain Python floats, exhaustive connected-subgraph enumeration with
-naive embedding counting for mining, the root-anchored shape test that
-the rooted search is checked against, pair-counting ARI, signal
+naive embedding counting for mining, whole-unit classes found by
+exhaustive isomorphism, the root-anchored shape test that the rooted
+search is checked against, pair-counting ARI, signal
 change events found one sample at a time, and trace CSVs loaded one
 csv row at a time.
 """
@@ -246,6 +247,41 @@ def mine_oracle(h_vlabels, h_arcs, min_support, min_nodes, max_nodes):
                 )
             )
     return classes
+
+
+def unit_mine_oracle(h_vlabels, h_arcs, min_support, min_nodes, max_nodes):
+    """Whole-unit mining reference: each vertex's descendant-induced
+    subgraph (the vertex, all it reaches along Contains arcs and every arc
+    among them) within the size bounds, grouped into isomorphism classes
+    by exhaustive matching. Returns (vlabels tuple, arcs tuple, support)
+    for each class of at least ``min_support`` units, with its MNI
+    support counted by exhaustive enumeration over the whole host."""
+    hv = _vlabel_map(h_vlabels)
+    children: dict = {}
+    for (u, v, label) in h_arcs:
+        if label == "Contains":
+            children.setdefault(u, []).append(v)
+    classes: list[list] = []
+    for root in sorted(hv):
+        reach = [root]
+        for u in reach:
+            reach.extend(c for c in children.get(u, []) if c not in reach)
+        if not (min_nodes <= len(reach) <= max_nodes):
+            continue
+        renum = {v: i for i, v in enumerate(sorted(reach))}
+        p_vlabels = {renum[v]: hv[v] for v in reach}
+        p_arcs = [(renum[u], renum[v], lab) for (u, v, lab) in h_arcs if u in renum and v in renum]
+        for cls in classes:
+            if tiny_graphs_isomorphic(p_vlabels, p_arcs, cls[0], cls[1]):
+                cls[2] += 1
+                break
+        else:
+            classes.append([p_vlabels, p_arcs, 1])
+    return [
+        (tuple(vl[i] for i in range(len(vl))), tuple(arcs), mni_oracle(vl, arcs, hv, h_arcs))
+        for (vl, arcs, count) in classes
+        if count >= min_support
+    ]
 
 
 def root_anchored(pattern) -> bool:

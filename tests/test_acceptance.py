@@ -35,8 +35,15 @@ from oracles import (
     mni_oracle,
     root_anchored,
     tiny_graphs_isomorphic,
+    unit_mine_oracle,
 )
-from references import call_tree_shape, group_tree_shape, mine_frequent
+from references import (
+    call_tree_shape,
+    group_tree_shape,
+    min_dfs_code,
+    mine_closed_rooted,
+    mine_frequent,
+)
 
 
 class _criterion:
@@ -180,6 +187,44 @@ def _random_mining_graph(rng, edge_labels):
     return vlabels, arcs, view
 
 
+def _random_forest_graph(rng):
+    """A random graph whose Contains arcs form a forest: one to three
+    copies each of one or two small random units (a Contains tree of two
+    to four vertices, maybe with one other arc), a copy sometimes with an
+    extra child or hung under an earlier vertex, then up to two arcs
+    between random vertices, with the vertices renumbered at random."""
+    vlabels, arcs = [], []
+    for _ in range(rng.randint(1, 2)):
+        size = rng.randint(2, 4)
+        labels = [rng.choice("AB") for _ in range(size)]
+        unit = [(rng.randrange(k), k, "Contains") for k in range(1, size)]
+        u, v = rng.sample(range(size), 2)
+        unit += [(u, v, rng.choice("yz"))] if rng.random() < 0.5 else []
+        for _ in range(rng.randint(1, 3)):
+            base = len(vlabels)
+            if base and rng.random() < 0.3:
+                arcs.append((rng.randrange(base), base, "Contains"))
+            vlabels += labels
+            arcs += [(base + u, base + v, label) for (u, v, label) in unit]
+            if rng.random() < 0.3:
+                vlabels.append(rng.choice("AB"))
+                arcs.append((base + rng.randrange(size), len(vlabels) - 1, "Contains"))
+    n = len(vlabels)
+    for _ in range(rng.randint(0, 2)):
+        u, v = rng.sample(range(n), 2)
+        arcs.append((u, v, rng.choice("yz")))
+    arcs = sorted(set(arcs))
+    new = rng.sample(range(n), n)
+    vlabels = [vlabels[new.index(k)] for k in range(n)]
+    arcs = [(new[u], new[v], label) for (u, v, label) in arcs]
+    view = MiningGraph(
+        vertex_ids=[f"v{i}" for i in range(n)],
+        vertex_labels={f"v{i}": lab for i, lab in enumerate(vlabels)},
+        edges=[(f"v{u}", f"v{v}", lab) for (u, v, lab) in arcs],
+    )
+    return vlabels, arcs, view
+
+
 def _assert_same_patterns(mined, expected, case):
     """``mined`` holds one pattern per oracle (labels, arcs, support), by
     structure and support."""
@@ -233,16 +278,37 @@ def test_criterion_4_mining_oracle_equivalence():
                     assert mni_oracle(sub_vl, sub_arcs, host_vl, host_arcs) >= p.support
             graphs += 1
         assert graphs == 100
-        # mine, the pipeline's search, on graphs with Contains arcs to grow
-        # along; four vertices keep the oracle's enumeration short.
+        # The closed rooted search the pipeline ran before it mined whole
+        # units, on graphs with Contains arcs to grow along; four vertices
+        # keep the oracle's enumeration short.
         rng = random.Random(8128)
         with_templates = 0
         for case in range(100):
             vlabels, arcs, view = _random_mining_graph(rng, ("Contains", "y"))
             expected = _closed_rooted(mine_oracle(vlabels, arcs, 2, 2, 4))
-            _assert_same_patterns(mine(view, 2, 2, 4), expected, (case, vlabels, arcs))
+            _assert_same_patterns(mine_closed_rooted(view, 2, 2, 4), expected, (case, vlabels, arcs))
             with_templates += bool(expected)
         assert with_templates >= 30  # 39 of the 100 at this seed
+        # mine, the pipeline's search, on graphs whose Contains arcs form a
+        # forest. Each template has its canonical code, and its embeddings,
+        # enumerated up to symmetry, give each root image the vertex sets
+        # that all embeddings through it give.
+        rng = random.Random(3141)
+        with_templates = 0
+        for case in range(100):
+            vlabels, arcs, view = _random_forest_graph(rng)
+            expected = unit_mine_oracle(vlabels, arcs, 2, 2, 6)
+            mined = mine(view, 2, 2, 6)
+            _assert_same_patterns(mined, expected, (case, vlabels, arcs))
+            for p in mined:
+                assert p.code == min_dfs_code(p.vertex_labels, p.arcs), case
+                root = min(set(range(p.vertex_count)) - {v for (_, v, lab) in p.arcs if lab == "Contains"})
+                every = enumerate_embeddings(p.vertex_labels, list(p.arcs), view.vertex_labels, view.edges)
+                assert {(e[root], frozenset(e.values())) for e in every} == {
+                    (e[root], frozenset(e)) for e in p.embeddings
+                }, case
+            with_templates += bool(expected)
+        assert with_templates >= 30
 
 
 def _connected(arcs, vertices):

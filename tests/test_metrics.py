@@ -8,12 +8,15 @@ from plantrecon.metrics import (
     MetricsReport,
     UniverseMismatchError,
     ari,
+    evaluate,
     pairwise_f1,
+    template_precision,
     template_recovery,
 )
-from plantrecon.mining import Pattern
+from plantrecon.mining import Pattern, mine, project_for_mining
 
 from oracles import ari_oracle, pairwise_f1_oracle
+from references import mine_closed_rooted
 
 
 class TestAri:
@@ -130,6 +133,39 @@ class TestTemplateRecovery:
         assert template_recovery([], []) == 1.0
 
 
+class TestTemplatePrecision:
+    EXPECTED = [
+        {"name": "t", "support": 4, "vertices": ["FunctionalGroup", "Sensor"],
+         "edges": [[0, 1, "Contains"]]}
+    ]
+
+    def test_share_of_mined_templates_expected(self):
+        # The expected structure at its support, at another support, and
+        # with the Contains arc reversed.
+        mined = [
+            Pattern((), 4, [], ("FunctionalGroup", "Sensor"), ((0, 1, "Contains"),)),
+            Pattern((), 3, [], ("FunctionalGroup", "Sensor"), ((0, 1, "Contains"),)),
+            Pattern((), 4, [], ("Sensor", "FunctionalGroup"), ((0, 1, "Contains"),)),
+        ]
+        assert template_precision(self.EXPECTED, mined) == pytest.approx(1 / 3)
+        assert template_precision([], mined) == 0.0
+
+    def test_nothing_mined_is_not_scored(self):
+        assert template_precision(self.EXPECTED, []) is None
+
+    def test_mini_plant(self, mini_plant, mini_functional):
+        # The mini plant's one expected template is its place (support 2).
+        # The unit search mines exactly it; the closed rooted search also
+        # mines the two-level controller spine and the group-in-group chain.
+        truth = mini_plant.ground_truth
+        assert [t["name"] for t in truth.templates] == ["place"]
+        view = project_for_mining(mini_functional)
+        for search, precision in ((mine, 1.0), (mine_closed_rooted, 1 / 3)):
+            templates = search(view, 2, 3, 12)
+            report = evaluate(mini_functional, templates, truth, classified=False)
+            assert (report.template_recovery, report.template_precision) == (1.0, precision)
+
+
 class TestReportText:
     def test_runtime_not_in_deterministic_body(self):
         report = MetricsReport(
@@ -147,3 +183,9 @@ class TestReportText:
     def test_unset_metrics_have_no_line(self):
         report = MetricsReport(ari=1.0, pairwise_f1=1.0, template_recovery=1.0)
         assert report.to_text() == "ari = 1.0\npairwise_f1 = 1.0\ntemplate_recovery = 1.0\n"
+
+    def test_template_precision_line(self):
+        report = MetricsReport(ari=1.0, pairwise_f1=1.0, template_recovery=1.0, template_precision=0.2)
+        assert report.to_text() == (
+            "ari = 1.0\npairwise_f1 = 1.0\ntemplate_precision = 0.2\ntemplate_recovery = 1.0\n"
+        )

@@ -1,9 +1,15 @@
+import dataclasses
+import math
 import random
+import re
 import time
 
 import pytest
 
-from plantrecon.graph import Edge, EdgeKind, Node, NodeKind, PropertyGraph
+from plantrecon import pipeline, plc, synth
+from plantrecon.config import PipelineConfig, write_kv_file
+from plantrecon.graph import Edge, EdgeKind, Node, NodeKind, PropertyGraph, load_graph
+from plantrecon.grouping import functional_grouping
 from plantrecon.mining import (
     DEFAULT_EXCLUDED_KINDS,
     MiningError,
@@ -20,8 +26,14 @@ from plantrecon.mining import (
     write_templates_report,
 )
 
-from oracles import mine_oracle, mni_oracle, root_anchored, tiny_graphs_isomorphic
-from references import min_dfs_code, mine_frequent
+from oracles import (
+    enumerate_embeddings,
+    mine_oracle,
+    mni_oracle,
+    root_anchored,
+    tiny_graphs_isomorphic,
+)
+from references import min_dfs_code, mine_closed_rooted, mine_frequent
 
 PLACE_TEMPLATE = Pattern(
     code=(),
@@ -99,7 +111,7 @@ class TestMineSmall:
 
     def test_bad_parameters(self):
         g = _two_triangles()
-        for search in (mine, mine_frequent):
+        for search in (mine, mine_frequent, mine_closed_rooted):
             with pytest.raises(MiningError):
                 search(g, min_support=1)
             with pytest.raises(MiningError):
@@ -179,7 +191,7 @@ class TestOracleEquivalence:
             for _ in range(graphs):
                 vlabels, arcs = self._random_graph(rng, edge_labels)
                 g = _graph_from(vlabels, arcs)
-                for p in mine_frequent(g, 2, 2, 12) + mine(g, 2, 2, 12):
+                for p in mine_frequent(g, 2, 2, 12) + mine_closed_rooted(g, 2, 2, 12):
                     position = list(range(p.vertex_count))
                     shuffle.shuffle(position)
                     labels = [""] * p.vertex_count
@@ -214,7 +226,7 @@ def _rooted_equals_post_filter(g, min_nodes, max_nodes, min_support=2, general=N
         p for p in general if p.support >= min_support and min_nodes <= p.vertex_count <= max_nodes
     ]
     expected = select_templates([p for p in frequent if root_anchored(p)])
-    rooted = mine(g, min_support, min_nodes, max_nodes)
+    rooted = mine_closed_rooted(g, min_support, min_nodes, max_nodes)
     assert [(p.code, p.support, p.embeddings) for p in rooted] == [
         (p.code, p.support, p.embeddings) for p in expected
     ]
@@ -280,10 +292,10 @@ class TestRootedSearch:
             ],
         )
         assert _rooted_equals_post_filter(g, 2, 3) == 1
-        [closed] = mine(g, 2, 2, 3)
+        [closed] = mine_closed_rooted(g, 2, 2, 3)
         assert sorted(closed.vertex_labels) == ["A", "B", "W"] and closed.edge_count == 3
         # Without room for W the cycle itself is closed, and so is W -> B.
-        capped = mine(g, 2, 2, 2)
+        capped = mine_closed_rooted(g, 2, 2, 2)
         assert sorted((sorted(p.vertex_labels), p.edge_count) for p in capped) == [
             (["A", "B"], 2), (["B", "W"], 1)
         ]
@@ -296,26 +308,213 @@ class TestRootedSearch:
             [(0, 1, "Contains"), (1, 2, "Contains"), (3, 4, "Contains"), (4, 5, "Contains")],
         )
         assert _rooted_equals_post_filter(g, 2, 3) == 1
-        [chain] = mine(g, 2, 2, 3)
+        [chain] = mine_closed_rooted(g, 2, 2, 3)
         assert sorted(chain.vertex_labels) == ["Place", "Row", "Sensor"]
         # Without room for the Row, both pairs are closed.
-        capped = mine(g, 2, 2, 2)
+        capped = mine_closed_rooted(g, 2, 2, 2)
         assert sorted(sorted(p.vertex_labels) for p in capped) == [
             ["Place", "Row"], ["Place", "Sensor"]
         ]
 
     def test_select_templates_keeps_every_rooted_pattern(self, mini_view):
-        rooted = mine(mini_view, 2, 3, 12)
+        rooted = mine_closed_rooted(mini_view, 2, 3, 12)
         assert len(rooted) == 3
         assert select_templates(rooted) == rooted
 
     def test_empty_graph(self):
-        assert mine(project_for_mining(PropertyGraph())) == []
+        assert mine_closed_rooted(project_for_mining(PropertyGraph())) == []
 
     def test_no_contains_arcs(self):
         g = _graph_from(["A", "B", "A", "B"], [(0, 1, "Reads"), (2, 3, "Reads")])
         assert len(mine_frequent(g, 2, 2, 4)) == 1
-        assert mine(g, 2, 2, 4) == []
+        assert mine_closed_rooted(g, 2, 2, 4) == []
+
+
+def _view_of(plc_xml: bytes):
+    project = plc.parse_project(plc_xml)
+    graph = functional_grouping(project, plc.build_call_tree(project))
+    return graph, project_for_mining(graph)
+
+
+def _irregular_reference_xml() -> bytes:
+    """The reference plant's PLC project with a third place in row 1_1
+    and no actuator in place 2_3_2."""
+    xml = synth.generate(synth.reference_spec()).plc_xml.decode()
+    edits = [
+        ('    <Tag name="A_station_1"',
+         '    <Tag name="S_occ_1_1_3" dataType="Bool" address="%I4.3" device="DI5" channel="3" />\n'
+         '    <Tag name="A_eject_1_1_3" dataType="Bool" address="%Q3.1" device="DO4" channel="1" />\n'
+         '    <Tag name="A_station_1"'),
+        ('      <Call callee="FB_Place" instanceDb="DB_Place_1_1_2" />\n',
+         '      <Call callee="FB_Place" instanceDb="DB_Place_1_1_2" />\n'
+         '      <Call callee="FB_Place" instanceDb="DB_Place_1_1_3" />\n'),
+        ('    <DataBlock name="DB_Row_1_2"',
+         '    <DataBlock name="DB_Place_1_1_3" ofType="FB_Place">\n'
+         '      <TagAccess tag="S_occ_1_1_3" mode="Read" />\n'
+         '      <TagAccess tag="A_eject_1_1_3" mode="Write" />\n'
+         '    </DataBlock>\n'
+         '    <DataBlock name="DB_Row_1_2"'),
+        ('      <TagAccess tag="A_eject_2_3_2" mode="Write" />\n', ''),
+    ]
+    for old, new in edits:
+        assert xml.count(old) == 1, old
+        xml = xml.replace(old, new)
+    xml, removed = re.subn(r'    <Tag name="A_eject_2_3_2"[^\n]*\n', '', xml)
+    assert removed == 1
+    return xml.encode()
+
+
+def _hand_graph(groups):
+    """A SystemRoot over one FunctionalGroup per entry of ``groups``, each
+    a list of (kind, name) children; a SoftwareComponent ``reads`` the
+    Sensors named in the group's ``reads`` set."""
+    g = PropertyGraph()
+    g.add_node(Node("SystemRoot:P", NodeKind.SYSTEM_ROOT, "P", {}))
+    for k, (children, reads) in enumerate(groups):
+        group = f"FunctionalGroup:G{k}"
+        g.add_node(Node(group, NodeKind.FUNCTIONAL_GROUP, f"G{k}", {}))
+        g.add_edge(Edge(EdgeKind.CONTAINS, "SystemRoot:P", group))
+        for kind, name in children:
+            g.add_node(Node(f"{kind.value}:{name}", kind, name, {}))
+            g.add_edge(Edge(EdgeKind.CONTAINS, group, f"{kind.value}:{name}"))
+        for name in reads:
+            g.add_edge(Edge(EdgeKind.READS, f"SoftwareComponent:C{k}", f"Sensor:{name}"))
+    return g
+
+
+class TestUnitSearch:
+    @pytest.mark.parametrize("places", [2, 3, 4])
+    def test_symmetry_broken_embeddings_mark_the_same_instances(self, places):
+        # A row's places are interchangeable: all its embeddings are
+        # places! per row, the search enumerates one. Marking either set
+        # gives the same graph, and the support is the MNI support of all
+        # embeddings.
+        plant = synth.generate(synth.PlantSpec(levels=1, rows_per_level=2, places_per_row=places))
+        graph, view = _view_of(plant.plc_xml)
+        templates = mine(view, 2, 3, 2 + 4 * places)
+        assert [(p.vertex_count, p.support) for p in templates] == [
+            (4, 2 * places), (2 + 4 * places, 2)
+        ]
+        every = []
+        for pattern in templates:
+            found = enumerate_embeddings(
+                pattern.vertex_labels, list(pattern.arcs), view.vertex_labels, view.edges
+            )
+            embeddings = sorted(tuple(e[p] for p in range(pattern.vertex_count)) for e in found)
+            every.append(dataclasses.replace(pattern, embeddings=embeddings))
+            images = [{vmap[p] for vmap in embeddings} for p in range(pattern.vertex_count)]
+            assert min(map(len, images)) == pattern.support
+        row = templates[1]
+        assert len(row.embeddings) == 2
+        assert len(every[1].embeddings) == 2 * math.factorial(places)
+        broken, full = graph.copy(), graph.copy()
+        mark_templates(broken, templates)
+        mark_templates(full, every)
+        assert broken == full
+        assert row.code == min_dfs_code(row.vertex_labels, row.arcs)
+
+    def test_reference_ladder_codes_match_the_unpruned_walk(self):
+        # The canonical-code walk keeps one map per orbit of the swaps; the
+        # rows of five places are the largest the unpruned walk finishes
+        # quickly (120 automorphisms).
+        spec = dataclasses.replace(synth.reference_spec(), places_per_row=5)
+        _, view = _view_of(synth.generate(spec).plc_xml)
+        templates = mine(view, 4, 3, 22)
+        assert [(p.vertex_count, p.support) for p in templates] == [(4, 43), (22, 8)]
+        for p in templates:
+            assert p.code == min_dfs_code(p.vertex_labels, p.arcs)
+
+    def test_unit_inside_a_larger_unit_counts(self):
+        # Two groups hold two sensors each; a third holds three. Only the
+        # two-sensor unit repeats, and by MNI it occurs three times. Its
+        # sensors are interchangeable, so it has one embedding in each of
+        # the first groups and one per pair of the third group's sensors.
+        sensors = [[(NodeKind.SENSOR, name) for name in names] for names in ("ab", "cd", "efg")]
+        g = _hand_graph([(children, ()) for children in sensors])
+        [unit] = mine(project_for_mining(g), 2, 2, 4)
+        assert unit.vertex_labels == ("FunctionalGroup", "Sensor", "Sensor") and unit.support == 3
+        assert len(unit.embeddings) == 1 + 1 + 3
+        [annotation] = mark_templates(g, [unit])
+        members = [g.node(nid).labels["members"] for nid in annotation.instance_node_ids]
+        assert members == [
+            "FunctionalGroup:G0,Sensor:a,Sensor:b",
+            "FunctionalGroup:G1,Sensor:c,Sensor:d",
+            "FunctionalGroup:G2,Sensor:e,Sensor:f,Sensor:g",
+        ]
+
+    def test_alike_siblings_told_apart_by_an_arc(self):
+        # Each group holds two sensors and a component that reads one of
+        # them: the sensors are no longer interchangeable. The read sensor
+        # sorts first in one group and last in the other, so a search that
+        # ordered their images would lose one occurrence.
+        sensors = [(NodeKind.SENSOR, name) for name in ("a", "b")]
+        g = _hand_graph([
+            ([*sensors, (NodeKind.SOFTWARE_COMPONENT, "C0")], {"a"}),
+            ([(NodeKind.SENSOR, "c"), (NodeKind.SENSOR, "d"), (NodeKind.SOFTWARE_COMPONENT, "C1")], {"d"}),
+        ])
+        [unit] = mine(project_for_mining(g), 2, 3, 4)
+        assert unit.support == 2 and len(unit.embeddings) == 2
+        # Without the Reads arcs the two sensors swap, and each group has
+        # one embedding instead of two.
+        plain = _hand_graph([(sensors, ()), ([(NodeKind.SENSOR, "c"), (NodeKind.SENSOR, "d")], ())])
+        [pair] = mine(project_for_mining(plain), 2, 3, 3)
+        assert pair.support == 2 and len(pair.embeddings) == 2
+
+    def test_unit_nested_once_in_an_equal_support_unit(self):
+        # Both A -> X -> S chains and their X -> S parts repeat twice; mine
+        # returns both, and select_templates keeps the maximal one.
+        g = _graph_from(
+            ["A", "X", "S", "A", "X", "S"],
+            [(0, 1, "Contains"), (1, 2, "Contains"), (3, 4, "Contains"), (4, 5, "Contains")],
+        )
+        units = mine(g, 2, 2, 3)
+        assert [(p.vertex_labels, p.support) for p in units] == [
+            (("A", "X", "S"), 2), (("S", "X"), 2)
+        ]
+        assert select_templates(units) == units[:1]
+
+    def test_mini_plant(self, mini_view):
+        [place] = mine(mini_view, 2, 3, 12)
+        assert place.support == 2 and patterns_isomorphic(place, PLACE_TEMPLATE)
+        assert select_templates([place]) == [place]
+
+    def test_irregular_plant(self):
+        # One row gains a third place and one place loses its actuator. The
+        # place still occurs 19 times (16 places and 3 units with sensors
+        # and actuators), and the two-place row 7 times: the 6 unchanged
+        # rows and the three-place row, but not the row with the broken
+        # place.
+        _, view = _view_of(_irregular_reference_xml())
+        templates = mine(view, 4, 3, 12)
+        expected = {t["name"]: t for t in synth.generate(synth.reference_spec()).ground_truth.templates}
+        assert [t.support for t in templates] == [19, 7]
+        assert patterns_isomorphic(templates[0], Pattern.from_structure(expected["place"], 19))
+        assert patterns_isomorphic(templates[1], Pattern.from_structure(expected["row"], 7))
+
+    def test_contains_forest_required(self):
+        two_parents = _graph_from(["A", "A", "B"], [(0, 2, "Contains"), (1, 2, "Contains")])
+        with pytest.raises(MiningError, match="two Contains parents"):
+            mine(two_parents, 2, 2, 3)
+        cycle = _graph_from(["A", "B", "C"], [(0, 1, "Contains"), (1, 0, "Contains"), (0, 2, "y")])
+        with pytest.raises(MiningError, match="cycle"):
+            mine(cycle, 2, 2, 3)
+
+    def test_empty_graph_and_no_contains_arcs(self):
+        assert mine(project_for_mining(PropertyGraph())) == []
+        assert mine(_graph_from(["A", "B", "A", "B"], [(0, 1, "Reads"), (2, 3, "Reads")]), 2, 2, 4) == []
+
+    def test_run_all_at_eight_places_per_row(self, tmp_path):
+        # 34-vertex rows, with 8! automorphisms each: 67 places (64 and the
+        # 3 units) and 8 rows.
+        spec = dataclasses.replace(synth.reference_spec(), places_per_row=8)
+        synth.generate(spec).write_outputs(tmp_path)
+        conf = synth.recommended_config(spec, tmp_path)
+        assert conf["max_nodes"] == "34"
+        write_kv_file(tmp_path / "pipeline.conf", conf)
+        report = pipeline.run_all(PipelineConfig.load(tmp_path / "pipeline.conf")).report
+        assert report.template_recovery == 1.0 and report.template_precision == 1.0
+        stored = pipeline.templates_from_graph(load_graph(tmp_path / "plant.dtgraph"))
+        assert sorted((t.vertex_count, t.support) for t in stored) == [(4, 67), (34, 8)]
 
 
 def _connected(arcs, vertices):

@@ -389,7 +389,7 @@ class TestCli:
         assert not (out / "dynamics.dtgraph").exists()
         graph = load_graph(out / "plant.dtgraph")
         assert metrics.physical_assignments_of(graph) == {}
-        report = "ari = 1.0\npairwise_f1 = 1.0\ntemplate_recovery = 1.0\n"
+        report = "ari = 1.0\npairwise_f1 = 1.0\ntemplate_precision = 1.0\ntemplate_recovery = 1.0\n"
         assert (out / "metrics.report").read_text(encoding="utf-8") == report
         assert "classification_accuracy" not in result.output
         warned = [r.name for r in caplog.records if "not scored" in r.getMessage()]
