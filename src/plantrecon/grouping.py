@@ -14,7 +14,10 @@ The rule set is deliberately small and isolated here so it can be swapped:
   instance lands under its caller's group and a shared one under the
   groups' LCA. OBs and uncalled instances land in the top group. Groups
   are built in ``CallTree.order``, the call tree's topological order, so
-  every caller's group exists before its callees' groups.
+  every caller's group exists before its callees' groups. A call node's
+  group id is ``FunctionalGroup:<project>/<block>``: block names are
+  unique, and each such id is longer than the top group's
+  ``FunctionalGroup:<project>``, so no two ids collide.
 
 None of the rules look at names, so the grouping is invariant under a
 consistent renaming of blocks and tags.
@@ -77,17 +80,11 @@ def functional_grouping(project: PlcProject, tree: CallTree) -> PropertyGraph:
         logger.warning("instances never called, attached to top group: %s", uncalled)
 
     # R5: one FunctionalGroup per call node, under its callers' groups' LCA.
-    group_of: dict[str, str] = {}
-    path_of: dict[str, str] = {top_id: ""}  # group id -> call path
+    group_of = {n: node_id(NodeKind.FUNCTIONAL_GROUP, f"{project.name}/{n}") for n in tree.nodes}
     for name in tree.order:
-        caller_groups = [group_of[c] for c in tree.parents[name]]
-        parent = lowest_common_ancestor(g, caller_groups) or top_id
-        path = f"{path_of[parent]}/{name}" if path_of[parent] else name
-        gid = node_id(NodeKind.FUNCTIONAL_GROUP, path)
-        g.add_node(_node(NodeKind.FUNCTIONAL_GROUP, name, gid))
-        g.add_edge(Edge(EdgeKind.CONTAINS, parent, gid))
-        group_of[name] = gid
-        path_of[gid] = path
+        parent = lowest_common_ancestor(g, [group_of[c] for c in tree.parents[name]]) or top_id
+        g.add_node(_node(NodeKind.FUNCTIONAL_GROUP, name, group_of[name]))
+        g.add_edge(Edge(EdgeKind.CONTAINS, parent, group_of[name]))
 
     # R1: software components, their backing data blocks and types.
     blocks = project.block_map()
@@ -113,8 +110,7 @@ def functional_grouping(project: PlcProject, tree: CallTree) -> PropertyGraph:
             g.add_edge(Edge(EdgeKind.BACKED_BY, sid, did))
             g.add_edge(Edge(EdgeKind.TYPED_BY, sid, fbt_ids[block.of_type]))
     for caller, callee in tree.call_edges:
-        if not g.has_edge(EdgeKind.CALLS, sc_of[caller], sc_of[callee]):
-            g.add_edge(Edge(EdgeKind.CALLS, sc_of[caller], sc_of[callee]))
+        g.add_edge(Edge(EdgeKind.CALLS, sc_of[caller], sc_of[callee]))
 
     # Hardware: PLC under root, IO devices under the PLC, channels under
     # their device.
@@ -159,8 +155,7 @@ def functional_grouping(project: PlcProject, tree: CallTree) -> PropertyGraph:
         parent = lowest_common_ancestor(g, [group_of[a] for a in accessors]) or top_id
         g.add_edge(Edge(EdgeKind.CONTAINS, parent, tid))
         ch_id = node_id(NodeKind.CHANNEL, f"{tag.device_id}/{tag.channel_index}")
-        if g.has_node(ch_id):
-            g.add_edge(Edge(EdgeKind.WIRED_TO, tid, ch_id))
+        g.add_edge(Edge(EdgeKind.WIRED_TO, tid, ch_id))
         for owner in accessors:
             modes = {a.mode for a in tree.accesses[owner] if a.tag == tag.name}
             for mode in sorted(modes, key=lambda m: m.value):

@@ -209,20 +209,6 @@ def _pattern_graph(vertex_labels: tuple[str, ...], arcs) -> MiningGraph:
 _Embedding = tuple
 
 
-def _rightmost_path(code: DfsCode) -> list[int]:
-    """Positions on the rightmost path, rightmost vertex first, root last."""
-    path_edges = []
-    last_from = None
-    for k in range(len(code) - 1, -1, -1):
-        i, j = code[k][0], code[k][1]
-        if i < j and (last_from is None or j == last_from):
-            path_edges.append(k)
-            last_from = i
-    maxtoc = code[path_edges[0]][1] if path_edges else 1
-    vertices = [maxtoc] + [code[k][0] for k in path_edges]
-    return vertices
-
-
 def _initial_codes(view: MiningGraph) -> dict[CodeEdge, list[_Embedding]]:
     """One-edge codes and their embeddings. A one-edge code compares as
     its (label_i, (direction, edge_label), label_j) part, the gSpan order
@@ -243,14 +229,26 @@ def _initial_codes(view: MiningGraph) -> dict[CodeEdge, list[_Embedding]]:
 _Entry = tuple[int, object]
 
 
+def _grow(state: tuple | None, ce: CodeEdge) -> tuple:
+    """What a DFS code's extensions depend on, carried along the code: its
+    rightmost path (rightmost vertex first, root last), position labels
+    and used arcs after the code edge ``ce`` (``state`` None for the first
+    edge). A forward edge from i to the new position j makes the path j
+    and the old path from i on; a backward edge leaves it as it was."""
+    i, j, li, (direction, elabel), lj = ce
+    rmpath, labels, arcs = state or ((i,), (li,), frozenset())
+    arcs = arcs | {(i, j, elabel) if direction == 1 else (j, i, elabel)}
+    if j < i:
+        return rmpath, labels, arcs
+    return (j,) + rmpath[rmpath.index(i):], labels + (lj,), arcs
+
+
 def _extension_entries(
-    code: DfsCode, embeddings: list[_Embedding], view: MiningGraph
+    state: tuple, embeddings: list[_Embedding], view: MiningGraph
 ) -> dict[CodeEdge, list[_Entry]]:
-    rmpath = _rightmost_path(code)
+    rmpath, labels_by_pos, used_arcs = state
     maxtoc = rmpath[0]
-    labels_by_pos, arcs = code_to_structure(code)
     nverts = len(labels_by_pos)
-    used_arcs = set(arcs)
     exts: dict[CodeEdge, list[_Entry]] = {}
     vlabels = view.vertex_labels
     adjacency = view.adjacency
@@ -305,14 +303,15 @@ def _min_code_walk(view: MiningGraph, keep=lambda vmap: True):
     have the same extensions, so the minimum is unchanged, and a row of k
     interchangeable places is walked with one map instead of k!."""
     seeds = _initial_codes(view)
-    code = (min(seeds),)
-    embeddings = [m for m in seeds[code[0]] if keep(m)]
-    yield code[0], embeddings[0]
-    while len(code) < len(view.edges):
-        exts = _extension_entries(code, embeddings, view)
+    first = min(seeds)
+    state = _grow(None, first)
+    embeddings = [m for m in seeds[first] if keep(m)]
+    yield first, embeddings[0]
+    for _ in range(len(view.edges) - 1):
+        exts = _extension_entries(state, embeddings, view)
         best = min(exts, key=_extension_rank)
         embeddings = [m for m in _materialize(exts[best], embeddings) if keep(m)]
-        code += (best,)
+        state = _grow(state, best)
         yield best, embeddings[0]
 
 

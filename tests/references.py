@@ -30,6 +30,7 @@ from plantrecon.mining import (
     _Entry,
     _extension_entries,
     _extension_rank,
+    _grow,
     _initial_codes,
     _materialize,
     _min_code_walk,
@@ -83,7 +84,7 @@ def mine_frequent(
     results: list[Pattern] = []
     seeds = _initial_codes(g)
 
-    def recurse(code: DfsCode, embeddings: list[_Embedding], support: int) -> None:
+    def recurse(code: DfsCode, state: tuple, embeddings: list[_Embedding], support: int) -> None:
         labels, arcs = code_to_structure(code)
         nverts = len(labels)
         if min_nodes <= nverts <= max_nodes:
@@ -96,7 +97,7 @@ def mine_frequent(
                     arcs=arcs,
                 )
             )
-        exts = _extension_entries(code, embeddings, g)
+        exts = _extension_entries(state, embeddings, g)
         for ce in sorted(exts, key=_extension_rank):
             if nverts >= max_nodes and ce[1] == nverts:  # forward, past the cap
                 continue
@@ -107,7 +108,7 @@ def mine_frequent(
             child_code = code + (ce,)
             if not _is_canonical(child_code):
                 continue
-            recurse(child_code, _materialize(entries, embeddings), child_support)
+            recurse(child_code, _grow(state, ce), _materialize(entries, embeddings), child_support)
 
     for ce in sorted(seeds):
         embeddings = seeds[ce]
@@ -116,7 +117,7 @@ def mine_frequent(
             continue
         if not _is_canonical((ce,)):
             continue
-        recurse((ce,), embeddings, support)
+        recurse((ce,), _grow(None, ce), embeddings, support)
 
     return sorted(results, key=Pattern.sort_key)
 

@@ -90,5 +90,5 @@ def test_every_counter_counts_in_a_mini_run_all(tmp_path, monkeypatch):
     assert tracer.counts["traces.io_samples"] == truth["ioSamples"]
     # The plain and the labeled RTLS trace.
     assert tracer.counts["traces.rtls_samples"] == 2 * truth["rtlsSamples"]
-    # The rooted search returns only templates.
+    # The unit search's results pass select_templates unchanged on the mini plant.
     assert tracer.counts["mining.templates"] == tracer.counts["mining.patterns"]

@@ -1,6 +1,11 @@
 import pytest
+from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from plantrecon.graph import EdgeKind, NodeKind
+from plantrecon.cli import main
+from plantrecon.config import write_kv_file
+from plantrecon.graph import EdgeKind, NodeKind, load_graph
 from plantrecon.grouping import functional_grouping
 from plantrecon.plc import build_call_tree, parse_project
 
@@ -18,21 +23,21 @@ def mini_like():
 class TestGroupStructure:
     def test_place_groups_contain_their_devices(self, mini_like):
         _, _, g = mini_like
-        p11 = "FunctionalGroup:OB1/DB_Row_1/DB_Place_1_1"
+        p11 = "FunctionalGroup:Mini/DB_Place_1_1"
         children = set(g.contains_children(p11))
         assert "Sensor:S_occ_1_1" in children
         assert "Actuator:A_eject_1_1" in children
-        p12 = "FunctionalGroup:OB1/DB_Row_1/DB_Place_1_2"
+        p12 = "FunctionalGroup:Mini/DB_Place_1_2"
         children = set(g.contains_children(p12))
         assert "Sensor:S_occ_1_2" in children
         assert "Actuator:A_eject_1_2" in children
 
     def test_row_contains_both_place_groups(self, mini_like):
         _, _, g = mini_like
-        row = "FunctionalGroup:OB1/DB_Row_1"
+        row = "FunctionalGroup:Mini/DB_Row_1"
         children = set(g.contains_children(row))
-        assert "FunctionalGroup:OB1/DB_Row_1/DB_Place_1_1" in children
-        assert "FunctionalGroup:OB1/DB_Row_1/DB_Place_1_2" in children
+        assert "FunctionalGroup:Mini/DB_Place_1_1" in children
+        assert "FunctionalGroup:Mini/DB_Place_1_2" in children
 
     def test_every_field_device_has_one_parent_and_an_access_edge(self, mini_like):
         _, _, g = mini_like
@@ -87,7 +92,7 @@ class TestR4Placement:
         tree = build_call_tree(project)
         g = functional_grouping(project, tree)
         # S_occ_1_2 is now read by both place instances: LCA is the row group.
-        assert g.contains_parent("Sensor:S_occ_1_2") == "FunctionalGroup:OB1/DB_Row_1"
+        assert g.contains_parent("Sensor:S_occ_1_2") == "FunctionalGroup:Mini/DB_Row_1"
 
     def test_unaccessed_tag_attaches_to_top_group(self):
         xml = MINI_LIKE_XML.replace(
@@ -107,7 +112,7 @@ class TestR4Placement:
         tree = build_call_tree(project)
         g = functional_grouping(project, tree)
         # Shared between OB1 and OB2: lands under their LCA, the top group.
-        assert g.contains_parent("FunctionalGroup:DB_Row_1") == "FunctionalGroup:Mini"
+        assert g.contains_parent("FunctionalGroup:Mini/DB_Row_1") == "FunctionalGroup:Mini"
 
 
 class TestR5Placement:
@@ -125,12 +130,94 @@ class TestR5Placement:
         tree = build_call_tree(project)
         assert tree.parents["DB_Helper"] == ["DB_Place_1_1", "DB_Place_1_2"]
         g = functional_grouping(project, tree)
-        helper = "FunctionalGroup:OB1/DB_Row_1/DB_Helper"
-        assert g.contains_parent(helper) == "FunctionalGroup:OB1/DB_Row_1"
-        assert g.contains_parent("FunctionalGroup:OB1/DB_Row_1/DB_Helper/DB_Sub") == helper
-        assert g.contains_parent("FunctionalGroup:DB_Orphan") == "FunctionalGroup:Mini"
+        helper = "FunctionalGroup:Mini/DB_Helper"
+        assert g.contains_parent(helper) == "FunctionalGroup:Mini/DB_Row_1"
+        assert g.contains_parent("FunctionalGroup:Mini/DB_Sub") == helper
+        assert g.contains_parent("FunctionalGroup:Mini/DB_Orphan") == "FunctionalGroup:Mini"
         assert g.node("SoftwareComponent:DB_Helper").labels["shared"] is True
         assert group_tree_shape(g, "FunctionalGroup:Mini") == call_tree_shape(tree)
+
+
+def _project_xml(project: str, obs: list[str], instances: list[str], calls, readers) -> str:
+    """A project of OBs and instances of one FB type, with the given
+    (caller, instance) calls and one tag read by ``readers``."""
+    def block(tag: str, name: str, extra: str = "") -> str:
+        body = "".join(f'<Call callee="FB" instanceDb="{i}"/>' for c, i in calls if c == name)
+        if name in readers:
+            body += '<TagAccess tag="S" mode="Read"/>'
+        return f'<{tag} name="{name}"{extra}>{body}</{tag}>'
+
+    blocks = [block("OrganizationBlock", n) for n in obs] + ['<FunctionBlock name="FB"/>']
+    blocks += [block("DataBlock", n, ' ofType="FB"') for n in instances]
+    return (
+        f'<PlcProject name="{project}"><HardwareConfig>'
+        '<Device id="PLC1" type="Plc" name="cpu" channels="0"/>'
+        '<Device id="DI1" type="DigitalIn" name="in card" channels="8"/>'
+        '</HardwareConfig><TagTable>'
+        '<Tag name="S" dataType="Bool" address="%I0.0" device="DI1" channel="0"/>'
+        f'</TagTable><Blocks>{"".join(blocks)}</Blocks></PlcProject>'
+    )
+
+
+def _check_group_ids(project, tree, g) -> None:
+    """One FunctionalGroup per call node plus the top group, each named
+    after its block, nested as R5 nests the call tree."""
+    top = f"FunctionalGroup:{project.name}"
+    groups = g.query(kinds={NodeKind.FUNCTIONAL_GROUP})
+    assert len(groups) == len(tree.nodes) + 1
+    assert g.node(top).name == project.name
+    assert {n.id: n.name for n in groups if n.id != top} == {
+        f"FunctionalGroup:{project.name}/{n}": n for n in tree.nodes
+    }
+    assert group_tree_shape(g, top) == call_tree_shape(tree)
+
+
+class TestGroupIds:
+    """A group's id is its project and block name, so no two ids collide,
+    whatever the names."""
+
+    @pytest.mark.parametrize(
+        "project, obs, instances, calls",
+        [
+            # The project is named like its only OB.
+            ("OB1", ["OB1"], [], []),
+            # OB A calls instance B beside an OB named A/B.
+            ("P", ["A", "A/B"], ["B"], [("A", "B")]),
+        ],
+        ids=["project-named-like-ob", "call-path-named-like-ob"],
+    )
+    def test_analyze_plc_runs(self, tmp_path, project, obs, instances, calls):
+        xml = _project_xml(project, obs, instances, calls, readers=obs[:1])
+        (tmp_path / "plc.xml").write_text(xml, encoding="utf-8")
+        write_kv_file(tmp_path / "pipeline.conf", {"plc_xml": str(tmp_path / "plc.xml")})
+        out = tmp_path / "out"
+        result = CliRunner().invoke(
+            main, ["--config", str(tmp_path / "pipeline.conf"), "--out-dir", str(out), "analyze-plc"]
+        )
+        assert result.exit_code == 0, result.output
+        parsed = parse_project(xml)
+        _check_group_ids(parsed, build_call_tree(parsed), load_graph(out / "functional.dtgraph"))
+
+    @settings(derandomize=True, max_examples=300, deadline=None, database=None)
+    @given(st.data())
+    def test_group_ids_are_distinct(self, data):
+        # Names from a tiny alphabet with the separator, and a project
+        # named like one of its blocks as often as not.
+        names = data.draw(st.lists(st.text("AB/", min_size=1, max_size=3), min_size=1, max_size=7, unique=True))
+        project = data.draw(st.sampled_from(names) | st.text("AB/", min_size=1, max_size=3))
+        n_obs = data.draw(st.integers(1, len(names)))
+        obs, instances = names[:n_obs], names[n_obs:]
+        # Each instance is called by some of the call nodes listed before it,
+        # so the calls form a DAG.
+        calls = [
+            (caller, inst)
+            for k, inst in enumerate(instances)
+            for caller in data.draw(st.sets(st.sampled_from(names[: n_obs + k]), max_size=3))
+        ]
+        readers = data.draw(st.sets(st.sampled_from(names), max_size=3))
+        parsed = parse_project(_project_xml(project, obs, instances, calls, readers))
+        tree = build_call_tree(parsed)
+        _check_group_ids(parsed, tree, functional_grouping(parsed, tree))
 
 
 class TestRenamingInvariance:
