@@ -9,11 +9,15 @@ band is refused.
 
 One recurrence, ``_wavefront``, fills the table one anti-diagonal at a
 time, whose cells depend only on the two previous anti-diagonals, for
-many series at once on numpy's fast axis. It has two entry points:
-``dtw_distance`` for one pair, whose band must reach the end cell, and
-``knn_distances`` (behind ``knn_classify``) for one query against every
-training series of one length, with the band widened per pair to the
-length difference. The tests check it against an independent scalar DP.
+many series at once on numpy's fast axis. It computes each diagonal's
+local costs as it goes, from a slice of the query and a slice of the
+training series, stored in reversed point order so that the slice runs
+forward; no (n, m, series) cost tensor is built. It has two entry
+points: ``dtw_distance`` for one pair, whose band must reach the end
+cell, and ``knn_distances`` (behind ``knn_classify``) for one query
+against every training series of one length, with the band widened per
+pair to the length difference. The tests check it against an
+independent scalar DP.
 """
 
 from __future__ import annotations
@@ -59,7 +63,8 @@ def _check_band(band: int | None) -> None:
 
 def dtw_distance(a, b, band: int | None = None) -> float:
     """DTW distance between two series of points (1-D values or vectors),
-    from the kernel ``knn_distances`` runs, on a one-series cost tensor.
+    from the kernel ``knn_distances`` runs, with ``b`` as its one
+    training series.
 
     ``band``, when given, must be non-negative and at least
     ``|len(a) - len(b)|``, or the end cell is unreachable.
@@ -72,33 +77,40 @@ def dtw_distance(a, b, band: int | None = None) -> float:
     _check_band(band)
     if band is not None and band < abs(n - m):
         raise BandTooNarrowError(f"band {band} narrower than length difference {abs(n - m)}")
-    cost = _local_cost(am.T[:, :, None, None], bm.T[:, None, :, None])
-    return float(_wavefront(cost, band)[0])
+    return float(_wavefront(am.T, bm[::-1].T[:, :, None], band)[0])
 
 
 def _local_cost(a, b) -> np.ndarray:
-    """Euclidean distance of every point pair.
+    """Euclidean distance of the point pairs ``a`` and ``b`` broadcast to.
 
     ``a`` and ``b`` give one broadcastable coordinate array per point
-    dimension; the squared differences are summed left to right.
+    dimension; the squared differences are summed left to right, in the
+    array the first difference made.
     """
     total = None
     for ak, bk in zip(a, b):
         d = ak - bk
-        total = d * d if total is None else total + d * d
-    return np.sqrt(total)
+        d *= d
+        total = d if total is None else np.add(total, d, out=total)
+    return np.sqrt(total, out=total)
 
 
-def _wavefront(cost: np.ndarray, band: int | None) -> np.ndarray:
-    """DTW distances from a local-cost tensor of shape (n, m, series).
+def _wavefront(query: np.ndarray, training: np.ndarray, band: int | None) -> np.ndarray:
+    """DTW distances from ``query``, of shape (dims, n), to each series of
+    ``training``, of shape (dims, m, series) and in reversed point order.
 
     Anti-diagonal ``k`` holds the cells ``(i, k - i)``; its arrays are
     indexed by ``i``, so cell ``(i, j)`` finds its diagonal, upper and
     left neighbours at ``i - 1`` on diagonal ``k - 2`` and at ``i - 1``
     and ``i`` on diagonal ``k - 1``. Cells off the table or outside the
-    band stay infinite.
+    band stay infinite. Each diagonal computes its own local costs: cell
+    ``(i, j)`` pairs query point ``i - 1`` with training point ``j - 1``,
+    which is point ``m - k + i`` in reversed order, so the cells
+    ``lo..hi`` take one forward slice of each.
     """
-    n, m, count = cost.shape
+    n = query.shape[1]
+    m, count = training.shape[1:]
+    query = query[:, :, None]
     prev2 = np.full((n + 1, count), math.inf)  # diagonal k - 2
     prev2[0] = 0.0
     prev1 = np.full((n + 1, count), math.inf)  # diagonal k - 1
@@ -109,18 +121,19 @@ def _wavefront(cost: np.ndarray, band: int | None) -> np.ndarray:
             lo, hi = max(lo, (k - band + 1) // 2), min(hi, (k + band) // 2)
         cur = np.full((n + 1, count), math.inf)
         if lo <= hi:
-            i = np.arange(lo, hi + 1)
             best = np.minimum(prev2[lo - 1:hi], prev1[lo - 1:hi])
             np.minimum(best, prev1[lo:hi + 1], out=best)
-            cur[lo:hi + 1] = cost[i - 1, k - i - 1] + best
+            cost = _local_cost(query[:, lo - 1:hi], training[:, m - k + lo:m - k + hi + 1])
+            np.add(cost, best, out=cur[lo:hi + 1])
         prev2, prev1 = prev1, cur
     return prev1[n]
 
 
 @dataclass(frozen=True)
 class _LengthGroup:
-    """Training series of one length: ``points`` is (dims, length, series)
-    and ``rows`` their positions in ``NnModel.training``."""
+    """Training series of one length: ``points`` is (dims, length, series),
+    each series in reversed point order for ``_wavefront``, and ``rows``
+    their positions in ``NnModel.training``."""
 
     points: np.ndarray
     rows: np.ndarray
@@ -149,7 +162,7 @@ class NnModel:
         for row, mat in enumerate(matrices):
             by_length.setdefault(mat.shape[0], []).append(row)
         self.groups = [
-            _LengthGroup(np.stack([matrices[r].T for r in rows], axis=2), np.array(rows))
+            _LengthGroup(np.stack([matrices[r][::-1].T for r in rows], axis=2), np.array(rows))
             for _, rows in sorted(by_length.items())
         ]
 
@@ -178,8 +191,7 @@ def knn_distances(model: NnModel, query) -> list[float]:
     for group in model.groups:
         m = group.points.shape[1]
         band = None if model.band is None else max(model.band, abs(m - n))
-        cost = _local_cost(qm.T[:, :, None, None], group.points[:, None, :, :])
-        distances[group.rows] = _wavefront(cost, band)
+        distances[group.rows] = _wavefront(qm.T, group.points, band)
     return distances.tolist()
 
 

@@ -3,8 +3,10 @@
 Correlates signal-change events with material positions to estimate where
 each component physically sits, then assigns components to location
 groups, by default with a 1-NN/DTW classifier trained on a labeled
-position data set. The emitted graph fragment uses the same stable node
-ids as the PLC analysis so the two merge cleanly.
+position data set. ``analyze_dynamics`` takes the training segments,
+not the labeled trace, so a caller can drop that trace before it loads
+the operational one. The emitted graph fragment uses the same stable
+node ids as the PLC analysis so the two merge cleanly.
 
 Analog signals fire an event when they cross their mid-range, with a
 hysteresis band of 2 % of the observed value range. The classifier's
@@ -112,7 +114,7 @@ def training_segments(labeled: RtlsTrace) -> list[tuple[PositionSeries, str]]:
 def analyze_dynamics(
     io: IoTrace,
     rtls: RtlsTrace,
-    labeled: RtlsTrace,
+    training: list[tuple[PositionSeries, str]],
     tag_kinds: dict[str, NodeKind],
     tag_types: dict[str, str],
     root_name: str,
@@ -120,12 +122,14 @@ def analyze_dynamics(
 ) -> DynamicsResult:
     """Full dynamics pass over recorded traces.
 
-    ``tag_kinds`` maps tag names to Sensor/Actuator (from the PLC tag
-    table); ``tag_types`` maps tag names to their PLC data type. The
-    returned fragment carries position labels, MaterialTracker nodes and
-    PhysicalGroup membership, rooted at ``SystemRoot:<root_name>``.
-    An empty RTLS trace, IO tags the PLC does not declare and cluster mode
-    are logged as warnings.
+    ``training`` holds the classifier's labeled series, as
+    ``training_segments`` cuts them from a labeled RTLS trace; cluster
+    mode does not read it. ``tag_kinds`` maps tag names to
+    Sensor/Actuator (from the PLC tag table); ``tag_types`` maps tag
+    names to their PLC data type. The returned fragment carries position
+    labels, MaterialTracker nodes and PhysicalGroup membership, rooted
+    at ``SystemRoot:<root_name>``. An empty RTLS trace, IO tags the PLC
+    does not declare and cluster mode are logged as warnings.
     """
     params = params or DynamicsParams()
     if not len(rtls):
@@ -156,7 +160,6 @@ def analyze_dynamics(
         method = params.cluster or KMeansParams(k=max(1, len(estimates) // 4), seed=0)
         assignments = cluster_positions(list(estimates.values()), method).assignments
     else:
-        training = training_segments(labeled)
         if not training:
             logger.warning("no labeled training segments; components stay unassigned")
         else:
@@ -225,11 +228,11 @@ def stored_estimates(graph: PropertyGraph) -> list[PositionEstimate]:
 def _add_trackers(g: PropertyGraph, rtls: RtlsTrace, root_name: str) -> None:
     """One MaterialTracker node per tracker, at its last recorded position."""
     root_id = node_id(NodeKind.SYSTEM_ROOT, root_name)
-    # The first occurrence in the reversed trace is the last one.
-    codes, first_reversed = np.unique(rtls.tracker_codes[::-1], return_index=True)
-    last = len(rtls) - 1 - first_reversed
-    for code, row in zip(codes.tolist(), last.tolist()):
-        tracker = rtls.tracker_names[code]
+    # Every tracker name has a sample; the first match in the reversed
+    # codes is its last one. One boolean column at a time, no sort.
+    reversed_codes = rtls.tracker_codes[::-1]
+    for code, tracker in enumerate(rtls.tracker_names):
+        row = len(rtls) - 1 - int(np.argmax(reversed_codes == code))
         position = dict(zip(_POSITION_LABELS, rtls.points[row].tolist()))
         tid = node_id(NodeKind.MATERIAL_TRACKER, tracker)
         g.add_node(

@@ -34,7 +34,7 @@ from . import grouping, plc
 from .clustering import KMeansParams, cluster_positions
 from .config import PipelineConfig
 from .graph import NodeKind, PropertyGraph, load_graph, merge
-from .traces import RtlsTrace, load_io_trace, load_rtls_trace
+from .traces import load_io_trace, load_rtls_trace
 
 if TYPE_CHECKING:
     from . import metrics, mining
@@ -84,15 +84,17 @@ def stage_analyze_dynamics(cfg: PipelineConfig) -> PropertyGraph:
     tag_kinds = {t.name: grouping.field_device_kind(t) for t in project.tags}
     tag_types = {t.name: t.data_type.value for t in project.tags}
     io = load_io_trace(cfg.io_csv)
-    rtls = load_rtls_trace(cfg.rtls_csv)
-    labeled = RtlsTrace.from_rows([])
+    training = []
     if cfg.mode == "classify":
         cfg.require("labeled_rtls_csv")
-        labeled = load_rtls_trace(cfg.labeled_rtls_csv)
+        # Only the segments are kept: the labeled trace is freed before
+        # the operational one loads, so the two are never held at once.
+        training = dynamics.training_segments(load_rtls_trace(cfg.labeled_rtls_csv))
+    rtls = load_rtls_trace(cfg.rtls_csv)
     result = dynamics.analyze_dynamics(
         io,
         rtls,
-        labeled,
+        training,
         tag_kinds,
         tag_types,
         project.name,

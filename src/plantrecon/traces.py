@@ -7,11 +7,12 @@ column names below are defined here, for the loaders and the generator):
 * RTLS trace header: ``timestamp_ms,tracker_id,x_m,y_m,z_m`` with an
   optional trailing ``location_label`` column (training data only).
 
-Both traces load as numpy columns, one entry per sample, stably
-time-sorted once at load: an ``IoTrace`` and an ``RtlsTrace``. One
-``_CsvShape`` per trace states its header, optional label column, float
-fields and error words. One loader reads both files, and one builder
-serves both ``from_rows``, which refuse what the loader refuses.
+Both traces load as numpy columns, one entry per sample, in time order:
+an ``IoTrace`` and an ``RtlsTrace``. A file already in time order keeps
+the parsed columns as the trace's own; any other is stably sorted once.
+One ``_CsvShape`` per trace states its header, optional label column,
+float fields and error words. One loader reads both files, and one
+builder serves both ``from_rows``, which refuse what the loader refuses.
 
 The loader parses the rows in blocks of whole lines. A plain block (no
 quote, no ``\\r``, no NUL, the header's number of fields on every line)
@@ -149,7 +150,7 @@ def _from_rows(cls, shape: _CsvShape, rows: list[tuple]):
     for names in columns.values():
         first_seen: dict[str | None, int] = {}
         coded.append((_code_column(first_seen, names), first_seen))
-    return _time_sorted(cls, ts, shape.values(floats.reshape(-1)), *coded)
+    return _time_sorted(cls, _time_order(ts), ts, shape.values(floats.reshape(-1)), *coded)
 
 
 @dataclass(frozen=True, eq=False)
@@ -207,24 +208,41 @@ class RtlsTrace:
         return _from_rows(cls, _RTLS, rows)
 
 
-def _time_sorted(cls, timestamps, values, *coded):
-    """A ``cls`` trace from per-sample columns, stably sorted by time once.
+def _time_order(timestamps: np.ndarray) -> np.ndarray | None:
+    """The stable time order of an int64 timestamp column, or None when
+    the column is already non-decreasing, as a recorded trace usually is."""
+    if not np.any(timestamps[1:] < timestamps[:-1]):
+        return None
+    return np.argsort(timestamps, kind="stable")
+
+
+def _time_sorted(cls, order: np.ndarray | None, timestamps: np.ndarray, values, *coded):
+    """A ``cls`` trace from per-sample columns, put in ``_time_order``'s
+    ``order`` of ``timestamps`` (None: as they are).
 
     ``values`` has one leading entry per sample. Each of ``coded`` is a
     pair of first-seen codes and their name-to-code dict; it becomes a
     code column into the sorted names (None: -1), after the value
-    columns, and the names tuple, after all code columns.
+    columns, and the names tuple, after all code columns. The code
+    columns are remapped in place, and columns already in time order
+    become the trace's own: only out-of-order input is gathered.
     """
-    ts = np.asarray(timestamps, dtype=np.int64)
-    order = np.argsort(ts, kind="stable")
+    values = np.asarray(values, dtype=float)
     code_columns, name_tuples = [], []
     for codes, first_seen in coded:
         names = sorted(n for n in first_seen if n is not None)
         rank = {n: r for r, n in enumerate(names)}
         remap = np.array([rank.get(n, -1) for n in first_seen], dtype=np.intp)
-        code_columns.append(remap[np.asarray(codes, dtype=np.intp)][order])
+        codes = np.asarray(codes, dtype=np.intp)
+        # In place: take reads each code before it writes that slot, and
+        # unlike mode "raise" (the codes are in range) "clip" writes
+        # ``out`` directly rather than through a copy.
+        np.take(remap, codes, out=codes, mode="clip")
+        code_columns.append(codes if order is None else codes[order])
         name_tuples.append(tuple(names))
-    return cls(ts[order], np.asarray(values, dtype=float)[order], *code_columns, *name_tuples)
+    if order is not None:
+        timestamps, values = timestamps[order], values[order]
+    return cls(timestamps, values, *code_columns, *name_tuples)
 
 
 @dataclass(eq=False)
@@ -405,7 +423,7 @@ def load_io_trace(path) -> IoTrace:
     same_tag = codes[by_tag][1:] == codes[by_tag][:-1]
     if np.any(same_tag & (np.diff(ts[by_tag]) < 0)):
         logger.warning("%s: non-monotonic timestamps, sorting", path)
-    trace = _time_sorted(IoTrace, ts, values, (codes, tags))
+    trace = _time_sorted(IoTrace, _time_order(ts), ts, values, (codes, tags))
     logger.info("%s: %d IO samples", path, len(trace))
     return trace
 
@@ -419,9 +437,10 @@ def load_rtls_trace(path) -> RtlsTrace:
     ts, points, coded = _load_csv(path, _RTLS)
     if len(coded) == 1:  # no label column: every sample is unlabeled
         coded.append((np.zeros(len(ts), dtype=np.int64), {None: 0}))
-    if np.any(ts[1:] < ts[:-1]):
+    order = _time_order(ts)
+    if order is not None:
         logger.warning("%s: non-monotonic timestamps, sorting", path)
-    trace = _time_sorted(RtlsTrace, ts, points, *coded)
+    trace = _time_sorted(RtlsTrace, order, ts, points, *coded)
     logger.info("%s: %d RTLS samples", path, len(trace))
     return trace
 

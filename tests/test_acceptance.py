@@ -15,7 +15,7 @@ from plantrecon.aml import export_aml, import_aml
 from plantrecon.clustering import KMeansParams, cluster_positions
 from plantrecon.config import PipelineConfig, write_kv_file
 from plantrecon.dtw import dtw_distance, knn_distances, knn_train
-from plantrecon.dynamics import DynamicsParams, analyze_dynamics
+from plantrecon.dynamics import DynamicsParams, analyze_dynamics, training_segments
 from plantrecon.graph import NodeKind, load_graph
 from plantrecon.grouping import functional_grouping
 from plantrecon.metrics import ari, functional_partition_of
@@ -149,7 +149,7 @@ def test_criterion_3_classification_accuracy():
             project, kinds, types = _tag_maps(plant)
             io, rtls, labeled = _samples(plant)
             result = analyze_dynamics(
-                io, rtls, labeled, kinds, types, project.name, DynamicsParams()
+                io, rtls, training_segments(labeled), kinds, types, project.name, DynamicsParams()
             )
             truth = plant.ground_truth.physical_partition
             known = [

@@ -11,6 +11,7 @@ from plantrecon.dynamics import (
     analyze_dynamics,
     build_physical_groups,
     component_event_series,
+    training_segments,
 )
 from plantrecon.graph import EdgeKind, NodeKind, merge
 from plantrecon.plc import parse_project
@@ -48,7 +49,7 @@ EMPTY_TRACE = RtlsTrace.from_rows([])
 def mini_dynamics(mini_plant):
     project, kinds, types = _tag_maps(mini_plant)
     io, rtls, labeled = _samples(mini_plant)
-    return analyze_dynamics(io, rtls, labeled, kinds, types, project.name, DynamicsParams())
+    return analyze_dynamics(io, rtls, training_segments(labeled), kinds, types, project.name, DynamicsParams())
 
 
 class TestMiniDynamics:
@@ -108,7 +109,7 @@ class TestClusterMode:
         result = analyze_dynamics(
             io,
             rtls,
-            EMPTY_TRACE,
+            [],
             kinds,
             types,
             project.name,
@@ -136,7 +137,7 @@ class TestDegenerateInputs:
         project, kinds, types = _tag_maps(mini_plant)
         io, _, labeled = _samples(mini_plant)
         with caplog.at_level(logging.WARNING, logger="plantrecon.dynamics"):
-            result = analyze_dynamics(io, EMPTY_TRACE, labeled, kinds, types, project.name)
+            result = analyze_dynamics(io, EMPTY_TRACE, training_segments(labeled), kinds, types, project.name)
         assert result.assignments == {}
         warnings = _dynamics_warnings(caplog)
         assert len(warnings) == 1
@@ -147,7 +148,7 @@ class TestDegenerateInputs:
         _, rtls, labeled = _samples(mini_plant)
         io = IoTrace.from_rows(mini_plant.io_rows + [(1000, f"X_{i}", 1.0) for i in range(7)])
         with caplog.at_level(logging.WARNING, logger="plantrecon.dynamics"):
-            result = analyze_dynamics(io, rtls, labeled, kinds, types, project.name)
+            result = analyze_dynamics(io, rtls, training_segments(labeled), kinds, types, project.name)
         assert result.assignments == mini_plant.ground_truth.physical_partition
         warnings = _dynamics_warnings(caplog)
         assert len(warnings) == 1
@@ -160,7 +161,7 @@ class TestDegenerateInputs:
         project, kinds, types = _tag_maps(mini_plant)
         io, rtls, labeled = _samples(mini_plant)
         with caplog.at_level(logging.WARNING, logger="plantrecon.dynamics"):
-            analyze_dynamics(io, rtls, labeled, kinds, types, project.name)
+            analyze_dynamics(io, rtls, training_segments(labeled), kinds, types, project.name)
         assert _dynamics_warnings(caplog) == []
 
 
@@ -175,14 +176,14 @@ class TestDegenerateInputs:
             else:
                 late = (2**63, "tray01", 0.0, 0.0, 0.0, None)
                 rtls = RtlsTrace.from_rows(_unlabeled_rows(mini_plant) + [late])
-            analyze_dynamics(io, rtls, labeled, kinds, types, project.name)
+            analyze_dynamics(io, rtls, training_segments(labeled), kinds, types, project.name)
 
     def test_non_finite_rows_raise(self, mini_plant):
         project, kinds, types = _tag_maps(mini_plant)
         io, _, labeled = _samples(mini_plant)
         rows = [(t, tr, math.nan, y, z, None) for (t, tr, _, y, z, _) in mini_plant.rtls_rows]
         with pytest.raises(TraceError, match="non-finite coordinate"):
-            analyze_dynamics(io, RtlsTrace.from_rows(rows), labeled, kinds, types, project.name)
+            analyze_dynamics(io, RtlsTrace.from_rows(rows), training_segments(labeled), kinds, types, project.name)
 
 
 def _noisy_level_rows(tag: str, plateaus: int, seed: int) -> tuple[list, int]:
@@ -252,7 +253,7 @@ class TestPaperScaleClassification:
     def test_row_granularity_assignment_noise_free(self, reference_plant):
         project, kinds, types = _tag_maps(reference_plant)
         io, rtls, labeled = _samples(reference_plant)
-        result = analyze_dynamics(io, rtls, labeled, kinds, types, project.name, DynamicsParams())
+        result = analyze_dynamics(io, rtls, training_segments(labeled), kinds, types, project.name, DynamicsParams())
         truth = reference_plant.ground_truth.physical_partition
         known = [t for t, e in result.estimates.items() if e.status is EstimateStatus.KNOWN]
         # The offline panel never fires, so its tags must stay Unknown.
@@ -265,7 +266,7 @@ class TestPaperScaleClassification:
     def test_row_granularity_physical_groups(self, reference_plant):
         project, kinds, types = _tag_maps(reference_plant)
         io, rtls, labeled = _samples(reference_plant)
-        result = analyze_dynamics(io, rtls, labeled, kinds, types, project.name, DynamicsParams())
+        result = analyze_dynamics(io, rtls, training_segments(labeled), kinds, types, project.name, DynamicsParams())
         groups = {n.name for n in result.fragment.query(kinds={NodeKind.PHYSICAL_GROUP})}
         # Eight storage-row groups (2 levels x 4 rows) plus the unit zones.
         rows = {f"L{l}R{r}" for l in (1, 2) for r in (1, 2, 3, 4)}

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import weakref
 from dataclasses import fields
 from pathlib import Path
 
@@ -224,6 +225,29 @@ class TestRunAll:
             pipeline.run_all(cfg)
             outs.append({name: (out / name).read_bytes() for name in watched})
         assert outs[0] == outs[1]
+
+
+    def test_labeled_trace_freed_before_operational_trace_loads(
+        self, mini_workspace, tmp_path, monkeypatch
+    ):
+        # analyze-dynamics keeps only the labeled trace's training segments,
+        # so the two RTLS traces are never held at once.
+        cfg = _config(mini_workspace)
+        cfg.out_dir = tmp_path
+        loaded = {}
+        load = pipeline.load_rtls_trace
+
+        def load_and_watch(path):
+            if path == cfg.rtls_csv:
+                assert cfg.labeled_rtls_csv in loaded, "the labeled trace loads first"
+                assert loaded[cfg.labeled_rtls_csv]() is None, "the labeled trace is still alive"
+            trace = load(path)
+            loaded[path] = weakref.ref(trace)
+            return trace
+
+        monkeypatch.setattr(pipeline, "load_rtls_trace", load_and_watch)
+        pipeline.stage_analyze_dynamics(cfg)
+        assert list(loaded) == [cfg.labeled_rtls_csv, cfg.rtls_csv]
 
 
 def _clustering_warnings(caplog):

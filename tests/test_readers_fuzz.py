@@ -123,7 +123,7 @@ def _analyze_mutated_trace(plant_dir, name: str, data) -> None:
         dynamics.analyze_dynamics(
             load_io_trace(files["io.csv"]),
             load_rtls_trace(files["rtls.csv"]),
-            load_rtls_trace(files["rtls_labeled.csv"]),
+            dynamics.training_segments(load_rtls_trace(files["rtls_labeled.csv"])),
             kinds,
             types,
             project.name,

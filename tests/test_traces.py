@@ -184,8 +184,8 @@ class TestLoadRtls:
         assert trace.timestamps_ms.tolist() == [3, 7, 7, 7]
         assert trace.points[:, 0].tolist() == [9.0, 1.0, 5.0, 2.0]
         # The MaterialTracker position is the last sample in that order.
-        empty_io, empty_rtls = IoTrace.from_rows([]), RtlsTrace.from_rows([])
-        fragment = analyze_dynamics(empty_io, trace, empty_rtls, {}, {}, "P").fragment
+        empty_io = IoTrace.from_rows([])
+        fragment = analyze_dynamics(empty_io, trace, [], {}, {}, "P").fragment
         trackers = fragment.query(kinds={NodeKind.MATERIAL_TRACKER})
         assert [(n.name, n.labels["position.x"]) for n in trackers] == [("t1", 2.0), ("t2", 5.0)]
 
@@ -210,6 +210,56 @@ class TestLoadRtls:
             assert getattr(loaded, column).tolist() == getattr(built, column).tolist()
         assert loaded.tracker_names == built.tracker_names
         assert loaded.label_names == built.label_names
+
+
+# Trace files for both paths of ``traces._time_sorted``: (file text,
+# loader, oracle, whether the rows are already in time order). Names
+# appear out of name order, so each code column is remapped.
+_TIME_ORDER_CASES = {
+    "rtls-in-order": (
+        RTLS_HEADER + "1,tb,1.0,0.0,0.0\n1,ta,2.0,0.0,0.0\n4,tb,3.0,0.5,0.0\n",
+        load_rtls_trace, rtls_trace_oracle, True,
+    ),
+    "rtls-in-order-labeled": (
+        "timestamp_ms,tracker_id,x_m,y_m,z_m,location_label\n"
+        "1,tb,1.0,0.0,0.0,Z\n2,ta,2.0,0.0,0.0,\n2,tb,3.0,0.0,0.0,A\n5,ta,4.0,0.0,0.0,Z\n",
+        load_rtls_trace, rtls_trace_oracle, True,
+    ),
+    "rtls-out-of-order": (
+        "timestamp_ms,tracker_id,x_m,y_m,z_m,location_label\n"
+        "7,tb,1.0,0.0,0.0,Z\n3,ta,2.0,0.0,0.0,A\n7,ta,3.0,0.0,0.0,\n-2,tb,4.0,0.0,0.0,A\n",
+        load_rtls_trace, rtls_trace_oracle, False,
+    ),
+    "io-out-of-order": (
+        "timestamp_ms,tag,value\n5,b,1.0\n2,a,0.0\n5,a,1.0\n1,b,0.0\n",
+        load_io_trace, io_trace_oracle, False,
+    ),
+}
+
+
+class TestTimeSorted:
+    """A trace already in time order keeps the loader's columns, and one
+    out of order is gathered; either way it equals the row-by-row oracle
+    column for column, dtypes included, with codes in name order."""
+
+    @pytest.mark.parametrize("case", list(_TIME_ORDER_CASES))
+    def test_equals_oracle(self, tmp_path, case):
+        text, load, oracle, in_order = _TIME_ORDER_CASES[case]
+        p = tmp_path / "trace.csv"
+        p.write_text(text)
+        trace, expected = load(p), oracle(p)
+        # The loader's own buffer, or the gathered copy.
+        assert trace.timestamps_ms.flags.owndata is not in_order
+        for name, want in vars(expected).items():
+            got = getattr(trace, name)
+            if isinstance(want, np.ndarray):
+                assert (got.dtype, got.shape) == (want.dtype, want.shape), name
+                assert got.tolist() == want.tolist(), name
+            else:
+                assert got == want, name
+        # Code order is name order: every names tuple is sorted.
+        name_tuples = [v for v in vars(trace).values() if isinstance(v, tuple)]
+        assert all(list(names) == sorted(names) for names in name_tuples)
 
 
 class TestDetectEvents:
