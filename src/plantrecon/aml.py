@@ -100,6 +100,10 @@ def _attribute(parent: ET.Element, name: str, value: LabelValue) -> None:
     ET.SubElement(attr, "Value").text = text
 
 
+# The lexical forms of xs:boolean.
+_XS_BOOLEAN = {"true": True, "1": True, "false": False, "0": False}
+
+
 def _parse_attribute(elem: ET.Element) -> tuple[str, LabelValue]:
     name = elem.get("Name", "")
     dtype = elem.get("AttributeDataType", "xs:string")
@@ -107,7 +111,9 @@ def _parse_attribute(elem: ET.Element) -> tuple[str, LabelValue]:
     text = value_elem.text if value_elem is not None and value_elem.text is not None else ""
     value: LabelValue
     if dtype == "xs:boolean":
-        value = text == "true"
+        value = _XS_BOOLEAN.get(text.strip())
+        if value is None:
+            raise ValueError(f"invalid xs:boolean {text!r}")
     elif dtype == "xs:integer":
         value = int(text)
     elif dtype == "xs:double":
@@ -294,7 +300,7 @@ def import_aml(xml_bytes: bytes) -> PropertyGraph:
         for elem in hierarchies[0]:
             if elem.tag == "InternalElement":
                 walk(elem, None, 0)
-    except ValueError as exc:  # a provenance, xs:integer or xs:double value
+    except ValueError as exc:  # a provenance, xs:boolean, xs:integer or xs:double value
         raise AmlSyntaxError(f"bad attribute value: {exc}") from None
 
     for parent_id, child_id in contains:

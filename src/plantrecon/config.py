@@ -2,8 +2,8 @@
 
 One format serves both the pipeline configuration and the ``plantspec``
 generator configuration: one assignment per line, ``#`` comments, blank
-lines ignored, unknown keys rejected. CLI flags override file values and
-are read and checked as the keys of the same name.
+lines ignored, unknown and repeated keys rejected. CLI flags override
+file values and are read and checked as the keys of the same name.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ if TYPE_CHECKING:
 
 def read_kv_file(path: str | Path) -> dict[str, str]:
     values: dict[str, str] = {}
+    key_lines: dict[str, int] = {}
     text = Path(path).read_text(encoding="utf-8")
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -28,8 +29,11 @@ def read_kv_file(path: str | Path) -> dict[str, str]:
             continue
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
-        key, _, value = line.partition("=")
-        values[key.strip()] = value.strip()
+        key, _, value = (part.strip() for part in line.partition("="))
+        if key in key_lines:
+            raise ConfigError(f"{path}:{lineno}: key {key!r} already set on line {key_lines[key]}")
+        key_lines[key] = lineno
+        values[key] = value
     return values
 
 

@@ -33,7 +33,8 @@ is the key semantic:
   is shared between the callers and is flagged as such.
 
 Digital addresses are ``%I<byte>.<bit>`` / ``%Q<byte>.<bit>`` (bit 0-7),
-analog word addresses are ``%IW<n>`` / ``%QW<n>``. Unknown elements and
+analog word addresses are ``%IW<n>`` / ``%QW<n>``. The three sections
+may come in any order, each at most once. Unknown elements and
 attributes are rejected, not ignored.
 
 ``build_call_tree`` resolves every reference and makes the one pass over
@@ -47,6 +48,7 @@ import heapq
 import io
 import re
 import xml.etree.ElementTree as ET
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
@@ -308,35 +310,30 @@ def parse_project(xml_bytes: bytes | str) -> PlcProject:
     if root.tag != "PlcProject":
         raise SchemaViolationError("root element must be <PlcProject>", root.tag)
     ra = _attrs(root, ("name",))
-    devices: list[HardwareDevice] = []
-    tags: list[IoTag] = []
-    blocks: list[Block] = []
-    seen_sections = set()
+    sections: dict[str, ET.Element] = {}
     for section in root:
-        if section.tag in seen_sections:
+        if section.tag in sections:
             raise SchemaViolationError(f"duplicate section <{section.tag}>", root.tag)
-        seen_sections.add(section.tag)
-        if section.tag == "HardwareConfig":
-            _attrs(section, ())
-            for child in section:
-                if child.tag != "Device":
-                    raise SchemaViolationError(f"unexpected element <{child.tag}>", section.tag)
-                devices.append(_parse_device(child))
-        elif section.tag == "TagTable":
-            _attrs(section, ())
-            device_map = {d.id: d for d in devices}
-            for child in section:
-                if child.tag != "Tag":
-                    raise SchemaViolationError(f"unexpected element <{child.tag}>", section.tag)
-                tags.append(_parse_tag(child, device_map))
-        elif section.tag == "Blocks":
-            _attrs(section, ())
-            for child in section:
-                if child.tag not in (bt.value for bt in BlockType):
-                    raise SchemaViolationError(f"unexpected element <{child.tag}>", section.tag)
-                blocks.append(_parse_block(child))
-        else:
+        if section.tag not in ("HardwareConfig", "TagTable", "Blocks"):
             raise SchemaViolationError(f"unexpected element <{section.tag}>", root.tag)
+        sections[section.tag] = section
+
+    def children(tag: str, allowed) -> Iterator[ET.Element]:
+        """The elements of one section, if present, each of an allowed tag."""
+        section = sections.get(tag)
+        if section is None:
+            return
+        _attrs(section, ())
+        for child in section:
+            if child.tag not in allowed:
+                raise SchemaViolationError(f"unexpected element <{child.tag}>", tag)
+            yield child
+
+    # Devices first, whatever the section order: tags refer to them.
+    devices = [_parse_device(child) for child in children("HardwareConfig", ("Device",))]
+    device_map = {d.id: d for d in devices}
+    tags = [_parse_tag(child, device_map) for child in children("TagTable", ("Tag",))]
+    blocks = [_parse_block(child) for child in children("Blocks", {bt.value for bt in BlockType})]
     dup_devices = _duplicates(d.id for d in devices)
     if dup_devices:
         raise SchemaViolationError(f"duplicate device ids {dup_devices}", "Device")

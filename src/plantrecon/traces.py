@@ -11,17 +11,17 @@ Both traces load as numpy columns, one entry per sample, in time order:
 an ``IoTrace`` and an ``RtlsTrace``. A file already in time order keeps
 the parsed columns as the trace's own; any other is stably sorted once.
 One ``_CsvShape`` per trace states its header, optional label column,
-float fields and error words. One loader reads both files, and one
-builder serves both ``from_rows``, which refuse what the loader refuses.
+float fields and error words. One loader reads both files; it is the
+only code that turns rows into a checked trace.
 
 The loader parses the rows in blocks of whole lines. A plain block (no
 quote, no ``\\r``, no NUL, the header's number of fields on every line)
-is parsed column by column and checked by the column check that
-``from_rows`` uses too. From the first block that is not plain or fails
-the check, the rest of the file goes through a row-by-row ``csv.reader``
-loop, which defines quoting, line endings, blank rows and every
-``MalformedRowError``; its row numbers continue after the rows already
-parsed, so results and errors are the same either way.
+is parsed column by column and its columns are checked as wholes. From
+the first block that is not plain or fails the check, the rest of the
+file goes through a row-by-row ``csv.reader`` loop, which defines
+quoting, line endings, blank rows and every ``MalformedRowError``; its
+row numbers continue after the rows already parsed, so results and
+errors are the same either way.
 
 The correlation chain is: one tag's samples -> its change-event times
 (an int64 array) -> per-event nearest-in-time material position, a
@@ -108,54 +108,10 @@ def _int64_times(values) -> np.ndarray:
     return ts.astype(np.int64, copy=False)
 
 
-def _column_fault(timestamps, floats: np.ndarray, names) -> int | None:
-    """The first row rule that whole columns break, in the row loop's
-    order: 0 a non-finite float, 1 an empty name, 2 a timestamp that is
-    no integer or out of bounds. None if they break none."""
-    if not np.isfinite(floats).all():
-        return 0
-    if not all(names):
-        return 1
-    try:
-        _int64_times(timestamps)
-    except TraceError:
-        return 2
-    return None
-
-
-def _from_rows(cls, shape: _CsvShape, rows: list[tuple]):
-    """A ``cls`` trace of row tuples laid out as ``shape``'s columns, the
-    label column included; an empty or None label counts as unlabeled."""
-    width = len(shape.header) + (shape.label is not None)
-    for r in rows:
-        if len(r) != width:
-            raise TraceError(f"expected {width} fields, got {len(r)}")
-    fields = shape.float_fields
-    try:
-        floats = np.array([r[fields.start:fields.stop] for r in rows], dtype=float)
-    except (TypeError, ValueError) as exc:  # float()'s own words, as the loader raises them
-        raise TraceError(str(exc)) from None
-    columns = {k: [r[k] for r in rows] for k in shape.name_columns(shape.label is not None)}
-    for k, names in columns.items():  # k > 1 is the label column, where None is unlabeled
-        bad = [n for n in names if not (isinstance(n, str) or n is None and k > 1)]
-        if bad:
-            wanted = "a string or None" if k > 1 else "a string"
-            raise TraceError(f"{(*shape.header, shape.label)[k]} must be {wanted}, got {bad[0]!r}")
-    timestamps = [r[0] for r in rows]
-    fault = _column_fault(timestamps, floats, columns[1])
-    if fault is not None and fault < 2:
-        raise TraceError((shape.float_error, shape.name_error)[fault])
-    ts = _int64_times(timestamps)  # raises the timestamp's own words
-    coded = []
-    for names in columns.values():
-        first_seen: dict[str | None, int] = {}
-        coded.append((_code_column(first_seen, names), first_seen))
-    return _time_sorted(cls, _time_order(ts), ts, shape.values(floats.reshape(-1)), *coded)
-
-
 @dataclass(frozen=True, eq=False)
 class IoTrace:
-    """An IO trace as numpy columns, one entry per sample, time-sorted.
+    """An IO trace as numpy columns, one entry per sample, time-sorted, as
+    ``load_io_trace`` reads it from a checked CSV file.
 
     ``tag_codes`` index the sorted ``tag_names``, so code order is name
     order. Samples with equal timestamps keep their input order.
@@ -169,18 +125,11 @@ class IoTrace:
     def __len__(self) -> int:
         return len(self.timestamps_ms)
 
-    @classmethod
-    def from_rows(cls, rows: list[tuple[int, str, float]]) -> IoTrace:
-        """The trace of ``(timestamp_ms, tag, value)`` rows, stably sorted
-        by timestamp. Refuses what ``load_io_trace`` refuses in a row's
-        values, with ``TraceError`` and the same words, and a tag that is
-        not a string."""
-        return _from_rows(cls, _IO, rows)
-
 
 @dataclass(frozen=True, eq=False)
 class RtlsTrace:
-    """An RTLS trace as numpy columns, one entry per sample, time-sorted.
+    """An RTLS trace as numpy columns, one entry per sample, time-sorted,
+    as ``load_rtls_trace`` reads it from a checked CSV file.
 
     ``tracker_codes`` index ``tracker_names`` and ``label_codes`` index
     ``label_names``, with -1 for an unlabeled sample. Both name tuples are
@@ -197,15 +146,6 @@ class RtlsTrace:
 
     def __len__(self) -> int:
         return len(self.timestamps_ms)
-
-    @classmethod
-    def from_rows(cls, rows: list[tuple[int, str, float, float, float, str | None]]) -> RtlsTrace:
-        """The trace of ``(timestamp_ms, tracker_id, x, y, z,
-        location_label)`` rows, stably sorted by timestamp; an empty or
-        None label counts as unlabeled. Refuses what ``load_rtls_trace``
-        refuses in a row's values, with ``TraceError`` and the same words,
-        and a tracker id or label that is not a string."""
-        return _from_rows(cls, _RTLS, rows)
 
 
 def _time_order(timestamps: np.ndarray) -> np.ndarray | None:
@@ -227,7 +167,6 @@ def _time_sorted(cls, order: np.ndarray | None, timestamps: np.ndarray, values, 
     columns are remapped in place, and columns already in time order
     become the trace's own: only out-of-order input is gathered.
     """
-    values = np.asarray(values, dtype=float)
     code_columns, name_tuples = [], []
     for codes, first_seen in coded:
         names = sorted(n for n in first_seen if n is not None)
@@ -287,7 +226,8 @@ _BLOCK_CHARS = 64 * 1024
 def _parse_block(lines: list[str], is_float: tuple[bool, ...]):
     """A block of whole lines parsed column by column: its timestamps, its
     float fields in row order and all its fields, row after row. None if
-    the block is not plain or ``_column_fault`` finds a fault.
+    the block is not plain or a row breaks a rule: a non-finite float, an
+    empty name or a timestamp out of bounds.
 
     A block is plain when it holds no ``"``, no ``\\r`` and no NUL (which
     ``csv.reader`` refuses before Python 3.11), each line has exactly one
@@ -314,7 +254,13 @@ def _parse_block(lines: list[str], is_float: tuple[bool, ...]):
         floats = array("d", list(map(float, compress(fields, cycle(is_float)))))
     except (ValueError, OverflowError):  # OverflowError: beyond int64
         return None
-    if _column_fault(timestamps, np.frombuffer(floats), fields[1::width]) is not None:
+    ts = np.frombuffer(timestamps, dtype=np.int64)
+    if not (
+        np.isfinite(np.frombuffer(floats)).all()
+        and all(fields[1::width])
+        and -_TIMESTAMP_LIMIT_MS < ts.min()
+        and ts.max() < _TIMESTAMP_LIMIT_MS
+    ):
         return None
     return timestamps, floats, fields
 

@@ -26,7 +26,7 @@ from plantrecon.mining import (
     project_for_mining,
     select_templates,
 )
-from plantrecon.traces import EstimateStatus, IoTrace, RtlsTrace
+from plantrecon.traces import EstimateStatus
 
 from oracles import (
     dtw_oracle,
@@ -65,12 +65,6 @@ def _tag_maps(plant):
     kinds = {t.name: (NodeKind.SENSOR if t.is_input else NodeKind.ACTUATOR) for t in project.tags}
     types = {t.name: t.data_type.value for t in project.tags}
     return project, kinds, types
-
-
-def _samples(plant):
-    unlabeled = [(t, tr, x, y, z, None) for (t, tr, x, y, z, _) in plant.rtls_rows]
-    io = IoTrace.from_rows(plant.io_rows)
-    return io, RtlsTrace.from_rows(unlabeled), RtlsTrace.from_rows(plant.rtls_rows)
 
 
 @pytest.fixture(scope="module")
@@ -141,13 +135,13 @@ def test_criterion_2_dtw_oracle_equivalence():
         assert pairs == 200
 
 
-def test_criterion_3_classification_accuracy():
+def test_criterion_3_classification_accuracy(plant_traces):
     with _criterion(3, "1-NN/DTW classification accuracy"):
         clustering_checked = False
         for seed in (1, 2, 3, 4, 5):
             plant = synth.generate(synth.reference_spec(seed=seed, noise_sigma_m=0.05))
             project, kinds, types = _tag_maps(plant)
-            io, rtls, labeled = _samples(plant)
+            io, rtls, labeled = plant_traces(plant)
             result = analyze_dynamics(
                 io, rtls, training_segments(labeled), kinds, types, project.name, DynamicsParams()
             )

@@ -137,6 +137,24 @@ class TestImportRoundTrip:
         assert isinstance(labels["channelIndex"], int)
         assert isinstance(labels["flag"], bool)
 
+    @pytest.mark.parametrize(
+        ("text", "value"), [("true", True), ("1", True), ("false", False), ("0", False), ("yes", None)]
+    )
+    def test_boolean_lexical_forms(self, text, value):
+        # xs:boolean is written true/false and may be read as 1/0 too; any
+        # other text is a syntax finding, not False.
+        g = PropertyGraph()
+        g.add_node(Node("SystemRoot:P", NodeKind.SYSTEM_ROOT, "P", {}))
+        g.add_node(Node("Sensor:S", NodeKind.SENSOR, "S", {"shared": True}))
+        g.add_edge(Edge(EdgeKind.CONTAINS, "SystemRoot:P", "Sensor:S"))
+        xml_bytes = export_aml(g).replace(b"<Value>true</Value>", f"<Value>{text}</Value>".encode())
+        if value is None:
+            findings = validate_aml(xml_bytes)
+            assert [f.code for f in findings] == ["syntax"]
+            assert "invalid xs:boolean 'yes'" in findings[0].message
+        else:
+            assert import_aml(xml_bytes).node("Sensor:S").labels == {"shared": value}
+
     def test_edge_labels_preserved(self):
         g = PropertyGraph()
         g.add_node(Node("SystemRoot:P", NodeKind.SYSTEM_ROOT, "P", {}))

@@ -17,10 +17,10 @@ from plantrecon.graph import EdgeKind, NodeKind, merge
 from plantrecon.plc import parse_project
 from plantrecon.traces import (
     EstimateStatus,
-    IoTrace,
     PositionEstimate,
-    RtlsTrace,
     TraceError,
+    load_io_trace,
+    load_rtls_trace,
 )
 
 
@@ -31,24 +31,10 @@ def _tag_maps(plant):
     return project, kinds, types
 
 
-def _unlabeled_rows(plant):
-    return [(t, tr, x, y, z, None) for (t, tr, x, y, z, _) in plant.rtls_rows]
-
-
-def _samples(plant):
-    io = IoTrace.from_rows(plant.io_rows)
-    rtls = RtlsTrace.from_rows(_unlabeled_rows(plant))
-    labeled = RtlsTrace.from_rows(plant.rtls_rows)
-    return io, rtls, labeled
-
-
-EMPTY_TRACE = RtlsTrace.from_rows([])
-
-
 @pytest.fixture(scope="module")
-def mini_dynamics(mini_plant):
+def mini_dynamics(mini_plant, plant_traces):
     project, kinds, types = _tag_maps(mini_plant)
-    io, rtls, labeled = _samples(mini_plant)
+    io, rtls, labeled = plant_traces(mini_plant)
     return analyze_dynamics(io, rtls, training_segments(labeled), kinds, types, project.name, DynamicsParams())
 
 
@@ -101,9 +87,9 @@ class TestMiniDynamics:
 
 
 class TestClusterMode:
-    def test_cluster_mode_produces_partition(self, mini_plant):
+    def test_cluster_mode_produces_partition(self, mini_plant, plant_traces):
         project, kinds, types = _tag_maps(mini_plant)
-        io, rtls, _ = _samples(mini_plant)
+        io, rtls, _ = plant_traces(mini_plant)
         from plantrecon.clustering import KMeansParams
 
         result = analyze_dynamics(
@@ -133,20 +119,21 @@ def _dynamics_warnings(caplog):
 
 
 class TestDegenerateInputs:
-    def test_empty_rtls_trace_warns(self, mini_plant, caplog):
+    def test_empty_rtls_trace_warns(self, mini_plant, plant_traces, load_rows, caplog):
         project, kinds, types = _tag_maps(mini_plant)
-        io, _, labeled = _samples(mini_plant)
+        io, _, labeled = plant_traces(mini_plant)
+        empty = load_rows(load_rtls_trace, [])
         with caplog.at_level(logging.WARNING, logger="plantrecon.dynamics"):
-            result = analyze_dynamics(io, EMPTY_TRACE, training_segments(labeled), kinds, types, project.name)
+            result = analyze_dynamics(io, empty, training_segments(labeled), kinds, types, project.name)
         assert result.assignments == {}
         warnings = _dynamics_warnings(caplog)
         assert len(warnings) == 1
         assert "RTLS trace is empty" in warnings[0].getMessage()
 
-    def test_undeclared_io_tags_warn_once(self, mini_plant, caplog):
+    def test_undeclared_io_tags_warn_once(self, mini_plant, plant_traces, load_rows, caplog):
         project, kinds, types = _tag_maps(mini_plant)
-        _, rtls, labeled = _samples(mini_plant)
-        io = IoTrace.from_rows(mini_plant.io_rows + [(1000, f"X_{i}", 1.0) for i in range(7)])
+        _, rtls, labeled = plant_traces(mini_plant)
+        io = load_rows(load_io_trace, mini_plant.io_rows + [(1000, f"X_{i}", 1.0) for i in range(7)])
         with caplog.at_level(logging.WARNING, logger="plantrecon.dynamics"):
             result = analyze_dynamics(io, rtls, training_segments(labeled), kinds, types, project.name)
         assert result.assignments == mini_plant.ground_truth.physical_partition
@@ -157,33 +144,34 @@ class TestDegenerateInputs:
         assert "X_0, X_1, X_2, X_3, X_4, ..." in message
         assert "X_5" not in message
 
-    def test_clean_inputs_do_not_warn(self, mini_plant, caplog):
+    def test_clean_inputs_do_not_warn(self, mini_plant, plant_traces, caplog):
         project, kinds, types = _tag_maps(mini_plant)
-        io, rtls, labeled = _samples(mini_plant)
+        io, rtls, labeled = plant_traces(mini_plant)
         with caplog.at_level(logging.WARNING, logger="plantrecon.dynamics"):
             analyze_dynamics(io, rtls, training_segments(labeled), kinds, types, project.name)
         assert _dynamics_warnings(caplog) == []
 
 
     @pytest.mark.parametrize("which", ["io", "rtls"])
-    def test_timestamp_beyond_bound_raises(self, mini_plant, which):
+    def test_timestamp_beyond_bound_raises(self, mini_plant, plant_traces, load_rows, which):
         project, kinds, types = _tag_maps(mini_plant)
-        io, rtls, labeled = _samples(mini_plant)
+        io, rtls, labeled = plant_traces(mini_plant)
         _, tag, value = mini_plant.io_rows[-1]
         with pytest.raises(TraceError, match="below 2\\*\\*62 ms"):
             if which == "io":
-                io = IoTrace.from_rows(mini_plant.io_rows + [(2**63 + 5, tag, 1.0 - value)])
+                io = load_rows(load_io_trace, mini_plant.io_rows + [(2**63 + 5, tag, 1.0 - value)])
             else:
                 late = (2**63, "tray01", 0.0, 0.0, 0.0, None)
-                rtls = RtlsTrace.from_rows(_unlabeled_rows(mini_plant) + [late])
+                rtls = load_rows(load_rtls_trace, mini_plant.rtls_rows + [late])
             analyze_dynamics(io, rtls, training_segments(labeled), kinds, types, project.name)
 
-    def test_non_finite_rows_raise(self, mini_plant):
+    def test_non_finite_rows_raise(self, mini_plant, plant_traces, load_rows):
         project, kinds, types = _tag_maps(mini_plant)
-        io, _, labeled = _samples(mini_plant)
+        io, _, labeled = plant_traces(mini_plant)
         rows = [(t, tr, math.nan, y, z, None) for (t, tr, _, y, z, _) in mini_plant.rtls_rows]
         with pytest.raises(TraceError, match="non-finite coordinate"):
-            analyze_dynamics(io, RtlsTrace.from_rows(rows), training_segments(labeled), kinds, types, project.name)
+            rtls = load_rows(load_rtls_trace, rows)
+            analyze_dynamics(io, rtls, training_segments(labeled), kinds, types, project.name)
 
 
 def _noisy_level_rows(tag: str, plateaus: int, seed: int) -> tuple[list, int]:
@@ -210,10 +198,10 @@ class TestAnalogEvents:
     """component_event_series on Int and Real tags: the threshold sits
     mid-range and the hysteresis band is 2 % of the tag's value range."""
 
-    def test_noisy_int_tag_equals_oracle(self):
+    def test_noisy_int_tag_equals_oracle(self, load_rows):
         rows, switches = _noisy_level_rows("A_level", 30, seed=5)
         bool_rows = [(t, "S_flag", float(k % 2)) for k, (t, _, _) in enumerate(rows[::4])]
-        io = IoTrace.from_rows(rows + bool_rows)
+        io = load_rows(load_io_trace, rows + bool_rows)
         events = component_event_series(io, {"A_level": "Int", "S_flag": "Bool"})
 
         samples = [(t, value) for t, _, value in rows]
@@ -224,8 +212,8 @@ class TestAnalogEvents:
         bool_samples = [(t, value) for t, _, value in bool_rows]
         assert events["S_flag"].tolist() == events_oracle(bool_samples)
 
-    def test_constant_analog_tag_has_no_events(self):
-        io = IoTrace.from_rows([(t, "A_temp", 12.5) for t in range(0, 1000, 10)])
+    def test_constant_analog_tag_has_no_events(self, load_rows):
+        io = load_rows(load_io_trace, [(t, "A_temp", 12.5) for t in range(0, 1000, 10)])
         assert component_event_series(io, {"A_temp": "Real"})["A_temp"].tolist() == []
 
 
@@ -250,9 +238,9 @@ class TestBuildPhysicalGroups:
 
 
 class TestPaperScaleClassification:
-    def test_row_granularity_assignment_noise_free(self, reference_plant):
+    def test_row_granularity_assignment_noise_free(self, reference_plant, plant_traces):
         project, kinds, types = _tag_maps(reference_plant)
-        io, rtls, labeled = _samples(reference_plant)
+        io, rtls, labeled = plant_traces(reference_plant)
         result = analyze_dynamics(io, rtls, training_segments(labeled), kinds, types, project.name, DynamicsParams())
         truth = reference_plant.ground_truth.physical_partition
         known = [t for t, e in result.estimates.items() if e.status is EstimateStatus.KNOWN]
@@ -263,9 +251,9 @@ class TestPaperScaleClassification:
         correct = sum(1 for t in known if result.assignments.get(t) == truth[t])
         assert correct == len(known)
 
-    def test_row_granularity_physical_groups(self, reference_plant):
+    def test_row_granularity_physical_groups(self, reference_plant, plant_traces):
         project, kinds, types = _tag_maps(reference_plant)
-        io, rtls, labeled = _samples(reference_plant)
+        io, rtls, labeled = plant_traces(reference_plant)
         result = analyze_dynamics(io, rtls, training_segments(labeled), kinds, types, project.name, DynamicsParams())
         groups = {n.name for n in result.fragment.query(kinds={NodeKind.PHYSICAL_GROUP})}
         # Eight storage-row groups (2 levels x 4 rows) plus the unit zones.

@@ -167,7 +167,7 @@ class TestOracleEquivalence:
             g = _graph_from(vlabels, arcs)
             for p in mine_frequent(g, min_support=2, min_nodes=2, max_nodes=12):
                 # Every connected one-edge-removed subpattern supports at
-                # least as много as the parent.
+                # least as much as the parent.
                 for drop in range(p.edge_count):
                     sub_arcs = [a for i, a in enumerate(p.arcs) if i != drop]
                     used = sorted({x for (u, v, _) in sub_arcs for x in (u, v)})

@@ -343,6 +343,27 @@ class TestCli:
         assert "type=ConfigError" in result.output
         assert f"unknown configuration key '{key}'" in result.output
 
+    @pytest.mark.parametrize("command", ["run-all", "synth"])
+    def test_repeated_key_exit_1(self, mini_workspace, tmp_path, command):
+        # The last of two equal keys does not silently win.
+        if command == "synth":
+            conf = tmp_path / "plantspec.conf"
+            conf.write_text("levels = 1\nseed = 3\n# again\nseed = 4\n")
+            args = ["--out-dir", str(tmp_path / "o"), "synth", "--spec", str(conf)]
+            key, lines = "seed", (2, 4)
+        else:
+            conf = tmp_path / "pipeline.conf"
+            text = (mini_workspace / "pipeline.conf").read_text(encoding="utf-8")
+            conf.write_text(text + "mode = cluster\n", encoding="utf-8")
+            first = text.splitlines().index("mode = classify") + 1
+            args = ["--config", str(conf), "--out-dir", str(tmp_path / "o"), "run-all"]
+            key, lines = "mode", (first, len(text.splitlines()) + 1)
+        result = CliRunner().invoke(main, args)
+        assert result.exit_code == 1, result.output
+        assert "type=ConfigError" in result.output
+        assert f"{conf}:{lines[1]}: key {key!r} already set on line {lines[0]}" in result.output
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize(
         "key, value, message",
         [("seed", "-1", "seed must be non-negative"),

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from plantrecon.plc import (
@@ -59,6 +61,26 @@ class TestParse:
         assert len(obs) == 1
         assert len(project.tags) == 4
         assert len(project.devices) == 3
+
+    @pytest.mark.parametrize(
+        "order", [("TagTable", "HardwareConfig", "Blocks"), ("Blocks", "TagTable", "HardwareConfig")]
+    )
+    def test_section_order_free(self, order):
+        # Tags name their device, whichever section comes first.
+        sections = {
+            tag: re.search(rf"  <{tag}>.*?</{tag}>\n", MINI_LIKE_XML, re.S).group()
+            for tag in ("HardwareConfig", "TagTable", "Blocks")
+        }
+        head, tail = MINI_LIKE_XML.split("  <HardwareConfig>")[0], "</PlcProject>\n"
+        swapped = head + "".join(sections[tag] for tag in order) + tail
+        assert swapped != MINI_LIKE_XML
+        assert parse_project(swapped) == parse_project(MINI_LIKE_XML)
+
+    def test_duplicate_section(self):
+        hardware = re.search(r"  <HardwareConfig>.*?</HardwareConfig>\n", MINI_LIKE_XML, re.S).group()
+        xml = MINI_LIKE_XML.replace(hardware, hardware * 2)
+        with pytest.raises(SchemaViolationError, match="duplicate section <HardwareConfig>"):
+            parse_project(xml)
 
     def test_unclosed_element(self):
         with pytest.raises(XmlSyntaxError) as info:

@@ -1,5 +1,4 @@
 import logging
-import math
 import random
 
 import numpy as np
@@ -10,10 +9,8 @@ from plantrecon.dynamics import analyze_dynamics, component_event_series
 from plantrecon.graph import NodeKind
 from plantrecon.traces import (
     EstimateStatus,
-    IoTrace,
     MalformedRowError,
     PositionSeries,
-    RtlsTrace,
     SignalKind,
     TraceError,
     detect_events,
@@ -97,15 +94,6 @@ class TestLoadIo:
         assert info.value.row == row
         assert str(info.value) == f"row {row}: {message}"
 
-    def test_from_rows_equals_load(self, tmp_path, mini_plant):
-        paths = mini_plant.write_outputs(tmp_path)
-        loaded = load_io_trace(paths["io_csv"])
-        built = IoTrace.from_rows(mini_plant.io_rows)
-        assert len(loaded) == len(built) == len(mini_plant.io_rows)
-        for column in ("timestamps_ms", "values", "tag_codes"):
-            assert getattr(loaded, column).tolist() == getattr(built, column).tolist()
-        assert loaded.tag_names == built.tag_names
-
     def test_mini_fixture_counts(self, tmp_path, mini_plant):
         paths = mini_plant.write_outputs(tmp_path)
         io_samples = load_io_trace(paths["io_csv"])
@@ -174,7 +162,7 @@ class TestLoadRtls:
             load_rtls_trace(p)
         assert not any("non-monotonic" in r.message for r in caplog.records)
 
-    def test_equal_timestamps_keep_file_order(self, tmp_path):
+    def test_equal_timestamps_keep_file_order(self, tmp_path, load_rows):
         p = tmp_path / "rtls.csv"
         p.write_text(
             RTLS_HEADER
@@ -184,7 +172,7 @@ class TestLoadRtls:
         assert trace.timestamps_ms.tolist() == [3, 7, 7, 7]
         assert trace.points[:, 0].tolist() == [9.0, 1.0, 5.0, 2.0]
         # The MaterialTracker position is the last sample in that order.
-        empty_io = IoTrace.from_rows([])
+        empty_io = load_rows(load_io_trace, [])
         fragment = analyze_dynamics(empty_io, trace, [], {}, {}, "P").fragment
         trackers = fragment.query(kinds={NodeKind.MATERIAL_TRACKER})
         assert [(n.name, n.labels["position.x"]) for n in trackers] == [("t1", 2.0), ("t2", 5.0)]
@@ -200,16 +188,6 @@ class TestLoadRtls:
         assert trace.tracker_codes.tolist() == [1, 0, 1]
         assert trace.label_names == ("A", "Z")
         assert trace.label_codes.tolist() == [1, -1, 0]
-
-    def test_from_rows_equals_load(self, tmp_path, mini_plant):
-        paths = mini_plant.write_outputs(tmp_path)
-        loaded = load_rtls_trace(paths["labeled_rtls_csv"])
-        built = RtlsTrace.from_rows(mini_plant.rtls_rows)
-        assert len(loaded) == len(built) == len(mini_plant.rtls_rows)
-        for column in ("timestamps_ms", "points", "tracker_codes", "label_codes"):
-            assert getattr(loaded, column).tolist() == getattr(built, column).tolist()
-        assert loaded.tracker_names == built.tracker_names
-        assert loaded.label_names == built.label_names
 
 
 # Trace files for both paths of ``traces._time_sorted``: (file text,
@@ -315,69 +293,62 @@ class TestDetectEvents:
             assert _events(rows, kind, threshold, hysteresis) == expected, rows
 
 
-class TestFromRowsChecks:
-    """from_rows refuses the values and names the loaders refuse."""
+_BOUND = "timestamp magnitude must be below 2**62 ms"
 
+# Rows that each break a row rule, some several at once, and the words
+# of the rule the row loop checks first: the field count, the timestamp's
+# and floats' conversions, a non-finite float, an empty name, then the
+# timestamp bound.
+_BAD_ROWS = [
+    (load_io_trace, "2,a,inf", "non-finite value"),
+    (load_io_trace, "2,a,nan", "non-finite value"),
+    (load_io_trace, "2,,1.0", "empty tag name"),
+    (load_io_trace, "2,a,x", "could not convert string to float: 'x'"),
+    (load_io_trace, "1.5,a,1.0", "invalid literal for int() with base 10: '1.5'"),
+    (load_io_trace, "True,a,1.0", "invalid literal for int() with base 10: 'True'"),
+    (load_io_trace, "4611686018427387904,a,1.0", _BOUND),
+    (load_io_trace, "-9223372036854775809,a,1.0", _BOUND),
+    (load_io_trace, "1,a", "expected 3 fields, got 2"),
+    (load_io_trace, "1,a,0.0,x", "expected 3 fields, got 4"),
+    (load_io_trace, "9223372036854775808,,nan", "non-finite value"),
+    (load_io_trace, "4611686018427387904,,0.5", "empty tag name"),
+    (load_rtls_trace, "2,t1,nan,0.0,0.0", "non-finite coordinate"),
+    (load_rtls_trace, "2,t1,0.0,0.0,-inf", "non-finite coordinate"),
+    (load_rtls_trace, "2,,0.0,0.0,0.0", "empty tracker id"),
+    (load_rtls_trace, "2,t1,0.0,x,0.0", "could not convert string to float: 'x'"),
+    (load_rtls_trace, "2.0,t1,0.0,0.0,0.0", "invalid literal for int() with base 10: '2.0'"),
+    (load_rtls_trace, "-4611686018427387904,t1,0.0,0.0,0.0", _BOUND),
+    (load_rtls_trace, "9223372036854775808,t1,0.0,0.0,0.0", _BOUND),
+    (load_rtls_trace, "1,t1,0.0,0.0", "expected 5 fields, got 4"),
+    (load_rtls_trace, "1,t1,0.0,0.0,0.0,Z", "expected 5 fields, got 6"),
+    (load_rtls_trace, "4611686018427387904,,0.0,nan,0.0", "non-finite coordinate"),
+    (load_rtls_trace, "9223372036854775808,,0.0,0.5,0.0", "empty tracker id"),
+]
+
+# Per loader: the header and a good first row, plain and with a quoted name.
+_FIRST_ROWS = {
+    load_io_trace: ("timestamp_ms,tag,value\n", "1,a,0.0", '1,"a",0.0'),
+    load_rtls_trace: (RTLS_HEADER, "1,t1,0.0,0.0,0.0", '1,"t1",0.0,0.0,0.0'),
+}
+
+
+class TestRowRules:
+    """Each row rule refuses the same row with the same words on both of
+    the loader's paths: in a plain block, whose column check must hand it
+    to the row loop, and after a quoted field, which sends every row
+    through the row loop from the start."""
+
+    @pytest.mark.parametrize("path", [1, 2], ids=["block", "row-loop"])
     @pytest.mark.parametrize(
-        ("row", "message"),
-        [
-            ((2, "a", math.inf), "non-finite value"),
-            ((2, "a", math.nan), "non-finite value"),
-            ((2, "", 1.0), "empty tag name"),
-            ((2, "a", "x"), "could not convert string to float: 'x'"),
-            ((2, 5, 1.0), "tag must be a string, got 5"),
-            ((2, None, 1.0), "tag must be a string, got None"),
-        ],
+        ("load", "row", "message"),
+        [pytest.param(*case, id=f"{case[0].__name__}:{case[1]}") for case in _BAD_ROWS],
     )
-    def test_io(self, row, message):
-        with pytest.raises(TraceError, match=message):
-            IoTrace.from_rows([(1, "a", 0.0), row])
-
-    @pytest.mark.parametrize(
-        ("row", "message"),
-        [
-            ((2, "t1", math.nan, 0.0, 0.0, None), "non-finite coordinate"),
-            ((2, "t1", 0.0, 0.0, -math.inf, "Z"), "non-finite coordinate"),
-            ((2, "", 0.0, 0.0, 0.0, None), "empty tracker id"),
-            ((2, "t1", 0.0, "x", 0.0, None), "could not convert string to float: 'x'"),
-            ((2, 7, 0.0, 0.0, 0.0, None), "tracker_id must be a string, got 7"),
-            ((2, "t1", 0.0, 0.0, 0.0, 3), "location_label must be a string or None, got 3"),
-        ],
-    )
-    def test_rtls(self, row, message):
-        with pytest.raises(TraceError, match=message):
-            RtlsTrace.from_rows([(1, "t1", 0.0, 0.0, 0.0, None), row])
-
-    @pytest.mark.parametrize("ts", [1.5, True, 2.0, np.float64(3.0), "4"])
-    def test_non_integer_timestamp(self, ts):
-        # The loaders' int() refuses "1.5"; numpy would truncate it to 1.
-        with pytest.raises(TraceError, match="timestamp must be an integer"):
-            IoTrace.from_rows([(1, "a", 0.0), (ts, "b", 1.0)])
-        with pytest.raises(TraceError, match="timestamp must be an integer"):
-            RtlsTrace.from_rows([(1, "t1", 0.0, 0.0, 0.0, None), (ts, "t1", 0.0, 0.0, 0.0, None)])
-
-    def test_integer_timestamp_types(self):
-        rows = [(np.int64(3), "a", 0.0), (np.uint16(1), "a", 1.0), (2, "b", 0.0)]
-        assert IoTrace.from_rows(rows).timestamps_ms.tolist() == [1, 2, 3]
-
-    @pytest.mark.parametrize("events", [[1.9, 2.2], np.array([1.9, 2.2]), [1, True], np.array([True])])
-    def test_match_events_non_integer_times(self, events):
-        rtls = RtlsTrace.from_rows([(1, "t1", 0.0, 0.0, 0.0, None), (2, "t1", 1.0, 0.0, 0.0, None)])
-        with pytest.raises(TraceError, match="timestamp must be an integer"):
-            match_events("a", events, rtls, 500)
-
-    @pytest.mark.parametrize(
-        ("from_rows", "row", "message"),
-        [
-            (IoTrace.from_rows, (1, "t"), "expected 3 fields, got 2"),
-            (IoTrace.from_rows, (1, "t", 0.0, "x"), "expected 3 fields, got 4"),
-            (RtlsTrace.from_rows, (1, "t", 0.0, 0.0), "expected 6 fields, got 4"),
-            (RtlsTrace.from_rows, (1, "t", 0.0, 0.0, 0.0), "expected 6 fields, got 5"),
-        ],
-    )
-    def test_row_length(self, from_rows, row, message):
-        with pytest.raises(TraceError, match=message):
-            from_rows([row])
+    def test_refused_on_both_paths(self, tmp_path, path, load, row, message):
+        p = tmp_path / "trace.csv"
+        p.write_text(_FIRST_ROWS[load][0] + _FIRST_ROWS[load][path] + "\n" + row + "\n")
+        with pytest.raises(MalformedRowError) as info:
+            load(p)
+        assert str(info.value) == f"row 3: {message}"
 
 
 class TestFieldLimit:
@@ -413,50 +384,52 @@ class TestFieldLimit:
 
 
 class TestTimestampBound:
-    """API callers' timestamps are held to the loaders' 2**62 ms bound."""
+    """API callers' timestamps are held to the loaders' rules: integers,
+    of magnitude below 2**62 ms."""
 
     @pytest.mark.parametrize("ts", [2**62, 2**63 + 5, -(2**62)])
-    def test_match_events(self, ts):
-        trace = RtlsTrace.from_rows([(0, "t1", 0.0, 0.0, 0.0, None)])
+    def test_match_events(self, load_rows, ts):
+        trace = load_rows(load_rtls_trace, [(0, "t1", 0.0, 0.0, 0.0, None)])
         with pytest.raises(TraceError, match="below 2\\*\\*62 ms"):
             match_events("a", [ts], trace, 500)
 
-    @pytest.mark.parametrize("ts", [2**62, 2**63, -(2**63) - 1])
-    def test_from_rows(self, ts):
-        with pytest.raises(TraceError, match="below 2\\*\\*62 ms"):
-            RtlsTrace.from_rows([(0, "t1", 0.0, 0.0, 0.0, None), (ts, "t1", 1.0, 0.0, 0.0, None)])
-        with pytest.raises(TraceError, match="below 2\\*\\*62 ms"):
-            IoTrace.from_rows([(0, "a", 0.0), (ts, "a", 1.0)])
-
-    def test_largest_allowed_timestamp(self):
+    def test_largest_allowed_timestamp(self, load_rows):
         ts = 2**62 - 1
-        trace = RtlsTrace.from_rows([(ts, "t1", 1.0, 0.0, 0.0, None)])
+        trace = load_rows(load_rtls_trace, [(ts, "t1", 1.0, 0.0, 0.0, None)])
         assert match_events("a", [ts], trace, 500).points.tolist() == [[1.0, 0.0, 0.0]]
+
+    @pytest.mark.parametrize("events", [[1.9, 2.2], np.array([1.9, 2.2]), [1, True], np.array([True])])
+    def test_match_events_non_integer_times(self, load_rows, events):
+        rtls = load_rows(load_rtls_trace, [(1, "t1", 0.0, 0.0, 0.0, None), (2, "t1", 1.0, 0.0, 0.0, None)])
+        with pytest.raises(TraceError, match="timestamp must be an integer"):
+            match_events("a", events, rtls, 500)
 
 
 class TestMatchEvents:
-    def test_picks_nearest_in_time(self):
+    def test_picks_nearest_in_time(self, load_rows):
         events = _events([(900, 0.0), (1000, 1.0)])
-        rtls = RtlsTrace.from_rows([(990, "t1", 1.0, 0.0, 0.0, None), (1030, "t1", 2.0, 0.0, 0.0, None)])
+        rtls = load_rows(load_rtls_trace, [(990, "t1", 1.0, 0.0, 0.0, None), (1030, "t1", 2.0, 0.0, 0.0, None)])
         series = match_events("a", events, rtls, 500)
         assert series.points.tolist() == [[1.0, 0.0, 0.0]]
 
-    def test_event_outside_window_skipped(self):
+    def test_event_outside_window_skipped(self, load_rows):
         events = _events([(0, 0.0), (1000, 1.0)])
-        rtls = RtlsTrace.from_rows([(1600, "t1", 1.0, 0.0, 0.0, None)])
+        rtls = load_rows(load_rtls_trace, [(1600, "t1", 1.0, 0.0, 0.0, None)])
         series = match_events("a", events, rtls, 500)
         assert len(series) == 0
 
-    def test_tie_broken_by_earlier_then_tracker(self):
+    def test_tie_broken_by_earlier_then_tracker(self, load_rows):
         events = _events([(0, 0.0), (1000, 1.0)])
-        rtls = RtlsTrace.from_rows(
+        rtls = load_rows(
+                load_rtls_trace,
             [
                 (990, "t2", 1.0, 0.0, 0.0, None),
                 (1010, "t1", 2.0, 0.0, 0.0, None),
             ]
         )
         assert match_events("a", events, rtls, 500).points.tolist() == [[1.0, 0.0, 0.0]]
-        rtls = RtlsTrace.from_rows(
+        rtls = load_rows(
+                load_rtls_trace,
             [
                 (1000, "t2", 3.0, 0.0, 0.0, None),
                 (1000, "t1", 4.0, 0.0, 0.0, None),
@@ -464,9 +437,10 @@ class TestMatchEvents:
         )
         assert match_events("a", events, rtls, 500).points.tolist() == [[4.0, 0.0, 0.0]]
 
-    def test_equal_distance_and_equal_timestamps_across_three_trackers(self):
+    def test_equal_distance_and_equal_timestamps_across_three_trackers(self, load_rows):
         events = [1000]
-        rtls = RtlsTrace.from_rows(
+        rtls = load_rows(
+                load_rtls_trace,
             [
                 (990, "t3", 1.0, 0.0, 0.0, None),
                 (990, "t2", 2.0, 0.0, 0.0, None),
@@ -479,7 +453,7 @@ class TestMatchEvents:
         # and of its two samples the first.
         assert match_events("a", events, rtls, 500).points.tolist() == [[3.0, 0.0, 0.0]]
 
-    def test_equals_nearest_by_linear_scan(self):
+    def test_equals_nearest_by_linear_scan(self, load_rows):
         rng = random.Random(11)
         for _ in range(200):
             samples = [
@@ -495,7 +469,7 @@ class TestMatchEvents:
                 if near:
                     best = min(near, key=lambda s: (abs(s[0] - t), s[0], s[1]))
                     expected.append((t, best[2:5]))
-            series = match_events("a", times, RtlsTrace.from_rows(samples), window)
+            series = match_events("a", times, load_rows(load_rtls_trace, samples), window)
             points = [tuple(p) for p in series.points.tolist()]
             assert list(zip(series.timestamps_ms.tolist(), points)) == expected
 
@@ -537,7 +511,7 @@ class TestEstimatePosition:
 
 
 class TestLabeledSegments:
-    def test_runs_split_on_label_change_and_gaps(self):
+    def test_runs_split_on_label_change_and_gaps(self, load_rows):
         rows = [
             (1, "t1", 0.0, 0.0, 0.0, "A"),
             (2, "t1", 0.1, 0.0, 0.0, "A"),
@@ -545,7 +519,7 @@ class TestLabeledSegments:
             (4, "t1", 0.3, 0.0, 0.0, "B"),
             (5, "t1", 0.4, 0.0, 0.0, "A"),
         ]
-        segments = split_labeled_segments(RtlsTrace.from_rows(rows))
+        segments = split_labeled_segments(load_rows(load_rtls_trace, rows))
         labels = [(label, len(series)) for label, series in segments]
         assert labels == [("A", 2), ("B", 1), ("A", 1)]
 
@@ -659,29 +633,6 @@ class TestBlockParsing:
         with pytest.raises(MalformedRowError) as info:
             load_io_trace(p)
         assert str(info.value) == "row 12: expected 3 fields, got 2"
-
-    @pytest.mark.parametrize("timestamp", ["1", "4611686018427387904", "9223372036854775808"])
-    @pytest.mark.parametrize("name", ["t1", ""])
-    @pytest.mark.parametrize("value", ["0.5", "nan"])
-    def test_from_rows_refuses_as_row_loop(self, tmp_path, timestamp, name, value):
-        # A row that breaks several rules: the column check that parses
-        # blocks and serves from_rows reports the rule the row loop does.
-        p = tmp_path / "trace.csv"
-        ts, v = int(timestamp), float(value)
-        for header, line, load, from_rows, row in [
-            ("timestamp_ms,tag,value", f"{timestamp},{name},{value}", load_io_trace, IoTrace.from_rows,
-             (ts, name, v)),
-            (RTLS_HEADER, f"{timestamp},{name},0,{value},0", load_rtls_trace, RtlsTrace.from_rows,
-             (ts, name, 0.0, v, 0.0, None)),
-        ]:
-            p.write_text(f"{header.strip()}\n{line}\n")
-            loaded = _outcome(load, p)
-            try:
-                from_rows([row])
-            except TraceError as exc:
-                assert loaded[:2] == (MalformedRowError, f"row 2: {exc}")
-            else:
-                assert isinstance(loaded, dict)
 
     def test_nul_goes_to_row_loop(self, tmp_path):
         # csv.reader refuses NUL before Python 3.11, so a block holding one
