@@ -28,6 +28,8 @@ document validates exactly when it imports.
 from __future__ import annotations
 
 import io
+import math
+import re
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
 
@@ -87,21 +89,33 @@ class Finding:
     message: str
 
 
+def _xs_double(value: float) -> str:
+    if math.isnan(value):
+        return "NaN"
+    if math.isinf(value):
+        return "INF" if value > 0 else "-INF"
+    return repr(value)
+
+
 def _attribute(parent: ET.Element, name: str, value: LabelValue) -> None:
     if isinstance(value, bool):
         dtype, text = "xs:boolean", "true" if value else "false"
     elif isinstance(value, int):
         dtype, text = "xs:integer", str(value)
     elif isinstance(value, float):
-        dtype, text = "xs:double", repr(value)
+        dtype, text = "xs:double", _xs_double(value)
     else:
         dtype, text = "xs:string", str(value)
     attr = ET.SubElement(parent, "Attribute", Name=name, AttributeDataType=dtype)
     ET.SubElement(attr, "Value").text = text
 
 
-# The lexical forms of xs:boolean.
+# The XML Schema 1.0 lexical forms of xs:boolean, xs:integer and
+# xs:double, read after stripping surrounding XML whitespace.
+_XS_SPACE = " \t\n\r"
 _XS_BOOLEAN = {"true": True, "1": True, "false": False, "0": False}
+_XS_INTEGER = re.compile(r"[+-]?[0-9]+")
+_XS_DOUBLE = re.compile(r"[+-]?([0-9]+(\.[0-9]*)?|\.[0-9]+)([Ee][+-]?[0-9]+)?|-?INF|NaN")
 
 
 def _parse_attribute(elem: ET.Element) -> tuple[str, LabelValue]:
@@ -109,15 +123,20 @@ def _parse_attribute(elem: ET.Element) -> tuple[str, LabelValue]:
     dtype = elem.get("AttributeDataType", "xs:string")
     value_elem = elem.find("Value")
     text = value_elem.text if value_elem is not None and value_elem.text is not None else ""
+    lexical = text.strip(_XS_SPACE)
     value: LabelValue
     if dtype == "xs:boolean":
-        value = _XS_BOOLEAN.get(text.strip())
+        value = _XS_BOOLEAN.get(lexical)
         if value is None:
             raise ValueError(f"invalid xs:boolean {text!r}")
     elif dtype == "xs:integer":
-        value = int(text)
+        if not _XS_INTEGER.fullmatch(lexical):
+            raise ValueError(f"invalid xs:integer {text!r}")
+        value = int(lexical)
     elif dtype == "xs:double":
-        value = float(text)
+        if not _XS_DOUBLE.fullmatch(lexical):
+            raise ValueError(f"invalid xs:double {text!r}")
+        value = float(lexical)
     else:
         value = text
     return name, value

@@ -8,14 +8,19 @@ dynamics analysis logs a warning to that effect.
 
 K-means is implemented here rather than delegated so that the results
 are bit-reproducible across runs and thread counts for a fixed seed. It
-uses k-means++ seeding from a PCG64 stream and keeps the best of 10
-restarts; Lloyd iterations stop at 300 or at a centroid shift below
-1e-9 m.
+uses k-means++ seeding (Arthur & Vassilvitskii 2007) and keeps the best
+of 10 restarts; Lloyd iterations stop at 300 or at a centroid shift
+below 1e-9 m. The seeding draws only ``random.Random(seed).random()``,
+whose stream Python pins across versions, as ``synth`` does. NumPy pins
+its bit generators' streams but not ``Generator.integers`` or
+``choice``, and importing ``numpy.random`` loads every bit generator and
+the legacy ``RandomState``, which no command needs otherwise.
 """
 
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,19 +61,22 @@ class ClusterResult:
         return out
 
 
-def _kmeans_once(points: np.ndarray, k: int, rng) -> tuple[np.ndarray, float]:
+def _kmeans_once(points: np.ndarray, k: int, rng: random.Random) -> tuple[np.ndarray, float]:
     n = len(points)
-    # k-means++ seeding.
+    # k-means++ seeding: each next center is drawn with probability
+    # proportional to its squared distance from the nearest center so far.
     centers = np.empty((k, points.shape[1]))
-    centers[0] = points[rng.integers(n)]
+    centers[0] = points[int(rng.random() * n)]
     dist2 = ((points - centers[0]) ** 2).sum(axis=1)
     for i in range(1, k):
-        total = dist2.sum()
-        if total == 0.0:
+        cdf = dist2.cumsum()
+        if cdf[-1] == 0.0:
             centers[i:] = points[0]
             break
-        probs = dist2 / total
-        centers[i] = points[rng.choice(n, p=probs)]
+        cdf /= cdf[-1]
+        # cdf[-1] == 1.0 > u, and side="right" skips zero-weight points,
+        # so no point becomes a center twice.
+        centers[i] = points[cdf.searchsorted(rng.random(), side="right")]
         dist2 = np.minimum(dist2, ((points - centers[i]) ** 2).sum(axis=1))
     labels = np.zeros(n, dtype=int)
     for _ in range(KMEANS_MAX_ITER):
@@ -97,7 +105,7 @@ def kmeans(points: np.ndarray, params: KMeansParams) -> np.ndarray:
     """Deterministic seeded k-means (k-means++, best of KMEANS_RESTARTS runs);
     returns a cluster index per point."""
     k = min(params.k, len(points))
-    rng = np.random.Generator(np.random.PCG64(params.seed))
+    rng = random.Random(params.seed)
     best_labels: np.ndarray | None = None
     best_inertia = math.inf
     for _ in range(KMEANS_RESTARTS):

@@ -48,8 +48,8 @@ ANALOG_HYSTERESIS_FRACTION = 0.02
 TRAINING_SERIES_LEN = 32
 TRAINING_MAX_PER_CLASS = 10
 _POSITION_LABELS = ("position.x", "position.y", "position.z")
-# How many undeclared IO tags the warning names.
-_UNDECLARED_SHOWN = 5
+# How many tags a warning about undeclared or unmatched tags names.
+_TAGS_SHOWN = 5
 
 
 @dataclass
@@ -111,6 +111,10 @@ def training_segments(labeled: RtlsTrace) -> list[tuple[PositionSeries, str]]:
     return result
 
 
+def _first_tags(tags: list[str]) -> str:
+    return ", ".join(tags[:_TAGS_SHOWN]) + (", ..." if len(tags) > _TAGS_SHOWN else "")
+
+
 def analyze_dynamics(
     io: IoTrace,
     rtls: RtlsTrace,
@@ -129,7 +133,8 @@ def analyze_dynamics(
     names to their PLC data type. The returned fragment carries position
     labels, MaterialTracker nodes and PhysicalGroup membership, rooted
     at ``SystemRoot:<root_name>``. An empty RTLS trace, IO tags the PLC
-    does not declare and cluster mode are logged as warnings.
+    does not declare, declared tags whose events match fewer than
+    ``min_matches`` positions, and cluster mode are logged as warnings.
     """
     params = params or DynamicsParams()
     if not len(rtls):
@@ -138,10 +143,9 @@ def analyze_dynamics(
     undeclared = sorted(set(events) - set(tag_kinds))
     if undeclared:
         logger.warning(
-            "%d IO tag(s) not declared by the PLC are ignored: %s%s",
+            "%d IO tag(s) not declared by the PLC are ignored: %s",
             len(undeclared),
-            ", ".join(undeclared[:_UNDECLARED_SHOWN]),
-            ", ..." if len(undeclared) > _UNDECLARED_SHOWN else "",
+            _first_tags(undeclared),
         )
 
     matched: dict[str, PositionSeries] = {}
@@ -150,6 +154,19 @@ def analyze_dynamics(
         series = match_events(tag, events.get(tag, ()), rtls, params.window_ms)
         matched[tag] = series
         estimates[tag] = estimate_position(series, params.min_matches)
+    unmatched = [
+        tag for tag, est in estimates.items()
+        if est.status is EstimateStatus.UNKNOWN and len(events.get(tag, ()))
+    ]
+    # An empty RTLS trace, warned about above, leaves every tag unmatched.
+    if unmatched and len(rtls):
+        logger.warning(
+            "%d declared tag(s) with events matched fewer than %d positions and stay "
+            "Unknown: %s",
+            len(unmatched),
+            params.min_matches,
+            _first_tags(unmatched),
+        )
 
     assignments: dict[str, str] = {}
     if params.mode == "cluster":

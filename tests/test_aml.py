@@ -1,3 +1,4 @@
+import math
 import random
 import re
 import xml.etree.ElementTree as ET
@@ -49,6 +50,18 @@ def _element_count(xml_bytes):
 def _link_count(xml_bytes):
     root = ET.fromstring(xml_bytes)
     return sum(1 for _ in root.iter("InternalLink"))
+
+
+def _one_label_aml(key, value, text):
+    """A one-sensor export whose label ``key = value`` is written as ``text``."""
+    g = PropertyGraph()
+    g.add_node(Node("SystemRoot:P", NodeKind.SYSTEM_ROOT, "P", {}))
+    g.add_node(Node("Sensor:S", NodeKind.SENSOR, "S", {key: value}))
+    g.add_edge(Edge(EdgeKind.CONTAINS, "SystemRoot:P", "Sensor:S"))
+    xml_bytes = export_aml(g)
+    written = f"<Value>{value}</Value>".encode()
+    assert xml_bytes.count(written) == 1
+    return xml_bytes.replace(written, f"<Value>{text}</Value>".encode())
 
 
 class TestExport:
@@ -154,6 +167,57 @@ class TestImportRoundTrip:
             assert "invalid xs:boolean 'yes'" in findings[0].message
         else:
             assert import_aml(xml_bytes).node("Sensor:S").labels == {"shared": value}
+
+    @pytest.mark.parametrize(
+        ("key", "value", "text", "parsed"),
+        [
+            ("channelIndex", 3, " +12\n", 12),
+            ("channelIndex", 3, "-0", 0),
+            ("gain", 1.5, "-1E3", -1000.0),
+            ("gain", 1.5, " .5 ", 0.5),
+            ("gain", 1.5, "7.", 7.0),
+            ("gain", 1.5, "INF", math.inf),
+            ("gain", 1.5, "-INF", -math.inf),
+        ],
+    )
+    def test_numeric_lexical_forms(self, key, value, text, parsed):
+        xml_bytes = _one_label_aml(key, value, text)
+        labels = import_aml(xml_bytes).node("Sensor:S").labels
+        assert labels == {key: parsed}
+        assert type(labels[key]) is type(value)
+
+    @pytest.mark.parametrize(
+        ("key", "value", "text", "dtype"),
+        [
+            ("channelIndex", 3, "1_0", "xs:integer"),
+            ("channelIndex", 3, "\u0661\u0662", "xs:integer"),
+            ("channelIndex", 3, "1.0", "xs:integer"),
+            ("gain", 1.5, "nan", "xs:double"),
+            ("gain", 1.5, "inf", "xs:double"),
+            ("gain", 1.5, "+INF", "xs:double"),
+            ("gain", 1.5, "1_0.5", "xs:double"),
+        ],
+        ids=["underscore", "arabic-indic", "decimal", "nan", "inf", "plus-inf", "underscore-double"],
+    )
+    def test_non_schema_numeric_forms_are_syntax_findings(self, key, value, text, dtype):
+        # int() and float() accept these, XML Schema does not.
+        findings = validate_aml(_one_label_aml(key, value, text))
+        assert [f.code for f in findings] == ["syntax"]
+        assert f"invalid {dtype} {text!r}" in findings[0].message
+
+    def test_non_finite_double_round_trips(self):
+        g = PropertyGraph()
+        g.add_node(Node("SystemRoot:P", NodeKind.SYSTEM_ROOT, "P", {}))
+        labels = {"gain": math.inf, "offset": -math.inf, "drift": math.nan}
+        g.add_node(Node("Sensor:S", NodeKind.SENSOR, "S", labels))
+        g.add_edge(Edge(EdgeKind.CONTAINS, "SystemRoot:P", "Sensor:S"))
+        xml_bytes = export_aml(g)
+        for text in (b"INF", b"-INF", b"NaN"):
+            assert b"<Value>" + text + b"</Value>" in xml_bytes
+        assert validate_aml(xml_bytes) == []
+        back = import_aml(xml_bytes).node("Sensor:S").labels
+        assert back["gain"] == math.inf and back["offset"] == -math.inf
+        assert math.isnan(back["drift"])
 
     def test_edge_labels_preserved(self):
         g = PropertyGraph()

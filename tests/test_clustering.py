@@ -65,3 +65,32 @@ class TestKMeans:
         estimates = [_known("a", 0.0), _known("b", x), _known("c", 1.0)]
         with pytest.raises(ClusteringError, match="too large to cluster"):
             cluster_positions(estimates, KMeansParams(k=2, seed=0))
+
+
+class TestKMeansDegenerate:
+    def test_identical_points_form_one_cluster(self):
+        # Seeding runs out of positive weights after the first center, and
+        # Lloyd re-seeds the two empty clusters on the same point.
+        estimates = [_known(f"t{i}", 2.0, 1.0) for i in range(5)]
+        result = cluster_positions(estimates, KMeansParams(k=3, seed=0))
+        assert result.assignments == {f"t{i}": "C0" for i in range(5)}
+
+    def test_two_positions_form_two_clusters(self):
+        estimates = [_known(f"a{i}", 0.0) for i in range(3)] + [
+            _known(f"b{i}", 2.0, 1.0) for i in range(3)
+        ]
+        points = np.array([e.mean for e in estimates])
+        labels = kmeans(points, KMeansParams(k=3, seed=5))
+        centers = {tuple(points[labels == c].mean(axis=0)) for c in set(labels.tolist())}
+        assert centers == {(0.0, 0.0, 0.0), (2.0, 1.0, 0.0)}
+        partition = cluster_positions(estimates, KMeansParams(k=3, seed=5)).partition()
+        assert partition == {"C0": {"a0", "a1", "a2"}, "C1": {"b0", "b1", "b2"}}
+
+    def test_seed_stream_is_pinned(self):
+        # The labels are the raw cluster indices, which follow the order in
+        # which k-means++ drew its centers: a change of the stream shows.
+        xy = [(0, 0), (1, 0), (2, 0), (4, 0), (5, 0), (6, 0),
+              (8, 0), (9, 0), (10, 0), (0, 3), (5, 3), (10, 3)]
+        points = np.array([(float(x), float(y), 0.0) for x, y in xy])
+        labels = kmeans(points, KMeansParams(k=3, seed=11))
+        assert labels.tolist() == [2, 2, 2, 0, 0, 0, 1, 1, 1, 2, 0, 1]

@@ -144,6 +144,42 @@ class TestDegenerateInputs:
         assert "X_0, X_1, X_2, X_3, X_4, ..." in message
         assert "X_5" not in message
 
+    def test_unmatched_tags_warn_once(self, mini_plant, plant_traces, load_rows, caplog):
+        # The RTLS clock runs a day late: every device has events and no
+        # position within the window, so all of them stay Unknown.
+        project, kinds, types = _tag_maps(mini_plant)
+        io, _, labeled = plant_traces(mini_plant)
+        late = [(t + 86_400_000, tr, x, y, z, None) for (t, tr, x, y, z, _) in mini_plant.rtls_rows]
+        rtls = load_rows(load_rtls_trace, late)
+        with caplog.at_level(logging.WARNING, logger="plantrecon.dynamics"):
+            result = analyze_dynamics(io, rtls, training_segments(labeled), kinds, types, project.name)
+        assert result.assignments == {}
+        assert {e.match_count for e in result.estimates.values()} == {0}
+        warnings = _dynamics_warnings(caplog)
+        assert len(warnings) == 1
+        assert warnings[0].getMessage() == (
+            "4 declared tag(s) with events matched fewer than 5 positions and stay Unknown: "
+            "A_eject_1_1, A_eject_1_2, S_occ_1_1, S_occ_1_2"
+        )
+
+    def test_tags_below_min_matches_warn_once(self, reference_plant, plant_traces, caplog):
+        project, kinds, types = _tag_maps(reference_plant)
+        io, rtls, labeled = plant_traces(reference_plant)
+        params = DynamicsParams(min_matches=10**6)
+        with caplog.at_level(logging.WARNING, logger="plantrecon.dynamics"):
+            result = analyze_dynamics(
+                io, rtls, training_segments(labeled), kinds, types, project.name, params
+            )
+        assert result.assignments == {}
+        assert max(e.match_count for e in result.estimates.values()) > 0
+        warnings = _dynamics_warnings(caplog)
+        assert len(warnings) == 1
+        message = warnings[0].getMessage()
+        assert message.startswith("54 declared tag(s) with events matched fewer than 1000000 ")
+        assert message.endswith(
+            ": A_dock_1, A_dock_2, A_dock_3, A_dock_4, A_eject_1_1_1, ..."
+        )
+
     def test_clean_inputs_do_not_warn(self, mini_plant, plant_traces, caplog):
         project, kinds, types = _tag_maps(mini_plant)
         io, rtls, labeled = plant_traces(mini_plant)

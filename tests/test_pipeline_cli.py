@@ -278,6 +278,22 @@ class TestClusteringWarning:
         assert warnings[0].name == "plantrecon.dynamics"
 
 
+def _modules_loaded_by(args: list[str]) -> set[str]:
+    """The modules a fresh interpreter holds after the CLI ran ``args``:
+    this test process has imported every module."""
+    script = (
+        "import sys\n"
+        "from plantrecon.cli import main\n"
+        "main(sys.argv[1:], standalone_mode=False)\n"
+        "print(*sorted(sys.modules))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(pipeline.__file__).parents[1])}
+    result = subprocess.run([sys.executable, "-c", script, *args], env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    return set(result.stdout.splitlines()[-1].split())
+
+
 class TestCli:
     def test_synth_preset_mini(self, tmp_path):
         runner = CliRunner()
@@ -557,23 +573,26 @@ class TestCli:
             assert result.exit_code == 0, (cmd, result.output)
 
     def test_analyze_plc_imports_only_what_it_runs(self, mini_workspace, tmp_path):
-        # A fresh interpreter: this test process has imported every module.
-        script = (
-            "import sys\n"
-            "from plantrecon.cli import main\n"
-            "main(sys.argv[1:], standalone_mode=False)\n"
-            "print(*sorted(sys.modules))\n"
+        loaded = _modules_loaded_by(
+            ["--config", str(mini_workspace / "pipeline.conf"), "--out-dir", str(tmp_path),
+             "analyze-plc"]
         )
-        args = ["--config", str(mini_workspace / "pipeline.conf"), "--out-dir", str(tmp_path),
-                "analyze-plc"]
-        env = {**os.environ, "PYTHONPATH": str(Path(pipeline.__file__).parents[1])}
-        result = subprocess.run([sys.executable, "-c", script, *args], env=env,
-                                capture_output=True, text=True, timeout=120)
-        assert result.returncode == 0, result.stderr
-        loaded = set(result.stdout.splitlines()[-1].split())
         assert "plantrecon.pipeline" in loaded
         unused = {f"plantrecon.{m}" for m in ("mining", "synth", "aml", "metrics", "dynamics")}
         assert loaded & unused == set()
+
+    @pytest.mark.parametrize("mode", ["classify", "cluster"])
+    def test_run_all_never_imports_numpy_random(self, mini_workspace, tmp_path, mode):
+        # Classify mode still runs one k-means, for clustering_ari.
+        conf = read_kv_file(mini_workspace / "pipeline.conf")
+        assert conf["kmeans_k"]
+        write_kv_file(tmp_path / "pipeline.conf", {**conf, "mode": mode})
+        loaded = _modules_loaded_by(
+            ["--config", str(tmp_path / "pipeline.conf"), "--out-dir", str(tmp_path / "out"),
+             "run-all"]
+        )
+        assert {"plantrecon.clustering", "plantrecon.metrics"} <= loaded
+        assert "numpy.random" not in loaded
 
     def test_deep_contains_export_exit_2(self, tmp_path, contains_chain):
         out = tmp_path / "o"
