@@ -53,7 +53,6 @@ class PipelineConfig:
     mode: str = "classify"
     window_ms: int = 500
     min_matches: int = 5
-    band: int | None = None
     kmeans_k: int | None = None
     min_support: int = 2
     min_nodes: int = 3
@@ -63,8 +62,8 @@ class PipelineConfig:
     log_level: str = "INFO"
 
     _PATHS = ("plc_xml", "io_csv", "rtls_csv", "labeled_rtls_csv", "ground_truth", "out_dir")
-    _INTS = ("window_ms", "min_matches", "band", "kmeans_k", "min_support", "min_nodes",
-             "max_nodes", "seed")
+    _INTS = ("window_ms", "min_matches", "kmeans_k", "min_support", "min_nodes", "max_nodes",
+             "seed")
 
     @classmethod
     def from_dict(cls, values: dict[str, str]) -> "PipelineConfig":
@@ -104,8 +103,6 @@ class PipelineConfig:
             raise ConfigError("window_ms must be positive")
         if self.min_matches < 1:
             raise ConfigError("min_matches must be >= 1")
-        if self.band is not None and self.band < 0:
-            raise ConfigError("band must be non-negative")
         if self.kmeans_k is not None and self.kmeans_k < 1:
             raise ConfigError("kmeans_k must be >= 1")
         if self.min_support < 2:

@@ -56,7 +56,6 @@ _TAGS_SHOWN = 5
 class DynamicsParams:
     window_ms: int = 500
     min_matches: int = 5
-    band: int | None = None
     mode: str = "classify"  # "classify" | "cluster"
     # Cluster mode's k-means parameters; None is k = components // 4, seed 0.
     cluster: KMeansParams | None = None
@@ -180,7 +179,7 @@ def analyze_dynamics(
         if not training:
             logger.warning("no labeled training segments; components stay unassigned")
         else:
-            model = knn_train(training, params.band)
+            model = knn_train(training)
             for tag in sorted(tag_kinds):
                 if estimates[tag].status is EstimateStatus.KNOWN:
                     query = _cap(matched[tag], TRAINING_SERIES_LEN)

@@ -14,8 +14,8 @@ graph vertices seen at the pattern position with the fewest distinct
 images, counted over the whole graph, so a unit inside a larger unit
 counts too. This deliberately diverges from the transaction-based
 support of textbook gSpan. The general gSpan search, ``mine_frequent``,
-and the closed rooted search the pipeline ran before,
-``mine_closed_rooted``, remain in ``tests/references.py`` as references.
+remains in ``tests/references.py`` as a reference over the same DFS-code
+machinery.
 
 Edge direction is part of the edge label, so ``A -Contains-> B`` and
 ``B -Contains-> A`` are different patterns. The mining projection leaves

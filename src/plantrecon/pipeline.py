@@ -101,7 +101,6 @@ def stage_analyze_dynamics(cfg: PipelineConfig) -> PropertyGraph:
         dynamics.DynamicsParams(
             window_ms=cfg.window_ms,
             min_matches=cfg.min_matches,
-            band=cfg.band,
             mode=cfg.mode,
             cluster=_cluster_method(cfg),
         ),

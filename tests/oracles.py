@@ -4,10 +4,8 @@ Everything here is deliberately written from first principles, sharing no
 code with the library paths it checks: a full-table DTW dynamic program
 over plain Python floats, exhaustive connected-subgraph enumeration with
 naive embedding counting for mining, whole-unit classes found by
-exhaustive isomorphism, the root-anchored shape test that the rooted
-search is checked against, pair-counting ARI, signal
-change events found one sample at a time, and trace CSVs loaded one
-csv row at a time.
+exhaustive isomorphism, pair-counting ARI, signal change events found
+one sample at a time, and trace CSVs loaded one csv row at a time.
 """
 
 from __future__ import annotations
@@ -44,7 +42,7 @@ def _pointify(series):
     return out
 
 
-def dtw_oracle(a, b, band=None) -> float:
+def dtw_oracle(a, b) -> float:
     """Full O(nm) dynamic-programming table, match/insert/delete steps,
     per-point Euclidean cost, no normalization."""
     pa, pb = _pointify(a), _pointify(b)
@@ -54,8 +52,6 @@ def dtw_oracle(a, b, band=None) -> float:
     table[0][0] = 0.0
     for i in range(1, n + 1):
         for j in range(1, m + 1):
-            if band is not None and abs(i - j) > band:
-                continue
             acc = 0.0
             for xa, xb in zip(pa[i - 1], pb[j - 1]):
                 d = xa - xb
@@ -282,26 +278,6 @@ def unit_mine_oracle(h_vlabels, h_arcs, min_support, min_nodes, max_nodes):
         for (vl, arcs, count) in classes
         if count >= min_support
     ]
-
-
-def root_anchored(pattern) -> bool:
-    """Does one pattern vertex reach every other along Contains arcs?
-    The post-filter the rooted search must agree with."""
-    children: dict = {}
-    for (u, v, label) in pattern.arcs:
-        if label == "Contains":
-            children.setdefault(u, []).append(v)
-    for start in range(pattern.vertex_count):
-        seen = {start}
-        stack = [start]
-        while stack:
-            for child in children.get(stack.pop(), []):
-                if child not in seen:
-                    seen.add(child)
-                    stack.append(child)
-        if len(seen) == pattern.vertex_count:
-            return True
-    return False
 
 
 # -- ARI ---------------------------------------------------------------------

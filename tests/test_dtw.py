@@ -6,11 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from plantrecon.dtw import (
-    BandTooNarrowError,
     EmptySeriesError,
     EmptyTrainingSetError,
     SeriesError,
-    dtw_distance,
     knn_classify,
     knn_distances,
     knn_train,
@@ -25,34 +23,29 @@ def _series(points, tag="q"):
     return PositionSeries(tag, list(range(len(pts))), pts)
 
 
+def pair_distance(a, b):
+    """DTW distance of one pair, through the pipeline's kernel with ``b``
+    as its one training series."""
+    return knn_distances(knn_train([(b, "x")]), a)[0]
+
+
 class TestDtwBasics:
     def test_identical_series_zero(self):
         a = [(0.0, 1.0, 2.0), (3.0, 4.0, 5.0)]
-        assert dtw_distance(a, a) == 0.0
+        assert pair_distance(a, a) == 0.0
 
     def test_hand_computed_example(self):
         # 1-D: a=[0,1,2], b=[0,2]; full table gives 1.
-        assert dtw_distance([0.0, 1.0, 2.0], [0.0, 2.0]) == 1.0
+        assert pair_distance([0.0, 1.0, 2.0], [0.0, 2.0]) == 1.0
 
     def test_empty_rejected(self):
         with pytest.raises(EmptySeriesError):
-            dtw_distance([0.0, 1.0], [])
-
-    def test_band_narrower_than_length_difference(self):
-        with pytest.raises(BandTooNarrowError):
-            dtw_distance([0.0] * 5, [0.0] * 2, band=1)
-
-    @pytest.mark.parametrize("band", [-1, -3])
-    def test_negative_band_refused_by_both_entry_points(self, band):
-        with pytest.raises(BandTooNarrowError, match="band must be non-negative"):
-            dtw_distance([0.0, 1.0, 2.0], [0.0, 2.0], band)
-        with pytest.raises(BandTooNarrowError, match="band must be non-negative"):
-            knn_train([([0.0, 1.0, 2.0], "a"), ([0.0, 2.0], "b")], band)
+            pair_distance([0.0, 1.0], [])
 
     def test_position_series_inputs(self):
         a = _series([0, 1, 2])
         b = _series([0, 2])
-        assert dtw_distance(a, b) == 1.0
+        assert pair_distance(a, b) == 1.0
 
 
 def _random_series(rng, dims):
@@ -70,25 +63,9 @@ class TestOracleEquivalence:
             dims = 1 if case % 2 == 0 else 3
             a = _random_series(rng, dims)
             b = _random_series(rng, dims)
-            assert dtw_distance(a, b) == dtw_oracle(a, b)
+            assert pair_distance(a, b) == dtw_oracle(a, b)
             checked += 1
         assert checked == 200
-
-    def test_banded_equals_oracle(self):
-        rng = random.Random(7)
-        for _ in range(50):
-            a = _random_series(rng, 3)
-            b = _random_series(rng, 3)
-            band = abs(len(a) - len(b)) + rng.randint(0, 10)
-            assert dtw_distance(a, b, band) == dtw_oracle(a, b, band)
-
-    def test_band_at_least_max_length_equals_unbanded(self):
-        rng = random.Random(13)
-        for _ in range(30):
-            a = _random_series(rng, 1)
-            b = _random_series(rng, 1)
-            band = max(len(a), len(b))
-            assert dtw_distance(a, b, band) == dtw_distance(a, b)
 
 
 @settings(max_examples=60, deadline=None)
@@ -97,8 +74,8 @@ class TestOracleEquivalence:
     b=st.lists(st.floats(-50, 50, allow_nan=False), min_size=1, max_size=20),
 )
 def test_symmetry_and_nonnegativity(a, b):
-    d1 = dtw_distance(a, b)
-    d2 = dtw_distance(b, a)
+    d1 = pair_distance(a, b)
+    d2 = pair_distance(b, a)
     assert d1 == d2
     assert d1 >= 0.0
 
@@ -106,23 +83,12 @@ def test_symmetry_and_nonnegativity(a, b):
 @settings(max_examples=60, deadline=None)
 @given(a=st.lists(st.floats(-50, 50, allow_nan=False), min_size=1, max_size=15))
 def test_zero_iff_run_length_equal(a):
-    assert dtw_distance(a, a) == 0.0
+    assert pair_distance(a, a) == 0.0
     # Zero distance characterizes series equal up to repeated points.
     b = a + [a[-1]]
-    assert dtw_distance(a, b) == 0.0
+    assert pair_distance(a, b) == 0.0
     c = [x + 1.0 for x in a]
-    assert dtw_distance(a, c) > 0.0
-
-
-@settings(max_examples=40, deadline=None)
-@given(
-    a=st.lists(st.floats(-20, 20, allow_nan=False), min_size=2, max_size=15),
-    b=st.lists(st.floats(-20, 20, allow_nan=False), min_size=2, max_size=15),
-    extra=st.integers(min_value=0, max_value=5),
-)
-def test_banded_at_least_unbanded(a, b, extra):
-    band = abs(len(a) - len(b)) + extra
-    assert dtw_distance(a, b, band) >= dtw_distance(a, b)
+    assert pair_distance(a, c) > 0.0
 
 
 class TestKnn:
@@ -139,15 +105,6 @@ class TestKnn:
     def test_equidistant_tie_prefers_smaller_label(self):
         model = knn_train([(_series([0.0]), "rowB"), (_series([2.0]), "rowA")])
         assert knn_classify(model, _series([1.0])) == "rowA"
-
-    def test_banded_model_classifies(self):
-        # The configured band widens automatically to the length difference
-        # of each (query, training) pair, so mixed lengths stay legal.
-        model = knn_train(
-            [(_series([1.0, 1.0, 1.0, 1.0, 1.0]), "one"), (_series([9.0]), "nine")],
-            band=1,
-        )
-        assert knn_classify(model, _series([1.1, 0.9])) == "one"
 
     def test_empty_training_set(self):
         with pytest.raises(EmptyTrainingSetError):
@@ -184,17 +141,13 @@ class TestKnn:
         assert before == after
 
 
-def _scalar_knn(training, query, band):
-    """Per-pair reference: the scalar oracle on every training series with
-    the band widened to the length difference, then the (distance, label)
-    tie-break of knn_classify."""
+def _scalar_knn(training, query):
+    """Per-pair reference: the scalar oracle on every training series,
+    then the (distance, label) tie-break of knn_classify."""
     distances = []
     best_label, best = None, math.inf
     for series, label in training:
-        pair_band = band
-        if pair_band is not None and pair_band < abs(len(series) - len(query)):
-            pair_band = abs(len(series) - len(query))
-        d = dtw_oracle(query, series, pair_band)
+        d = dtw_oracle(query, series)
         distances.append(d)
         if d < best or (d == best and (best_label is None or label < best_label)):
             best_label, best = label, d
@@ -203,9 +156,8 @@ def _scalar_knn(training, query, band):
 
 class TestBatchedEqualsScalar:
     @pytest.mark.parametrize("dims", [1, 3])
-    @pytest.mark.parametrize("band", [None, 0, 2, 60])
-    def test_random_mixed_length_training_sets(self, dims, band):
-        rng = random.Random(1000 * dims + (band or 0) + (band is None))
+    def test_random_mixed_length_training_sets(self, dims):
+        rng = random.Random(1000 * dims + 1)
         for _ in range(15):
             training = []
             for _ in range(rng.randint(1, 12)):
@@ -214,13 +166,13 @@ class TestBatchedEqualsScalar:
                 if rng.random() < 0.3:
                     # The same series under another label: an exact tie.
                     training.append((list(series), rng.choice("abcd")))
-            model = knn_train(training, band)
+            model = knn_train(training)
             for _ in range(4):
                 if rng.random() < 0.25:
                     query = list(rng.choice(training)[0])
                 else:
                     query = _random_series(rng, dims)
-                label, distances = _scalar_knn(training, query, band)
+                label, distances = _scalar_knn(training, query)
                 assert knn_distances(model, query) == distances
                 assert knn_classify(model, query) == label
 
@@ -231,7 +183,7 @@ class TestBatchedEqualsScalar:
         query = [(0.5, 0.0, 0.0), (1.5, 0.0, 0.0)]
         distances = knn_distances(model, query)
         assert distances[0] == distances[2] == distances[3]
-        assert knn_classify(model, query) == _scalar_knn(model.training, query, None)[0] == "b"
+        assert knn_classify(model, query) == _scalar_knn(model.training, query)[0] == "b"
 
     def test_dimension_mismatch(self):
         model = knn_train([([(0.0, 0.0, 0.0)], "x")])

@@ -16,7 +16,6 @@ from plantrecon.metrics import (
 from plantrecon.mining import Pattern, mine, project_for_mining
 
 from oracles import ari_oracle, pairwise_f1_oracle
-from references import mine_closed_rooted
 
 
 class TestAri:
@@ -154,16 +153,13 @@ class TestTemplatePrecision:
         assert template_precision(self.EXPECTED, []) is None
 
     def test_mini_plant(self, mini_plant, mini_functional):
-        # The mini plant's one expected template is its place (support 2).
-        # The unit search mines exactly it; the closed rooted search also
-        # mines the two-level controller spine and the group-in-group chain.
+        # The mini plant's one expected template is its place (support 2),
+        # and the unit search mines exactly it.
         truth = mini_plant.ground_truth
         assert [t["name"] for t in truth.templates] == ["place"]
-        view = project_for_mining(mini_functional)
-        for search, precision in ((mine, 1.0), (mine_closed_rooted, 1 / 3)):
-            templates = search(view, 2, 3, 12)
-            report = evaluate(mini_functional, templates, truth, classified=False)
-            assert (report.template_recovery, report.template_precision) == (1.0, precision)
+        templates = mine(project_for_mining(mini_functional), 2, 3, 12)
+        report = evaluate(mini_functional, templates, truth, classified=False)
+        assert (report.template_recovery, report.template_precision) == (1.0, 1.0)
 
 
 class TestReportText:

@@ -345,7 +345,8 @@ class TestCli:
         assert "lift:x:2:level:lift" in result.output
 
     @pytest.mark.parametrize(
-        "key", ["root_anchored_only", "dbscan_eps", "dbscan_min_pts", "raw_trajectory_queries"]
+        "key",
+        ["root_anchored_only", "dbscan_eps", "dbscan_min_pts", "raw_trajectory_queries", "band"],
     )
     def test_removed_key_in_config_exit_1(self, mini_workspace, tmp_path, key):
         conf = read_kv_file(mini_workspace / "pipeline.conf")
