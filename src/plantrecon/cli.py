@@ -3,7 +3,10 @@
 Every flag is a plain string. ``--seed``, ``--out-dir`` and
 ``--log-level`` override the configuration keys of the same name and are
 checked as those keys are, after ``--config`` is read. One wrapper runs
-each subcommand and maps whatever it raises to an exit code.
+each subcommand and maps whatever it raises to an exit code. Each
+command imports the modules it runs when it runs: the pipeline commands
+import ``pipeline``, and ``synth`` imports the generator only, so it
+starts without numpy.
 
 Exit codes: 0 success, 1 input or configuration error (a bad flag or key,
 or a file that cannot be opened, read or written), 2 data invariant
@@ -20,7 +23,6 @@ import logging
 
 import click
 
-from . import pipeline
 from .config import (
     PipelineConfig,
     plant_spec_to_dict,
@@ -82,6 +84,8 @@ def _command(name: str):
 @_command("analyze-plc")
 def cmd_analyze_plc(cfg: PipelineConfig):
     """Parse the PLC project and emit the functional-grouping fragment."""
+    from . import pipeline
+
     graph = pipeline.stage_analyze_plc(cfg)
     click.echo(f"analyze-plc: {graph.node_count} nodes, {graph.edge_count} edges")
 
@@ -89,6 +93,8 @@ def cmd_analyze_plc(cfg: PipelineConfig):
 @_command("analyze-dynamics")
 def cmd_analyze_dynamics(cfg: PipelineConfig):
     """Correlate IO and RTLS traces and emit the physical-grouping fragment."""
+    from . import pipeline
+
     graph = pipeline.stage_analyze_dynamics(cfg)
     click.echo(f"analyze-dynamics: {graph.node_count} nodes, {graph.edge_count} edges")
 
@@ -96,6 +102,8 @@ def cmd_analyze_dynamics(cfg: PipelineConfig):
 @_command("mine")
 def cmd_mine(cfg: PipelineConfig):
     """Merge the stage fragments, mine templates, and mark them."""
+    from . import pipeline
+
     graph, templates = pipeline.stage_mine(cfg)
     click.echo(f"mine: {len(templates)} maximal templates, graph {graph.node_count} nodes")
 
@@ -103,6 +111,8 @@ def cmd_mine(cfg: PipelineConfig):
 @_command("export")
 def cmd_export(cfg: PipelineConfig):
     """Export the assembled graph as an AutomationML file."""
+    from . import pipeline
+
     data = pipeline.stage_export(cfg)
     click.echo(f"export: {len(data)} bytes of AML")
 
@@ -115,6 +125,8 @@ def cmd_synth(cfg: PipelineConfig, preset, spec_path):
     from . import synth
 
     presets = {"mini": synth.mini_spec, "reference": synth.reference_spec}
+    if spec_path is not None and preset is not None:
+        raise InputError("synth takes --preset or --spec, not both")
     if spec_path is not None:
         spec = plant_spec_from_dict(read_kv_file(spec_path))
     elif preset is None:
@@ -142,6 +154,8 @@ def cmd_synth(cfg: PipelineConfig, preset, spec_path):
 @_command("evaluate")
 def cmd_evaluate(cfg: PipelineConfig):
     """Score the assembled graph against the generator's ground truth."""
+    from . import pipeline
+
     report = pipeline.stage_evaluate(cfg)
     click.echo(report.to_text(), nl=False)
 
@@ -149,6 +163,8 @@ def cmd_evaluate(cfg: PipelineConfig):
 @_command("run-all")
 def cmd_run_all(cfg: PipelineConfig):
     """Run the whole pipeline and print a stage-timing summary."""
+    from . import pipeline
+
     result = pipeline.run_all(cfg)
     click.echo(result.timing_text(), nl=False)
     if result.report is not None:

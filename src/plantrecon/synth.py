@@ -17,6 +17,10 @@ Geometry: places sit on a 1 m pitch along x, rows on a 2 m pitch along y,
 levels on a 2 m pitch along z; the tray moves at 0.5 m/s between
 waypoints and dwells at each served component long enough for its
 occupancy and eject signals to fire while the tray is in place.
+
+Generating a plant loads neither numpy nor the pipeline: the trace
+columns come from ``trace_format``, and ``load_ground_truth`` imports
+``mining`` only to check the template structures it reads.
 """
 
 from __future__ import annotations
@@ -31,7 +35,6 @@ from pathlib import Path
 
 from .errors import DataError, InputError
 from .graph import DEFAULT_EXCLUDED_KINDS, EdgeKind, NodeKind
-from .mining import is_structure
 from .plc import (
     Block,
     BlockType,
@@ -45,7 +48,7 @@ from .plc import (
     AccessMode,
     serialize_project,
 )
-from .traces import IO_COLUMNS, RTLS_COLUMNS, RTLS_LABEL_COLUMN
+from .trace_format import IO_COLUMNS, RTLS_COLUMNS, RTLS_LABEL_COLUMN
 
 PROJECT_NAME = "SynthPlant"
 TRAY_SPEED_M_PER_S = 0.5
@@ -109,6 +112,8 @@ class PlantSpec:
             raise InvalidSpecError("levels, rows and places must all be >= 1")
         if self.tray_count < 1 or self.material_kinds < 1:
             raise InvalidSpecError("tray_count and material_kinds must be >= 1")
+        if self.seed < 0:
+            raise InvalidSpecError("seed must be non-negative")
         floats = (self.rtls_rate_hz, self.sim_duration_s, self.rtls_noise_sigma_m)
         if not all(map(math.isfinite, floats)):
             raise InvalidSpecError(
@@ -768,6 +773,13 @@ def _is_str(value) -> bool:
     return type(value) is str
 
 
+def _is_structures(value) -> bool:
+    # Imported here: generating a plant never checks a template.
+    from .mining import is_structure
+
+    return _is_list(value, is_structure)
+
+
 # groundtruth.json key -> (what its value must be, the check).
 _GROUND_TRUTH_SHAPE = {
     "functionalPartition": ("an object of strings", lambda v: _is_map(v, _is_str)),
@@ -775,7 +787,7 @@ _GROUND_TRUTH_SHAPE = {
     "truePositions": ("an object of [x, y, z] numbers", lambda v: _is_map(
         v, lambda p: _is_list(p, lambda c: type(c) in (int, float)) and len(p) == 3
     )),
-    "templates": ("a list of template structures", lambda v: _is_list(v, is_structure)),
+    "templates": ("a list of template structures", _is_structures),
     "zoneLabels": ("a list of strings", lambda v: _is_list(v, _is_str)),
     "counts": ("an object of integers", lambda v: _is_map(v, lambda n: type(n) is int)),
 }

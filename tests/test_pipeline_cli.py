@@ -98,6 +98,12 @@ def _mini_args(ws: Path, tmp: Path, *args: str) -> list[str]:
     return ["--config", str(ws / "pipeline.conf"), "--out-dir", str(tmp / "o"), *args]
 
 
+def _spec_file(tmp: Path, text: str) -> Path:
+    path = tmp / "plantspec.conf"
+    path.write_text(text, encoding="utf-8")
+    return path
+
+
 def _out_dir_a_file(ws: Path, tmp: Path) -> list[str]:
     (tmp / "taken").write_text("", encoding="utf-8")
     return ["--config", str(ws / "pipeline.conf"), "--out-dir", str(tmp / "taken"), "run-all"]
@@ -130,6 +136,14 @@ _BAD_INPUTS = {
                          "--out-dir", str(tmp / "o"), "analyze-plc"],
         "IsADirectoryError", "Is a directory"),
     "out-dir-a-file": (_out_dir_a_file, "FileExistsError", "taken"),
+    "preset-and-spec": (
+        lambda ws, tmp: ["--out-dir", str(tmp / "o"), "synth", "--preset", "mini",
+                         "--spec", str(_spec_file(tmp, "levels = 1\n"))],
+        "InputError", "synth takes --preset or --spec, not both"),
+    "spec-seed-negative": (
+        lambda ws, tmp: ["--out-dir", str(tmp / "o"), "synth",
+                         "--spec", str(_spec_file(tmp, "levels = 1\nseed = -1\n"))],
+        "InvalidSpecError", "seed must be non-negative"),
 }
 
 
@@ -292,6 +306,23 @@ def _modules_loaded_by(args: list[str]) -> set[str]:
                             capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
     return set(result.stdout.splitlines()[-1].split())
+
+
+# Command -> (its arguments after --out-dir, given the mini workspace;
+# a module it runs; the modules it must not load).
+_IMPORT_BUDGETS = {
+    "analyze-plc": (
+        lambda ws: ["--config", str(ws / "pipeline.conf"), "analyze-plc"],
+        "plantrecon.pipeline",
+        {f"plantrecon.{m}" for m in ("mining", "synth", "aml", "metrics", "dynamics")},
+    ),
+    "synth": (
+        lambda ws: ["synth", "--preset", "mini"],
+        "plantrecon.synth",
+        {"numpy"} | {f"plantrecon.{m}" for m in
+                     ("traces", "pipeline", "clustering", "mining", "dtw", "dynamics")},
+    ),
+}
 
 
 class TestCli:
@@ -573,13 +604,11 @@ class TestCli:
             result = runner.invoke(main, base + [cmd])
             assert result.exit_code == 0, (cmd, result.output)
 
-    def test_analyze_plc_imports_only_what_it_runs(self, mini_workspace, tmp_path):
-        loaded = _modules_loaded_by(
-            ["--config", str(mini_workspace / "pipeline.conf"), "--out-dir", str(tmp_path),
-             "analyze-plc"]
-        )
-        assert "plantrecon.pipeline" in loaded
-        unused = {f"plantrecon.{m}" for m in ("mining", "synth", "aml", "metrics", "dynamics")}
+    @pytest.mark.parametrize("command", list(_IMPORT_BUDGETS))
+    def test_command_imports_only_what_it_runs(self, mini_workspace, tmp_path, command):
+        args, runs, unused = _IMPORT_BUDGETS[command]
+        loaded = _modules_loaded_by(["--out-dir", str(tmp_path), *args(mini_workspace)])
+        assert runs in loaded
         assert loaded & unused == set()
 
     @pytest.mark.parametrize("mode", ["classify", "cluster"])

@@ -44,6 +44,12 @@ class TestSpecValidation:
         with pytest.raises(InvalidSpecError):
             generate(PlantSpec(sim_duration_s=1.0))
 
+    def test_negative_seed_rejected(self):
+        # random.Random(-3) is random.Random(3): a negative seed would
+        # write the plant of its absolute value.
+        with pytest.raises(InvalidSpecError, match="seed must be non-negative"):
+            generate(PlantSpec(seed=-3))
+
 
 class TestMiniGeneration:
     def test_mini_structure_counts(self, mini_plant):

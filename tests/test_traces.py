@@ -624,6 +624,15 @@ class TestBlockParsing:
         assert 50 < len(raised) < len(cases) - 50
         assert any(e[0] is MalformedRowError and e[2] > 20 for e in raised)
 
+    def test_line_count_only_sizes_the_columns(self, cases, monkeypatch):
+        # Fewer counted lines than rows, as from a file ending its lines
+        # with a lone \r or one that grew after it was counted: the
+        # columns extend as the blocks fill them.
+        monkeypatch.setattr(traces, "_line_count", lambda path: 1)
+        monkeypatch.setattr(traces, "_BLOCK_CHARS", 200)
+        for load, path, expected in cases:
+            assert _outcome(load, path) == expected, path
+
     def test_row_error_before_undecodable_chunk(self, tmp_path):
         # A block read past the byte it cannot decode: the row loop still
         # reports the bad row before it, as it does on its own.
