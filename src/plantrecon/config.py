@@ -99,6 +99,8 @@ class PipelineConfig:
     def validate(self) -> None:
         if self.mode not in ("classify", "cluster"):
             raise ConfigError(f"mode must be classify or cluster, got {self.mode!r}")
+        if self.mode == "cluster" and self.kmeans_k is None:
+            raise ConfigError("mode = cluster needs kmeans_k")
         if self.window_ms <= 0:
             raise ConfigError("window_ms must be positive")
         if self.min_matches < 1:

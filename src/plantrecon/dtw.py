@@ -14,9 +14,10 @@ many series at once on numpy's fast axis. It computes each diagonal's
 local costs as it goes, from a slice of the query and a slice of the
 training series, stored in reversed point order so that the slice runs
 forward; no (n, m, series) cost tensor is built. Its one entry is
-``knn_distances`` (behind ``knn_classify``): one query against every
-training series of one length at a time. The tests check it against an
-independent scalar DP.
+``knn_distances`` (behind ``knn_classify``): one query against the one
+(dims, length, series) stack of all training series, which therefore
+share one length and one dimension. Series must be non-empty and finite.
+The tests check it against an independent scalar DP.
 """
 
 from __future__ import annotations
@@ -46,6 +47,8 @@ def _as_matrix(series) -> np.ndarray:
     data = series.points if isinstance(series, PositionSeries) else np.asarray(series, dtype=float)
     if data.size == 0:
         raise EmptySeriesError("series must be non-empty")
+    if not np.isfinite(data).all():
+        raise SeriesError("series must hold finite values only")
     if data.ndim == 1:
         data = data.reshape(-1, 1)
     return data
@@ -97,41 +100,24 @@ def _wavefront(query: np.ndarray, training: np.ndarray) -> np.ndarray:
     return prev1[n]
 
 
-@dataclass(frozen=True)
-class _LengthGroup:
-    """Training series of one length: ``points`` is (dims, length, series),
-    each series in reversed point order for ``_wavefront``, and ``rows``
-    their positions in ``NnModel.training``."""
-
-    points: np.ndarray
-    rows: np.ndarray
-
-
 @dataclass
 class NnModel:
     """1-NN classifier state: the labeled training series.
 
-    ``groups`` stacks the training series by length for ``knn_classify``;
-    it is derived from ``training``.
+    ``stack`` holds them for ``knn_distances`` as one (dims, length,
+    series) array, each series in reversed point order for
+    ``_wavefront``; it is derived from ``training``.
     """
 
     training: list[tuple[PositionSeries, str]]
-    groups: list[_LengthGroup] = field(init=False, repr=False, compare=False)
-    dims: int = field(init=False, repr=False, compare=False)
+    stack: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         matrices = [_as_matrix(series) for series, _ in self.training]
-        dims = {mat.shape[1] for mat in matrices}
-        if len(dims) > 1:
-            raise SeriesError(f"training series differ in dimension: {sorted(dims)}")
-        self.dims = dims.pop() if dims else 0
-        by_length: dict[int, list[int]] = {}
-        for row, mat in enumerate(matrices):
-            by_length.setdefault(mat.shape[0], []).append(row)
-        self.groups = [
-            _LengthGroup(np.stack([matrices[r][::-1].T for r in rows], axis=2), np.array(rows))
-            for _, rows in sorted(by_length.items())
-        ]
+        shapes = {mat.shape for mat in matrices}
+        if len(shapes) > 1:
+            raise SeriesError(f"training series differ in (length, dimension): {sorted(shapes)}")
+        self.stack = np.stack([mat[::-1].T for mat in matrices], axis=2)
 
 
 def knn_train(labeled_segments: list[tuple[PositionSeries, str]]) -> NnModel:
@@ -149,23 +135,15 @@ def knn_distances(model: NnModel, query) -> list[float]:
     if len(query) == 0:
         raise EmptySeriesError("query series must be non-empty")
     qm = _as_matrix(query)
-    if qm.shape[1] != model.dims:
-        raise SeriesError(f"dimension mismatch: {qm.shape[1]} vs {model.dims}")
-    distances = np.empty(len(model.training))
-    for group in model.groups:
-        distances[group.rows] = _wavefront(qm.T, group.points)
-    return distances.tolist()
+    dims = model.stack.shape[0]
+    if qm.shape[1] != dims:
+        raise SeriesError(f"dimension mismatch: {qm.shape[1]} vs {dims}")
+    return _wavefront(qm.T, model.stack).tolist()
 
 
 def knn_classify(model: NnModel, query: PositionSeries) -> str:
     """Label of the training series nearest ``query`` by the distances of
     ``knn_distances``; distance ties pick the lexicographically smallest
     label."""
-    best_label: str | None = None
-    best_dist = math.inf
-    for d, (_, label) in zip(knn_distances(model, query), model.training):
-        if d < best_dist or (d == best_dist and (best_label is None or label < best_label)):
-            best_dist = d
-            best_label = label
-    assert best_label is not None
-    return best_label
+    labels = (label for _, label in model.training)
+    return min(zip(knn_distances(model, query), labels))[1]

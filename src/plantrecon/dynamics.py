@@ -2,18 +2,20 @@
 
 Correlates signal-change events with material positions to estimate where
 each component physically sits, then assigns components to location
-groups, by default with a 1-NN/DTW classifier trained on a labeled
-position data set. ``analyze_dynamics`` takes the training segments,
-not the labeled trace, so a caller can drop that trace before it loads
-the operational one. The emitted graph fragment uses the same stable
-node ids as the PLC analysis so the two merge cleanly.
+groups: with a 1-NN/DTW classifier trained on a labeled position data
+set, or, when ``DynamicsParams.cluster`` holds k-means parameters, by
+clustering the mean positions. ``analyze_dynamics`` takes the training
+segments, not the labeled trace, so a caller can drop that trace before
+it loads the operational one. The emitted graph fragment uses the same
+stable node ids as the PLC analysis so the two merge cleanly.
 
 Analog signals fire an event when they cross their mid-range, with a
 hysteresis band of 2 % of the observed value range. The classifier's
 query series for a component is the time-ordered series of positions
 matched to its events. Training segments (the 10 longest per class) are
 resampled to 32 points, and queries longer than 32 points are cut down
-to 32 by the same resampling.
+to 32 by the same resampling. So every training series has 32 points,
+the one length the classifier's training stack takes.
 """
 
 from __future__ import annotations
@@ -56,8 +58,7 @@ _TAGS_SHOWN = 5
 class DynamicsParams:
     window_ms: int = 500
     min_matches: int = 5
-    mode: str = "classify"  # "classify" | "cluster"
-    # Cluster mode's k-means parameters; None is k = components // 4, seed 0.
+    # Cluster mode's k-means parameters; None is classify mode.
     cluster: KMeansParams | None = None
 
 
@@ -90,7 +91,7 @@ def _resample(series: PositionSeries, length: int) -> PositionSeries:
     if n == length:
         return series
     rows = np.arange(length) * (n - 1) // (length - 1)
-    return PositionSeries(series.owner_tag, series.timestamps_ms[rows], series.points[rows])
+    return PositionSeries(series.owner_tag, series.points[rows])
 
 
 def _cap(series: PositionSeries, max_len: int) -> PositionSeries:
@@ -127,13 +128,14 @@ def analyze_dynamics(
 
     ``training`` holds the classifier's labeled series, as
     ``training_segments`` cuts them from a labeled RTLS trace; cluster
-    mode does not read it. ``tag_kinds`` maps tag names to
-    Sensor/Actuator (from the PLC tag table); ``tag_types`` maps tag
-    names to their PLC data type. The returned fragment carries position
-    labels, MaterialTracker nodes and PhysicalGroup membership, rooted
-    at ``SystemRoot:<root_name>``. An empty RTLS trace, IO tags the PLC
-    does not declare, declared tags whose events match fewer than
-    ``min_matches`` positions, and cluster mode are logged as warnings.
+    mode, chosen by setting ``params.cluster``, does not read it.
+    ``tag_kinds`` maps tag names to Sensor/Actuator (from the PLC tag
+    table); ``tag_types`` maps tag names to their PLC data type. The
+    returned fragment carries position labels, MaterialTracker nodes and
+    PhysicalGroup membership, rooted at ``SystemRoot:<root_name>``. An
+    empty RTLS trace, IO tags the PLC does not declare, declared tags
+    whose events match fewer than ``min_matches`` positions, and cluster
+    mode are logged as warnings.
     """
     params = params or DynamicsParams()
     if not len(rtls):
@@ -168,13 +170,12 @@ def analyze_dynamics(
         )
 
     assignments: dict[str, str] = {}
-    if params.mode == "cluster":
+    if params.cluster is not None:
         logger.warning(
             "clustering mode: positions lie along continuous trajectories, "
             "the split may differ from the true location groups"
         )
-        method = params.cluster or KMeansParams(k=max(1, len(estimates) // 4), seed=0)
-        assignments = cluster_positions(list(estimates.values()), method).assignments
+        assignments = cluster_positions(list(estimates.values()), params.cluster).assignments
     else:
         if not training:
             logger.warning("no labeled training segments; components stay unassigned")
@@ -214,7 +215,7 @@ def build_physical_groups(
         kind = tag_kinds[tag]
         est = estimates.get(tag)
         label_map = {}
-        if est is not None and est.status is EstimateStatus.KNOWN and est.mean is not None:
+        if est is not None and est.mean is not None:
             label_map = {**dict(zip(_POSITION_LABELS, est.mean)), "matchCount": est.match_count}
         if not label_map and tag not in assignments:
             continue
@@ -234,7 +235,6 @@ def stored_estimates(graph: PropertyGraph) -> list[PositionEstimate]:
             node.name,
             tuple(node.labels[key] for key in _POSITION_LABELS),
             node.labels.get("matchCount", 0),
-            EstimateStatus.KNOWN,
         )
         for node in graph.query(kinds={NodeKind.SENSOR, NodeKind.ACTUATOR})
         if all(key in node.labels for key in _POSITION_LABELS)

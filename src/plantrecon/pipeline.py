@@ -101,8 +101,7 @@ def stage_analyze_dynamics(cfg: PipelineConfig) -> PropertyGraph:
         dynamics.DynamicsParams(
             window_ms=cfg.window_ms,
             min_matches=cfg.min_matches,
-            mode=cfg.mode,
-            cluster=_cluster_method(cfg),
+            cluster=_cluster_method(cfg) if cfg.mode == "cluster" else None,
         ),
     )
     result.fragment.save(_out(cfg, "dynamics.dtgraph"))

@@ -59,6 +59,12 @@ PLACE_PITCH_M = 1.0
 ROW_PITCH_M = 2.0
 LEVEL_PITCH_M = 2.0
 ROW_ENTRY_X = 2.0
+# Bounds on one recording, so that generating a plant ends in bounded
+# memory: a day, and 2,000,000 RTLS samples (the benchmark's long
+# recording has about 120,000). The missions, and with them the IO
+# events, grow with the duration alone, so both bounds are needed.
+MAX_SIM_DURATION_S = 86_400.0
+MAX_RTLS_SAMPLES = 2_000_000
 
 
 class InvalidSpecError(InputError):
@@ -121,6 +127,12 @@ class PlantSpec:
             )
         if self.rtls_rate_hz <= 0 or self.sim_duration_s <= 0:
             raise InvalidSpecError("rtls_rate_hz and sim_duration_s must be positive")
+        if self.sim_duration_s > MAX_SIM_DURATION_S:
+            raise InvalidSpecError(f"sim_duration_s must be at most {MAX_SIM_DURATION_S:g} s")
+        if self.rtls_rate_hz * self.sim_duration_s > MAX_RTLS_SAMPLES:
+            raise InvalidSpecError(
+                f"rtls_rate_hz x sim_duration_s must be at most {MAX_RTLS_SAMPLES} samples"
+            )
         if self.rtls_noise_sigma_m < 0:
             raise InvalidSpecError("rtls_noise_sigma_m must be non-negative")
         names = [u.name for u in self.extra_components]

@@ -31,8 +31,9 @@ peaked anywhere from 40.4 to 43.9 MB with the plant's directory name.
 The correlation chain is: one tag's samples -> its change-event times
 (an int64 array) -> per-event nearest-in-time material position, a
 binary search per event -> per-component mean position. The matched
-positions stay numpy columns (``PositionSeries``) from the RTLS trace to
-the mean position and the DTW classifier.
+positions stay one (n, 3) numpy array (``PositionSeries``; the event
+times are not kept) from the RTLS trace to the mean position and the DTW
+classifier. A ``PositionEstimate`` is Known exactly when its mean is set.
 """
 
 from __future__ import annotations
@@ -188,18 +189,14 @@ def _time_sorted(cls, order: np.ndarray | None, timestamps: np.ndarray, values, 
 
 @dataclass(eq=False)
 class PositionSeries:
-    """Time-ordered positions attributed to one component (or tracker),
-    as two columns with one entry per position, like ``RtlsTrace``:
-    ``timestamps_ms`` (int64, shape (n,)) and ``points`` (float64, shape
-    (n, 3): x, y, z in m). The constructor converts sequences, such as a
-    list of timestamps and a list of (x, y, z) tuples."""
+    """Time-ordered positions attributed to one component (or tracker):
+    ``points`` (float64, shape (n, 3): x, y, z in m), one row per
+    position. The constructor converts a sequence of (x, y, z) tuples."""
 
     owner_tag: str
-    timestamps_ms: np.ndarray = ()
     points: np.ndarray = ()
 
     def __post_init__(self) -> None:
-        self.timestamps_ms = np.asarray(self.timestamps_ms, dtype=np.int64)
         # C order: estimate_position's axis-0 sum then adds the rows in order.
         self.points = np.ascontiguousarray(self.points, dtype=float).reshape(-1, 3)
 
@@ -214,10 +211,17 @@ class EstimateStatus(str, Enum):
 
 @dataclass
 class PositionEstimate:
+    """A component's mean position over its ``match_count`` matched
+    positions; ``mean`` is None when too few matched."""
+
     owner_tag: str
     mean: tuple[float, float, float] | None
     match_count: int
-    status: EstimateStatus
+
+    @property
+    def status(self) -> EstimateStatus:
+        """Known exactly when the mean is set."""
+        return EstimateStatus.UNKNOWN if self.mean is None else EstimateStatus.KNOWN
 
 
 # The loader reads a trace body in blocks of whole lines of about this
@@ -474,8 +478,7 @@ def match_events(
     t_after = times[np.minimum(after, n - 1)]
     use_after = (after < n) & ((after == 0) | (t_after - at < at - t_before))
     nearest = np.where(use_after, t_after, t_before)
-    keep = np.abs(nearest - at) <= window_ms
-    at, nearest = at[keep], nearest[keep]
+    nearest = nearest[np.abs(nearest - at) <= window_ms]
     first = np.searchsorted(times, nearest, side="left")
     last = np.searchsorted(times, nearest, side="right")
     chosen = first.copy()
@@ -483,16 +486,16 @@ def match_events(
         # Several samples share the nearest time: smallest tracker code
         # (name order), then the first of them in the trace.
         chosen[k] += int(np.argmin(rtls.tracker_codes[first[k]:last[k]]))
-    return PositionSeries(tag, at, rtls.points[chosen])
+    return PositionSeries(tag, rtls.points[chosen])
 
 
 def estimate_position(series: PositionSeries, min_matches: int = 5) -> PositionEstimate:
     """Arithmetic-mean position; Unknown when too few events matched."""
     n = len(series)
     if n < min_matches:
-        return PositionEstimate(series.owner_tag, None, n, EstimateStatus.UNKNOWN)
+        return PositionEstimate(series.owner_tag, None, n)
     mean = tuple((series.points.sum(axis=0) / n).tolist())
-    return PositionEstimate(series.owner_tag, mean, n, EstimateStatus.KNOWN)
+    return PositionEstimate(series.owner_tag, mean, n)
 
 
 def split_labeled_segments(trace: RtlsTrace) -> list[tuple[str, PositionSeries]]:
@@ -512,6 +515,6 @@ def split_labeled_segments(trace: RtlsTrace) -> list[tuple[str, PositionSeries]]
             if label < 0:
                 continue
             run = rows[start:end]
-            series = PositionSeries(tracker, trace.timestamps_ms[run], trace.points[run])
+            series = PositionSeries(tracker, trace.points[run])
             segments.append((trace.label_names[label], series))
     return segments

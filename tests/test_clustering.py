@@ -10,15 +10,15 @@ from plantrecon.clustering import (
     cluster_positions,
     kmeans,
 )
-from plantrecon.traces import EstimateStatus, PositionEstimate
+from plantrecon.traces import PositionEstimate
 
 
 def _known(tag, x, y=0.0, z=0.0):
-    return PositionEstimate(tag, (x, y, z), 10, EstimateStatus.KNOWN)
+    return PositionEstimate(tag, (x, y, z), 10)
 
 
 def _unknown(tag):
-    return PositionEstimate(tag, None, 0, EstimateStatus.UNKNOWN)
+    return PositionEstimate(tag, None, 0)
 
 
 class TestKMeans:

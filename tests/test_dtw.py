@@ -20,7 +20,7 @@ from oracles import dtw_oracle
 
 def _series(points, tag="q"):
     pts = [(float(p), 0.0, 0.0) if isinstance(p, (int, float)) else tuple(p) for p in points]
-    return PositionSeries(tag, list(range(len(pts))), pts)
+    return PositionSeries(tag, pts)
 
 
 def pair_distance(a, b):
@@ -48,8 +48,8 @@ class TestDtwBasics:
         assert pair_distance(a, b) == 1.0
 
 
-def _random_series(rng, dims):
-    n = rng.randint(1, 50)
+def _random_series(rng, dims, n=None):
+    n = rng.randint(1, 50) if n is None else n
     if dims == 1:
         return [rng.uniform(-10, 10) for _ in range(n)]
     return [tuple(rng.uniform(-10, 10) for _ in range(dims)) for _ in range(n)]
@@ -113,7 +113,7 @@ class TestKnn:
     def test_empty_query(self):
         model = knn_train([(_series([1.0]), "x")])
         with pytest.raises(EmptySeriesError):
-            knn_classify(model, PositionSeries("q", [], []))
+            knn_classify(model, PositionSeries("q", []))
 
     def test_rigid_translation_invariance(self):
         rng = random.Random(99)
@@ -122,7 +122,7 @@ class TestKnn:
             for _ in range(3):
                 pts = [
                     (base + rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5), 0.0)
-                    for _ in range(rng.randint(3, 10))
+                    for _ in range(6)
                 ]
                 training.append((_series(pts), label))
         queries = [
@@ -156,12 +156,14 @@ def _scalar_knn(training, query):
 
 class TestBatchedEqualsScalar:
     @pytest.mark.parametrize("dims", [1, 3])
-    def test_random_mixed_length_training_sets(self, dims):
+    def test_random_training_sets(self, dims):
+        # Each set has one length; the queries have any length.
         rng = random.Random(1000 * dims + 1)
         for _ in range(15):
             training = []
+            length = rng.randint(1, 50)
             for _ in range(rng.randint(1, 12)):
-                series = _random_series(rng, dims)
+                series = _random_series(rng, dims, length)
                 training.append((series, rng.choice("abcd")))
                 if rng.random() < 0.3:
                     # The same series under another label: an exact tie.
@@ -178,7 +180,7 @@ class TestBatchedEqualsScalar:
 
     def test_tied_labels_pick_the_smallest(self):
         series = [(0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (2.0, 0.0, 0.0)]
-        far = [(9.0, 0.0, 0.0), (9.0, 0.0, 0.0)]
+        far = [(9.0, 0.0, 0.0)] * 3
         model = knn_train([(series, "c"), (far, "a"), (list(series), "b"), (series, "d")])
         query = [(0.5, 0.0, 0.0), (1.5, 0.0, 0.0)]
         distances = knn_distances(model, query)
@@ -191,3 +193,18 @@ class TestBatchedEqualsScalar:
             knn_classify(model, [1.0])
         with pytest.raises(SeriesError):
             knn_train([([(0.0, 0.0, 0.0)], "x"), ([1.0], "y")])
+
+    def test_training_series_of_two_lengths_rejected(self):
+        with pytest.raises(SeriesError, match="differ"):
+            knn_train([([1.0, 2.0], "x"), ([1.0, 2.0, 3.0], "y")])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_training_series_rejected(self, bad):
+        with pytest.raises(SeriesError, match="finite"):
+            knn_train([([1.0, bad, 3.0], "x"), ([1.0, 2.0, 3.0], "y")])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_query_rejected(self, bad):
+        model = knn_train([([1.0, 2.0, 3.0], "x"), ([2.0, 3.0, 4.0], "y")])
+        with pytest.raises(SeriesError, match="finite"):
+            knn_classify(model, [1.0, bad])

@@ -99,7 +99,7 @@ class TestClusterMode:
             kinds,
             types,
             project.name,
-            DynamicsParams(mode="cluster", cluster=KMeansParams(k=2, seed=1)),
+            DynamicsParams(cluster=KMeansParams(k=2, seed=1)),
         )
         # Two spatial clusters: the two places (all components Known).
         partition = {}
@@ -260,8 +260,8 @@ class TestBuildPhysicalGroups:
 
     def test_positions_written_only_for_known(self):
         estimates = {
-            "s1": PositionEstimate("s1", (1.0, 2.0, 3.0), 9, EstimateStatus.KNOWN),
-            "s2": PositionEstimate("s2", None, 1, EstimateStatus.UNKNOWN),
+            "s1": PositionEstimate("s1", (1.0, 2.0, 3.0), 9),
+            "s2": PositionEstimate("s2", None, 1),
         }
         g = build_physical_groups(
             {"s1": "zone"},

@@ -104,6 +104,14 @@ def _spec_file(tmp: Path, text: str) -> Path:
     return path
 
 
+def _cluster_without_kmeans_k(ws: Path, tmp: Path) -> list[str]:
+    conf = read_kv_file(ws / "pipeline.conf")
+    conf["mode"] = "cluster"
+    del conf["kmeans_k"]
+    write_kv_file(tmp / "bad.conf", conf)
+    return ["--config", str(tmp / "bad.conf"), "--out-dir", str(tmp / "o"), "analyze-dynamics"]
+
+
 def _out_dir_a_file(ws: Path, tmp: Path) -> list[str]:
     (tmp / "taken").write_text("", encoding="utf-8")
     return ["--config", str(ws / "pipeline.conf"), "--out-dir", str(tmp / "taken"), "run-all"]
@@ -144,6 +152,8 @@ _BAD_INPUTS = {
         lambda ws, tmp: ["--out-dir", str(tmp / "o"), "synth",
                          "--spec", str(_spec_file(tmp, "levels = 1\nseed = -1\n"))],
         "InvalidSpecError", "seed must be non-negative"),
+    "cluster-without-kmeans-k": (
+        _cluster_without_kmeans_k, "ConfigError", "mode = cluster needs kmeans_k"),
 }
 
 

@@ -50,6 +50,24 @@ class TestSpecValidation:
         with pytest.raises(InvalidSpecError, match="seed must be non-negative"):
             generate(PlantSpec(seed=-3))
 
+    @pytest.mark.parametrize(
+        "rate_hz, duration_s, message",
+        [
+            (10.0, 1e12, "sim_duration_s must be at most 86400 s"),
+            # Under the sample bound, but the missions grow with the duration.
+            (1e-6, 86_400.5, "sim_duration_s must be at most 86400 s"),
+            (24.0, 84_000.0, "must be at most 2000000 samples"),
+        ],
+        ids=["duration-1e12", "tiny-rate-over-a-day", "samples-over-2M"],
+    )
+    def test_recording_size_bounded(self, rate_hz, duration_s, message):
+        # Checked before generating: an unbounded spec never finishes.
+        with pytest.raises(InvalidSpecError, match=message):
+            PlantSpec(rtls_rate_hz=rate_hz, sim_duration_s=duration_s).validate()
+
+    def test_recording_size_at_the_bounds_accepted(self):
+        PlantSpec(rtls_rate_hz=2_000_000 / 86_400, sim_duration_s=86_400.0).validate()
+
 
 class TestMiniGeneration:
     def test_mini_structure_counts(self, mini_plant):

@@ -10,6 +10,7 @@ from plantrecon.graph import NodeKind
 from plantrecon.traces import (
     EstimateStatus,
     MalformedRowError,
+    PositionEstimate,
     PositionSeries,
     SignalKind,
     TraceError,
@@ -468,10 +469,9 @@ class TestMatchEvents:
                 near = [s for s in ordered if abs(s[0] - t) <= window]
                 if near:
                     best = min(near, key=lambda s: (abs(s[0] - t), s[0], s[1]))
-                    expected.append((t, best[2:5]))
+                    expected.append(best[2:5])
             series = match_events("a", times, load_rows(load_rtls_trace, samples), window)
-            points = [tuple(p) for p in series.points.tolist()]
-            assert list(zip(series.timestamps_ms.tolist(), points)) == expected
+            assert [tuple(p) for p in series.points.tolist()] == expected
 
     def test_mini_every_sensor_event_matched(self, mini_plant, tmp_path):
         paths = mini_plant.write_outputs(tmp_path)
@@ -486,28 +486,32 @@ class TestMatchEvents:
 
 class TestEstimatePosition:
     def test_mean(self):
-        s = PositionSeries("a", [1, 2], [(0.0, 0.0, 0.0), (2.0, 0.0, 0.0)])
+        s = PositionSeries("a", [(0.0, 0.0, 0.0), (2.0, 0.0, 0.0)])
         est = estimate_position(s, min_matches=2)
         assert est.status is EstimateStatus.KNOWN
         assert est.mean == (1.0, 0.0, 0.0)
 
     def test_below_min_matches_unknown(self):
-        s = PositionSeries("a", [1], [(1.0, 1.0, 1.0)])
+        s = PositionSeries("a", [(1.0, 1.0, 1.0)])
         est = estimate_position(s, min_matches=5)
         assert est.status is EstimateStatus.UNKNOWN
         assert est.mean is None
         assert est.match_count == 1
 
     def test_identical_points(self):
-        s = PositionSeries("a", [1, 2, 3], [(1.0, 2.0, 0.5)] * 3)
+        s = PositionSeries("a", [(1.0, 2.0, 0.5)] * 3)
         est = estimate_position(s, min_matches=3)
         assert est.mean == (1.0, 2.0, 0.5)
 
     def test_mean_order_free(self):
         pts = [(1.0, 2.0, 3.0), (4.0, 5.0, 6.0), (7.0, 8.0, 9.0)]
-        a = estimate_position(PositionSeries("a", [1, 2, 3], pts), 3)
-        b = estimate_position(PositionSeries("a", [1, 2, 3], list(reversed(pts))), 3)
+        a = estimate_position(PositionSeries("a", pts), 3)
+        b = estimate_position(PositionSeries("a", list(reversed(pts))), 3)
         assert a.mean == b.mean
+
+    def test_status_follows_the_mean(self):
+        assert PositionEstimate("a", (1.0, 2.0, 3.0), 0).status is EstimateStatus.KNOWN
+        assert PositionEstimate("a", None, 9).status is EstimateStatus.UNKNOWN
 
 
 class TestLabeledSegments:
