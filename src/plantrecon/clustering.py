@@ -19,6 +19,7 @@ the legacy ``RandomState``, which no command needs otherwise.
 
 from __future__ import annotations
 
+import logging
 import math
 import random
 from dataclasses import dataclass
@@ -27,6 +28,8 @@ import numpy as np
 
 from .errors import DataError
 from .traces import EstimateStatus, PositionEstimate
+
+logger = logging.getLogger(__name__)
 
 
 class ClusteringError(DataError):
@@ -123,7 +126,8 @@ def cluster_positions(
     """Partition the tags with Known position estimates by k-means.
 
     Cluster names are ``C0``, ``C1``, ... ordered by centroid so the
-    naming is stable.
+    naming is stable. With fewer Known estimates than ``k``, k-means
+    makes one cluster per estimate at most, and a warning says so.
     """
     known = sorted(
         (e for e in estimates if e.status is EstimateStatus.KNOWN),
@@ -138,6 +142,11 @@ def cluster_positions(
     if not np.isfinite(spread2):
         raise ClusteringError(
             "position coordinates too large to cluster: squared distances overflow"
+        )
+    if method.k > len(points):
+        logger.warning(
+            "kmeans_k = %d exceeds the %d Known position estimates; clustering into %d",
+            method.k, len(points), len(points),
         )
     raw = kmeans(points, method)
     # Stable naming: order clusters by their centroid tuple.

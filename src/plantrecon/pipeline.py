@@ -31,13 +31,12 @@ from typing import TYPE_CHECKING
 # Each stage imports the modules only it runs, so a command starts up
 # without the others.
 from . import grouping, plc
-from .clustering import KMeansParams, cluster_positions
 from .config import PipelineConfig
 from .graph import NodeKind, PropertyGraph, load_graph, merge
-from .traces import load_io_trace, load_rtls_trace
 
 if TYPE_CHECKING:
     from . import metrics, mining
+    from .clustering import KMeansParams
 
 logger = logging.getLogger(__name__)
 
@@ -63,7 +62,25 @@ def _out(cfg: PipelineConfig, name: str) -> Path:
 
 def _cluster_method(cfg: PipelineConfig) -> KMeansParams | None:
     """The configured k-means parameters, or None when ``kmeans_k`` is unset."""
+    from .clustering import KMeansParams
+
     return None if cfg.kmeans_k is None else KMeansParams(cfg.kmeans_k, cfg.seed)
+
+
+# The trace loaders stay bindings of this module, importing ``traces`` (and
+# numpy) only when called: perfbench/tracing.py and a test substitute them.
+# They fold into stage_analyze_dynamics once the stages count their own
+# work (ROADMAP item 1, step 1b).
+def load_io_trace(path: Path):
+    from .traces import load_io_trace
+
+    return load_io_trace(path)
+
+
+def load_rtls_trace(path: Path):
+    from .traces import load_rtls_trace
+
+    return load_rtls_trace(path)
 
 
 def stage_analyze_plc(cfg: PipelineConfig) -> PropertyGraph:
@@ -168,6 +185,7 @@ def stage_evaluate(
     cfg: PipelineConfig, graph: PropertyGraph | None = None
 ) -> metrics.MetricsReport:
     from . import dynamics, metrics, synth
+    from .clustering import cluster_positions
 
     cfg.require("ground_truth")
     if graph is None:

@@ -1,3 +1,4 @@
+import logging
 import math
 
 import numpy as np
@@ -68,6 +69,20 @@ class TestKMeans:
 
 
 class TestKMeansDegenerate:
+    def test_k_above_known_count_warns_once(self, caplog):
+        estimates = [_known("a", 0.0), _known("b", 5.0), _known("c", 9.0), _unknown("d")]
+        with caplog.at_level(logging.WARNING, logger="plantrecon.clustering"):
+            result = cluster_positions(estimates, KMeansParams(k=500, seed=0))
+        assert sorted(result.assignments.values()) == ["C0", "C1", "C2"]
+        [record] = caplog.records
+        assert "500" in record.getMessage() and "3 Known" in record.getMessage()
+
+    def test_k_within_known_count_is_silent(self, caplog):
+        estimates = [_known("a", 0.0), _known("b", 5.0)]
+        with caplog.at_level(logging.WARNING, logger="plantrecon.clustering"):
+            cluster_positions(estimates, KMeansParams(k=2, seed=0))
+        assert caplog.records == []
+
     def test_identical_points_form_one_cluster(self):
         # Seeding runs out of positive weights after the first center, and
         # Lloyd re-seeds the two empty clusters on the same point.

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from plantrecon import dtw
 from plantrecon.dtw import (
     EmptySeriesError,
     EmptyTrainingSetError,
@@ -208,3 +209,74 @@ class TestBatchedEqualsScalar:
         model = knn_train([([1.0, 2.0, 3.0], "x"), ([2.0, 3.0, 4.0], "y")])
         with pytest.raises(SeriesError, match="finite"):
             knn_classify(model, [1.0, bad])
+
+
+def _bounds(training, query):
+    """The prune's lower bound and path cost of each training series."""
+    model = knn_train(training)
+    return dtw._bounds(model, dtw._query_matrix(model, query))
+
+
+class TestExactPrune:
+    @pytest.mark.parametrize("dims", [1, 3])
+    def test_pruned_equals_unpruned_and_oracle(self, dims):
+        # Classes around separate centres, so the bounds prune; copies of a
+        # series under other labels, so exact ties occur.
+        rng = random.Random(3000 + dims)
+        pruned = ties = 0
+        for _ in range(8):
+            length = rng.randint(1, 16)
+            training = []
+            for label in rng.sample("abcdef", rng.randint(2, 5)):
+                centre = rng.uniform(-30, 30)
+                for _ in range(rng.randint(1, 4)):
+                    series = [
+                        p + centre if dims == 1 else tuple(c + centre for c in p)
+                        for p in _random_series(rng, dims, length)
+                    ]
+                    training.append((series, label))
+                    if rng.random() < 0.3:
+                        training.append((list(series), rng.choice("abcdef")))
+            model = knn_train(training)
+            labels = [label for _, label in training]
+            for n in (1, 40, *(rng.randint(1, 40) for _ in range(4))):
+                if rng.random() < 0.3:
+                    source = rng.choice(training)[0]
+                    query = [source[int(i * len(source) / n)] for i in range(n)]
+                else:
+                    query = [
+                        p + rng.uniform(-30, 30) if dims == 1 else p
+                        for p in _random_series(rng, dims, n)
+                    ]
+                label, distances = _scalar_knn(training, query)
+                assert knn_classify(model, query) == label
+                assert min(zip(knn_distances(model, query), labels))[1] == label
+                lower, path = _bounds(training, query)
+                pruned += int((lower > path.min()).sum())
+                ties += distances.count(min(distances)) > 1
+        assert pruned > 0 and ties > 0
+
+    def test_bounds_hold_on_random_pairs(self):
+        rng = random.Random(424242)
+        for case in range(300):
+            dims = 1 if case % 2 == 0 else 3
+            a = _random_series(rng, dims, rng.randint(1, 40))
+            b = _random_series(rng, dims, rng.randint(1, 32))
+            if case % 5 == 0:
+                # A constant series: its box is one point, and the bound
+                # can equal the distance exactly.
+                b = [b[0]] * len(b)
+            lower, path = _bounds([(b, "x")], a)
+            assert lower[0] <= dtw_oracle(a, b)
+            assert path[0] >= pair_distance(a, b)
+
+    def test_tie_at_the_bound_is_kept(self):
+        # "a" is at distance 2 with a lower bound of exactly 2, the least
+        # path cost; "b" ties it from a lower bound of 0. Pruning at
+        # lower < bound instead of <= would drop "a" and answer "b".
+        training = [([0.0, 2.0], "b"), ([1.0, 1.0], "a")]
+        query = [0.0, 0.0]
+        lower, path = _bounds(training, query)
+        assert lower.tolist() == [0.0, 2.0] and path.min() == 2.0
+        assert knn_distances(knn_train(training), query) == [2.0, 2.0]
+        assert knn_classify(knn_train(training), query) == "a"

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from plantrecon import dynamics, metrics, synth
+from plantrecon import clustering, dynamics, metrics, synth
 from plantrecon.cli import main
 from plantrecon.clustering import KMeansParams, cluster_positions
 from plantrecon.config import PipelineConfig, plant_spec_to_dict, read_kv_file, write_kv_file
@@ -324,7 +324,9 @@ _IMPORT_BUDGETS = {
     "analyze-plc": (
         lambda ws: ["--config", str(ws / "pipeline.conf"), "analyze-plc"],
         "plantrecon.pipeline",
-        {f"plantrecon.{m}" for m in ("mining", "synth", "aml", "metrics", "dynamics")},
+        {"numpy"} | {f"plantrecon.{m}" for m in
+                     ("mining", "synth", "aml", "metrics", "dynamics", "traces", "clustering",
+                      "dtw")},
     ),
     "synth": (
         lambda ws: ["synth", "--preset", "mini"],
@@ -755,7 +757,7 @@ class TestCli:
             return cluster_positions(estimates, method)
 
         monkeypatch.setattr(dynamics, "cluster_positions", counted)
-        monkeypatch.setattr(pipeline, "cluster_positions", counted)
+        monkeypatch.setattr(clustering, "cluster_positions", counted)
         cfg = _config(mini_workspace)
         cfg.update({"mode": mode, "out_dir": tmp_path / "o"})
         assert cfg.kmeans_k is not None
