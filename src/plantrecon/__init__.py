@@ -13,7 +13,8 @@ The package is organized along the pipeline:
 ``dynamics``   dynamics analysis orchestration, physical groups
 ``mining``     whole-unit template mining (MNI support), template marking
 ``aml``        AutomationML/CAEX export, import, validation
-``synth``      synthetic plant generator with ground truth
+``synth``      synthetic plant generator
+``groundtruth`` the generator's ground truth and its JSON file
 ``metrics``    ARI, pairwise F1, template recovery and precision, evaluation
 ``pipeline``   stage wiring; ``cli`` is the command-line front end
 """

@@ -22,12 +22,16 @@ from __future__ import annotations
 import logging
 import math
 import random
+from collections.abc import Mapping
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import DataError
-from .traces import EstimateStatus, PositionEstimate
+
+if TYPE_CHECKING:
+    from .traces import PositionEstimate
 
 logger = logging.getLogger(__name__)
 
@@ -49,19 +53,6 @@ KMEANS_RESTARTS = 10
 class KMeansParams:
     k: int
     seed: int = 0
-
-
-@dataclass
-class ClusterResult:
-    """Partition over tags with Known estimates; Unknowns are left out."""
-
-    assignments: dict[str, str]
-
-    def partition(self) -> dict[str, set[str]]:
-        out: dict[str, set[str]] = {}
-        for tag, label in self.assignments.items():
-            out.setdefault(label, set()).add(tag)
-        return out
 
 
 def _kmeans_once(points: np.ndarray, k: int, rng: random.Random) -> tuple[np.ndarray, float]:
@@ -120,22 +111,20 @@ def kmeans(points: np.ndarray, params: KMeansParams) -> np.ndarray:
 
 
 def cluster_positions(
-    estimates: list[PositionEstimate],
+    estimates: Mapping[str, PositionEstimate],
     method: KMeansParams,
-) -> ClusterResult:
-    """Partition the tags with Known position estimates by k-means.
+) -> dict[str, str]:
+    """Partition the tags with Known position estimates (a set mean) by
+    k-means: tag -> cluster name, Unknowns left out.
 
     Cluster names are ``C0``, ``C1``, ... ordered by centroid so the
     naming is stable. With fewer Known estimates than ``k``, k-means
     makes one cluster per estimate at most, and a warning says so.
     """
-    known = sorted(
-        (e for e in estimates if e.status is EstimateStatus.KNOWN),
-        key=lambda e: e.owner_tag,
-    )
+    known = sorted(tag for tag, est in estimates.items() if est.mean is not None)
     if not known:
         raise InsufficientDataError("no Known position estimates to cluster")
-    points = np.array([e.mean for e in known], dtype=float)
+    points = np.array([estimates[tag].mean for tag in known], dtype=float)
     # k-means sums squared distances over all points; this bounds those sums.
     with np.errstate(over="ignore"):
         spread2 = len(points) * ((2 * np.abs(points).max(axis=0)) ** 2).sum()
@@ -152,5 +141,4 @@ def cluster_positions(
     # Stable naming: order clusters by their centroid tuple.
     centroids = sorted((tuple(points[raw == c].mean(axis=0)), c) for c in set(raw.tolist()))
     order = {c: f"C{rank}" for rank, (_, c) in enumerate(centroids)}
-    assignments = {est.owner_tag: order[int(c)] for est, c in zip(known, raw)}
-    return ClusterResult(assignments)
+    return {tag: order[int(c)] for tag, c in zip(known, raw)}

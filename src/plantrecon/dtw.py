@@ -49,7 +49,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError
-from .traces import PositionSeries
 
 
 class SeriesError(DataError):
@@ -65,7 +64,7 @@ class EmptyTrainingSetError(SeriesError):
 
 
 def _as_matrix(series) -> np.ndarray:
-    data = series.points if isinstance(series, PositionSeries) else np.asarray(series, dtype=float)
+    data = np.asarray(series, dtype=float)
     if data.size == 0:
         raise EmptySeriesError("series must be non-empty")
     if not np.isfinite(data).all():
@@ -130,12 +129,14 @@ def _wavefront(query: np.ndarray, training: np.ndarray) -> np.ndarray:
     return prev1[n]
 
 
-def _staircase(n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+def _staircase(n: int, m: int) -> tuple[np.ndarray | slice, np.ndarray | slice]:
     """Query and training indices of one monotone path of unit steps from
-    cell (1, 1) to cell (n, m), near the table's diagonal."""
-    steps = np.arange(max(n, m))
-    last = max(len(steps) - 1, 1)
-    return steps * (n - 1) // last, steps * (m - 1) // last
+    cell (1, 1) to cell (n, m), near the table's diagonal. The path visits
+    every point of the longer axis in order, so that axis' index is
+    ``slice(None)``, which takes a view where an index array copies."""
+    if n >= m:
+        return slice(None), np.arange(n) * (m - 1) // max(n - 1, 1)
+    return np.arange(m) * (n - 1) // (m - 1), slice(None)
 
 
 @dataclass
@@ -147,7 +148,7 @@ class NnModel:
     of each series' bounding box; all three are derived from ``training``.
     """
 
-    training: list[tuple[PositionSeries, str]]
+    training: list[tuple[np.ndarray, str]]
     stack: np.ndarray = field(init=False, repr=False, compare=False)
     low: np.ndarray = field(init=False, repr=False, compare=False)
     high: np.ndarray = field(init=False, repr=False, compare=False)
@@ -162,7 +163,7 @@ class NnModel:
         self.high = self.stack.max(axis=1)
 
 
-def knn_train(labeled_segments: list[tuple[PositionSeries, str]]) -> NnModel:
+def knn_train(labeled_segments: list[tuple[np.ndarray, str]]) -> NnModel:
     if not labeled_segments:
         raise EmptyTrainingSetError("at least one labeled training series required")
     for series, _ in labeled_segments:
@@ -203,7 +204,7 @@ def _bounds(model: NnModel, query: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return lower, path
 
 
-def knn_classify(model: NnModel, query: PositionSeries) -> str:
+def knn_classify(model: NnModel, query: np.ndarray) -> str:
     """Label of the training series nearest ``query`` by the distances of
     ``knn_distances``; distance ties pick the lexicographically smallest
     label. Only the series whose lower bound is at most the least path

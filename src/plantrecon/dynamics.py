@@ -11,11 +11,12 @@ stable node ids as the PLC analysis so the two merge cleanly.
 
 Analog signals fire an event when they cross their mid-range, with a
 hysteresis band of 2 % of the observed value range. The classifier's
-query series for a component is the time-ordered series of positions
-matched to its events. Training segments (the 10 longest per class) are
-resampled to 32 points, and queries longer than 32 points are cut down
-to 32 by the same resampling. So every training series has 32 points,
-the one length the classifier's training stack takes.
+query for a component is the (n, 3) array of the positions matched to
+its events, in time order, keyed by its tag. Training segments (the 10
+longest per class) are resampled to 32 points, and queries longer than
+32 points are cut down to 32 by the same resampling. So every training
+series has 32 points, the one length the classifier's training stack
+takes.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from .traces import (
     EstimateStatus,
     IoTrace,
     PositionEstimate,
-    PositionSeries,
     RtlsTrace,
     SignalKind,
     detect_events,
@@ -85,25 +85,24 @@ def component_event_series(io: IoTrace, tag_types: dict[str, str]) -> dict[str, 
     return events
 
 
-def _resample(series: PositionSeries, length: int) -> PositionSeries:
+def _resample(points: np.ndarray, length: int) -> np.ndarray:
     """Nearest-index resampling to exactly ``length`` >= 2 points (n >= 1)."""
-    n = len(series)
+    n = len(points)
     if n == length:
-        return series
-    rows = np.arange(length) * (n - 1) // (length - 1)
-    return PositionSeries(series.owner_tag, series.points[rows])
+        return points
+    return points[np.arange(length) * (n - 1) // (length - 1)]
 
 
-def _cap(series: PositionSeries, max_len: int) -> PositionSeries:
-    return _resample(series, max_len) if len(series) > max_len else series
+def _cap(points: np.ndarray, max_len: int) -> np.ndarray:
+    return _resample(points, max_len) if len(points) > max_len else points
 
 
-def training_segments(labeled: RtlsTrace) -> list[tuple[PositionSeries, str]]:
+def training_segments(labeled: RtlsTrace) -> list[tuple[np.ndarray, str]]:
     """Labeled (series, class) pairs, capped per class, uniform length."""
-    per_class: dict[str, list[PositionSeries]] = {}
+    per_class: dict[str, list[np.ndarray]] = {}
     for label, segment in split_labeled_segments(labeled):
         per_class.setdefault(label, []).append(segment)
-    result: list[tuple[PositionSeries, str]] = []
+    result: list[tuple[np.ndarray, str]] = []
     for label in sorted(per_class):
         segments = sorted(per_class[label], key=len, reverse=True)
         for segment in segments[:TRAINING_MAX_PER_CLASS]:
@@ -118,7 +117,7 @@ def _first_tags(tags: list[str]) -> str:
 def analyze_dynamics(
     io: IoTrace,
     rtls: RtlsTrace,
-    training: list[tuple[PositionSeries, str]],
+    training: list[tuple[np.ndarray, str]],
     tag_kinds: dict[str, NodeKind],
     tag_types: dict[str, str],
     root_name: str,
@@ -149,12 +148,11 @@ def analyze_dynamics(
             _first_tags(undeclared),
         )
 
-    matched: dict[str, PositionSeries] = {}
+    matched: dict[str, np.ndarray] = {}
     estimates: dict[str, PositionEstimate] = {}
     for tag in sorted(tag_kinds):
-        series = match_events(tag, events.get(tag, ()), rtls, params.window_ms)
-        matched[tag] = series
-        estimates[tag] = estimate_position(series, params.min_matches)
+        matched[tag] = match_events(events.get(tag, ()), rtls, params.window_ms)
+        estimates[tag] = estimate_position(matched[tag], params.min_matches)
     unmatched = [
         tag for tag, est in estimates.items()
         if est.status is EstimateStatus.UNKNOWN and len(events.get(tag, ()))
@@ -175,7 +173,7 @@ def analyze_dynamics(
             "clustering mode: positions lie along continuous trajectories, "
             "the split may differ from the true location groups"
         )
-        assignments = cluster_positions(list(estimates.values()), params.cluster).assignments
+        assignments = cluster_positions(estimates, params.cluster)
     else:
         if not training:
             logger.warning("no labeled training segments; components stay unassigned")
@@ -226,19 +224,18 @@ def build_physical_groups(
     return g
 
 
-def stored_estimates(graph: PropertyGraph) -> list[PositionEstimate]:
-    """The Known position estimates that ``build_physical_groups`` stored
-    on a graph's Sensor and Actuator nodes, in node id order; ``load_graph``
-    has checked the labels' types."""
-    return [
-        PositionEstimate(
-            node.name,
+def stored_estimates(graph: PropertyGraph) -> dict[str, PositionEstimate]:
+    """Tag -> the Known position estimate that ``build_physical_groups``
+    stored on a graph's Sensor or Actuator node, in node id order;
+    ``load_graph`` has checked the labels' types."""
+    return {
+        node.name: PositionEstimate(
             tuple(node.labels[key] for key in _POSITION_LABELS),
             node.labels.get("matchCount", 0),
         )
         for node in graph.query(kinds={NodeKind.SENSOR, NodeKind.ACTUATOR})
         if all(key in node.labels for key in _POSITION_LABELS)
-    ]
+    }
 
 
 def _add_trackers(g: PropertyGraph, rtls: RtlsTrace, root_name: str) -> None:

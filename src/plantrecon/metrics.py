@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 from .errors import DataError
 from .graph import EdgeKind, NodeKind, PropertyGraph
+from .groundtruth import GroundTruth
 from .mining import Pattern, patterns_isomorphic
-from .synth import GroundTruth
 
 logger = logging.getLogger(__name__)
 

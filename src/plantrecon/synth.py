@@ -19,13 +19,12 @@ waypoints and dwells at each served component long enough for its
 occupancy and eject signals to fire while the tray is in place.
 
 Generating a plant loads neither numpy nor the pipeline: the trace
-columns come from ``trace_format``, and ``load_ground_truth`` imports
-``mining`` only to check the template structures it reads.
+columns come from ``trace_format`` and the ground truth's file format
+from ``groundtruth``.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import random
 from dataclasses import dataclass
@@ -33,8 +32,11 @@ from enum import Enum
 from functools import cached_property
 from pathlib import Path
 
-from .errors import DataError, InputError
+from .errors import InputError
 from .graph import DEFAULT_EXCLUDED_KINDS, EdgeKind, NodeKind
+# load_ground_truth is re-exported: callers read the ground truth of a
+# generated plant as synth.load_ground_truth.
+from .groundtruth import GroundTruth, load_ground_truth  # noqa: F401
 from .plc import (
     Block,
     BlockType,
@@ -68,10 +70,6 @@ MAX_RTLS_SAMPLES = 2_000_000
 
 
 class InvalidSpecError(InputError):
-    pass
-
-
-class GroundTruthError(DataError):
     pass
 
 
@@ -536,16 +534,6 @@ def _run_mission(
     return tl
 
 
-@dataclass
-class GroundTruth:
-    functional_partition: dict[str, str]
-    physical_partition: dict[str, str]
-    true_positions: dict[str, tuple[float, float, float]]
-    templates: list[dict]
-    zone_labels: list[str]
-    counts: dict[str, int]
-
-
 # Pipeline configuration key -> file name, for every file write_outputs writes.
 PLANT_FILES = {
     "plc_xml": "plant.plcproject.xml",
@@ -584,18 +572,6 @@ class GeneratedPlant:
             lines = [f"{line},{zone}" for line, zone in zip(lines, zones)]
         return "\n".join(lines) + "\n"
 
-    def ground_truth_json(self) -> str:
-        gt = self.ground_truth
-        payload = {
-            "functionalPartition": gt.functional_partition,
-            "physicalPartition": gt.physical_partition,
-            "truePositions": {k: list(v) for k, v in gt.true_positions.items()},
-            "templates": gt.templates,
-            "zoneLabels": gt.zone_labels,
-            "counts": gt.counts,
-        }
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-
     def write_outputs(self, out_dir: str | Path) -> dict[str, Path]:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
@@ -604,7 +580,7 @@ class GeneratedPlant:
         paths["io_csv"].write_text(self.io_csv(), encoding="utf-8")
         paths["rtls_csv"].write_text(self.rtls_csv(False), encoding="utf-8")
         paths["labeled_rtls_csv"].write_text(self.rtls_csv(True), encoding="utf-8")
-        paths["ground_truth"].write_text(self.ground_truth_json(), encoding="utf-8")
+        paths["ground_truth"].write_text(self.ground_truth.to_json(), encoding="utf-8")
         return paths
 
 
@@ -771,59 +747,3 @@ def recommended_config(spec: PlantSpec, out_dir: str | Path) -> dict[str, str]:
         "excluded_kinds": ",".join(sorted(k.value for k in DEFAULT_EXCLUDED_KINDS)),
         "kmeans_k": str(len(_zone_labels(_build_structure(spec)))),
     }
-
-
-def _is_list(value, is_item) -> bool:
-    return isinstance(value, list) and all(map(is_item, value))
-
-
-def _is_map(value, is_item) -> bool:
-    return isinstance(value, dict) and all(map(is_item, value.values()))
-
-
-def _is_str(value) -> bool:
-    return type(value) is str
-
-
-def _is_structures(value) -> bool:
-    # Imported here: generating a plant never checks a template.
-    from .mining import is_structure
-
-    return _is_list(value, is_structure)
-
-
-# groundtruth.json key -> (what its value must be, the check).
-_GROUND_TRUTH_SHAPE = {
-    "functionalPartition": ("an object of strings", lambda v: _is_map(v, _is_str)),
-    "physicalPartition": ("an object of strings", lambda v: _is_map(v, _is_str)),
-    "truePositions": ("an object of [x, y, z] numbers", lambda v: _is_map(
-        v, lambda p: _is_list(p, lambda c: type(c) in (int, float)) and len(p) == 3
-    )),
-    "templates": ("a list of template structures", _is_structures),
-    "zoneLabels": ("a list of strings", lambda v: _is_list(v, _is_str)),
-    "counts": ("an object of integers", lambda v: _is_map(v, lambda n: type(n) is int)),
-}
-
-
-def load_ground_truth(path: str | Path) -> GroundTruth:
-    """Read ``groundtruth.json``; a file of the wrong shape raises
-    ``GroundTruthError`` naming the first problem."""
-    try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise GroundTruthError(f"{path}: not JSON: {exc}") from None
-    if not isinstance(payload, dict):
-        raise GroundTruthError(f"{path}: must be a JSON object, got {type(payload).__name__}")
-    for key, (shape, ok) in _GROUND_TRUTH_SHAPE.items():
-        if key not in payload:
-            raise GroundTruthError(f"{path}: missing {key!r}")
-        if not ok(payload[key]):
-            raise GroundTruthError(f"{path}: {key!r} must be {shape}")
-    return GroundTruth(
-        functional_partition=payload["functionalPartition"],
-        physical_partition=payload["physicalPartition"],
-        true_positions={k: tuple(v) for k, v in payload["truePositions"].items()},
-        templates=payload["templates"],
-        zone_labels=payload["zoneLabels"],
-        counts=payload["counts"],
-    )

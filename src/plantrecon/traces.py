@@ -31,9 +31,10 @@ peaked anywhere from 40.4 to 43.9 MB with the plant's directory name.
 The correlation chain is: one tag's samples -> its change-event times
 (an int64 array) -> per-event nearest-in-time material position, a
 binary search per event -> per-component mean position. The matched
-positions stay one (n, 3) numpy array (``PositionSeries``; the event
-times are not kept) from the RTLS trace to the mean position and the DTW
-classifier. A ``PositionEstimate`` is Known exactly when its mean is set.
+positions stay one (n, 3) float array, a row gather of the RTLS trace's
+points (the event times are not kept), from the RTLS trace to the mean
+position and the DTW classifier; callers key it by its tag, as they key
+a ``PositionEstimate``, which is Known exactly when its mean is set.
 """
 
 from __future__ import annotations
@@ -187,23 +188,6 @@ def _time_sorted(cls, order: np.ndarray | None, timestamps: np.ndarray, values, 
     return cls(timestamps, values, *code_columns, *name_tuples)
 
 
-@dataclass(eq=False)
-class PositionSeries:
-    """Time-ordered positions attributed to one component (or tracker):
-    ``points`` (float64, shape (n, 3): x, y, z in m), one row per
-    position. The constructor converts a sequence of (x, y, z) tuples."""
-
-    owner_tag: str
-    points: np.ndarray = ()
-
-    def __post_init__(self) -> None:
-        # C order: estimate_position's axis-0 sum then adds the rows in order.
-        self.points = np.ascontiguousarray(self.points, dtype=float).reshape(-1, 3)
-
-    def __len__(self) -> int:
-        return len(self.points)
-
-
 class EstimateStatus(str, Enum):
     KNOWN = "Known"
     UNKNOWN = "Unknown"
@@ -214,7 +198,6 @@ class PositionEstimate:
     """A component's mean position over its ``match_count`` matched
     positions; ``mean`` is None when too few matched."""
 
-    owner_tag: str
     mean: tuple[float, float, float] | None
     match_count: int
 
@@ -452,14 +435,9 @@ def detect_events(
     return np.unique(ts[1:][state[1:] != state[:-1]])
 
 
-def match_events(
-    tag: str,
-    events_ms,
-    rtls: RtlsTrace,
-    window_ms: int = 500,
-) -> PositionSeries:
-    """Attach the nearest-in-time material position to each of ``tag``'s
-    event times, given in increasing order.
+def match_events(events_ms, rtls: RtlsTrace, window_ms: int = 500) -> np.ndarray:
+    """The nearest-in-time material position of each event time, given in
+    increasing order: an (n, 3) row gather of ``rtls.points``.
 
     Any tracker may supply the position. Events with no sample within
     ``window_ms`` are skipped. Ties on time distance are broken by the
@@ -468,7 +446,7 @@ def match_events(
     """
     n = len(rtls)
     if n == 0 or not len(events_ms):
-        return PositionSeries(owner_tag=tag)
+        return np.empty((0, 3))
     times = rtls.timestamps_ms
     at = _int64_times(events_ms)
     # The samples just before (or at) and just after each event hold the
@@ -486,27 +464,29 @@ def match_events(
         # Several samples share the nearest time: smallest tracker code
         # (name order), then the first of them in the trace.
         chosen[k] += int(np.argmin(rtls.tracker_codes[first[k]:last[k]]))
-    return PositionSeries(tag, rtls.points[chosen])
+    return rtls.points[chosen]
 
 
-def estimate_position(series: PositionSeries, min_matches: int = 5) -> PositionEstimate:
-    """Arithmetic-mean position; Unknown when too few events matched."""
-    n = len(series)
+def estimate_position(points: np.ndarray, min_matches: int = 5) -> PositionEstimate:
+    """Arithmetic-mean position of an (n, 3) array; Unknown when too few
+    events matched. The array is in C order, as a row gather is, so the
+    axis-0 sum adds the rows in order."""
+    n = len(points)
     if n < min_matches:
-        return PositionEstimate(series.owner_tag, None, n)
-    mean = tuple((series.points.sum(axis=0) / n).tolist())
-    return PositionEstimate(series.owner_tag, mean, n)
+        return PositionEstimate(None, n)
+    return PositionEstimate(tuple((points.sum(axis=0) / n).tolist()), n)
 
 
-def split_labeled_segments(trace: RtlsTrace) -> list[tuple[str, PositionSeries]]:
+def split_labeled_segments(trace: RtlsTrace) -> list[tuple[str, np.ndarray]]:
     """Cut a labeled RTLS trace into per-(tracker, label) runs.
 
     A training segment is a maximal run of consecutive samples of one
     tracker carrying the same label; unlabeled samples separate runs.
-    Segments come in tracker name order, then in time order.
+    Segments come in tracker name order, then in time order; each is an
+    (n, 3) row gather of the trace's points.
     """
-    segments: list[tuple[str, PositionSeries]] = []
-    for code, tracker in enumerate(trace.tracker_names):
+    segments: list[tuple[str, np.ndarray]] = []
+    for code in range(len(trace.tracker_names)):
         rows = np.flatnonzero(trace.tracker_codes == code)
         labels = trace.label_codes[rows]
         bounds = [0, *(np.flatnonzero(labels[1:] != labels[:-1]) + 1).tolist(), len(rows)]
@@ -514,7 +494,5 @@ def split_labeled_segments(trace: RtlsTrace) -> list[tuple[str, PositionSeries]]
             label = int(labels[start])
             if label < 0:
                 continue
-            run = rows[start:end]
-            series = PositionSeries(tracker, trace.points[run])
-            segments.append((trace.label_names[label], series))
+            segments.append((trace.label_names[label], trace.points[rows[start:end]]))
     return segments

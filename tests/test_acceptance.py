@@ -147,11 +147,11 @@ def test_criterion_3_classification_accuracy(plant_traces):
                 # Clustering alternative: only required to beat the random
                 # baseline; trajectories are continuous, so splits drift.
                 clusters = cluster_positions(
-                    list(result.estimates.values()),
+                    result.estimates,
                     KMeansParams(k=len(plant.ground_truth.zone_labels), seed=seed),
                 )
-                subset = {t: truth[t] for t in clusters.assignments}
-                cluster_ari = ari(subset, clusters.assignments)
+                subset = {t: truth[t] for t in clusters}
+                cluster_ari = ari(subset, clusters)
                 assert cluster_ari > 0.0, f"clustering ARI {cluster_ari:.3f}"
                 clustering_checked = True
 

@@ -59,7 +59,7 @@ def test_trace_counters_apply_to_real_results(tmp_path, mini_plant):
 
     io = traces.load_io_trace(paths["io_csv"])
     events = dynamics.component_event_series(io, {})["S_occ_1_1"]
-    series = match("S_occ_1_1", events, rtls, 500)
+    series = match(events, rtls, 500)
     assert tracer.counts["traces.matched_positions"] == len(series) > 0
 
     model = dtw.knn_train(dynamics.training_segments(traces.load_rtls_trace(paths["labeled_rtls_csv"])))

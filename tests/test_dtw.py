@@ -1,6 +1,11 @@
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,14 +19,13 @@ from plantrecon.dtw import (
     knn_distances,
     knn_train,
 )
-from plantrecon.traces import PositionSeries
 
 from oracles import dtw_oracle
 
 
-def _series(points, tag="q"):
+def _series(points):
     pts = [(float(p), 0.0, 0.0) if isinstance(p, (int, float)) else tuple(p) for p in points]
-    return PositionSeries(tag, pts)
+    return np.array(pts, dtype=float).reshape(-1, 3)
 
 
 def pair_distance(a, b):
@@ -114,7 +118,7 @@ class TestKnn:
     def test_empty_query(self):
         model = knn_train([(_series([1.0]), "x")])
         with pytest.raises(EmptySeriesError):
-            knn_classify(model, PositionSeries("q", []))
+            knn_classify(model, np.empty((0, 3)))
 
     def test_rigid_translation_invariance(self):
         rng = random.Random(99)
@@ -135,7 +139,7 @@ class TestKnn:
         shift = (13.0, -7.0, 3.0)
 
         def translate(series):
-            return _series([(x + shift[0], y + shift[1], z + shift[2]) for (x, y, z) in series.points])
+            return _series([(x + shift[0], y + shift[1], z + shift[2]) for (x, y, z) in series])
 
         model_t = knn_train([(translate(s), label) for s, label in training])
         after = [knn_classify(model_t, translate(q)) for q in queries]
@@ -280,3 +284,17 @@ class TestExactPrune:
         assert lower.tolist() == [0.0, 2.0] and path.min() == 2.0
         assert knn_distances(knn_train(training), query) == [2.0, 2.0]
         assert knn_classify(knn_train(training), query) == "a"
+
+
+def test_dtw_and_clustering_do_not_load_traces():
+    # Positions reach the classifier and k-means as plain arrays and
+    # mappings: neither module needs the trace loaders.
+    script = (
+        "import sys, plantrecon.dtw, plantrecon.clustering\n"
+        "print('plantrecon.traces' in sys.modules)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(dtw.__file__).parents[1])}
+    result = subprocess.run([sys.executable, "-c", script], env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["False"]

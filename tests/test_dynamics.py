@@ -260,8 +260,8 @@ class TestBuildPhysicalGroups:
 
     def test_positions_written_only_for_known(self):
         estimates = {
-            "s1": PositionEstimate("s1", (1.0, 2.0, 3.0), 9),
-            "s2": PositionEstimate("s2", None, 1),
+            "s1": PositionEstimate((1.0, 2.0, 3.0), 9),
+            "s2": PositionEstimate(None, 1),
         }
         g = build_physical_groups(
             {"s1": "zone"},

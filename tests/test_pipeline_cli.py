@@ -3,6 +3,7 @@ import logging
 import math
 import os
 import re
+import shutil
 import subprocess
 import sys
 import weakref
@@ -334,6 +335,13 @@ _IMPORT_BUDGETS = {
         {"numpy"} | {f"plantrecon.{m}" for m in
                      ("traces", "pipeline", "clustering", "mining", "dtw", "dynamics")},
     ),
+    # Reads the ground truth without the generator; run in the out dir
+    # of a mini run-all, whose plant.dtgraph it scores.
+    "evaluate": (
+        lambda ws: ["--config", str(ws / "pipeline.conf"), "evaluate"],
+        "plantrecon.metrics",
+        {"plantrecon.synth"},
+    ),
 }
 
 
@@ -617,8 +625,9 @@ class TestCli:
             assert result.exit_code == 0, (cmd, result.output)
 
     @pytest.mark.parametrize("command", list(_IMPORT_BUDGETS))
-    def test_command_imports_only_what_it_runs(self, mini_workspace, tmp_path, command):
+    def test_command_imports_only_what_it_runs(self, mini_workspace, mini_run, tmp_path, command):
         args, runs, unused = _IMPORT_BUDGETS[command]
+        shutil.copy(mini_run / "plant.dtgraph", tmp_path)
         loaded = _modules_loaded_by(["--out-dir", str(tmp_path), *args(mini_workspace)])
         assert runs in loaded
         assert loaded & unused == set()
@@ -766,7 +775,7 @@ class TestCli:
 
         graph = load_graph(tmp_path / "o" / "plant.dtgraph")
         method = KMeansParams(cfg.kmeans_k, cfg.seed)
-        rerun = cluster_positions(dynamics.stored_estimates(graph), method).assignments
+        rerun = cluster_positions(dynamics.stored_estimates(graph), method)
         if mode == "cluster":
             assert metrics.physical_assignments_of(graph) == rerun
         truth = synth.load_ground_truth(cfg.ground_truth)

@@ -7,10 +7,10 @@ import pytest
 from plantrecon import plc, synth
 from plantrecon.config import plant_spec_from_dict, plant_spec_to_dict, read_kv_file
 from plantrecon.errors import ConfigError
+from plantrecon.groundtruth import GroundTruthError
 from plantrecon.synth import (
     ExtraUnit,
     Granularity,
-    GroundTruthError,
     InvalidSpecError,
     PlantSpec,
     generate,
@@ -82,7 +82,7 @@ class TestMiniGeneration:
         assert a.plc_xml == b.plc_xml
         assert a.io_csv() == b.io_csv()
         assert a.rtls_csv(True) == b.rtls_csv(True)
-        assert a.ground_truth_json() == b.ground_truth_json()
+        assert a.ground_truth.to_json() == b.ground_truth.to_json()
 
     def test_different_seed_changes_noise_only(self):
         a = generate(reference_spec(seed=1))
@@ -123,7 +123,7 @@ class TestLoadGroundTruth:
         ],
     )
     def test_wrong_shape_names_the_key(self, tmp_path, mini_plant, key, value):
-        payload = json.loads(mini_plant.ground_truth_json())
+        payload = json.loads(mini_plant.ground_truth.to_json())
         payload[key] = value
         path = tmp_path / "groundtruth.json"
         path.write_text(json.dumps(payload))

@@ -11,7 +11,6 @@ from plantrecon.traces import (
     EstimateStatus,
     MalformedRowError,
     PositionEstimate,
-    PositionSeries,
     SignalKind,
     TraceError,
     detect_events,
@@ -392,31 +391,31 @@ class TestTimestampBound:
     def test_match_events(self, load_rows, ts):
         trace = load_rows(load_rtls_trace, [(0, "t1", 0.0, 0.0, 0.0, None)])
         with pytest.raises(TraceError, match="below 2\\*\\*62 ms"):
-            match_events("a", [ts], trace, 500)
+            match_events([ts], trace, 500)
 
     def test_largest_allowed_timestamp(self, load_rows):
         ts = 2**62 - 1
         trace = load_rows(load_rtls_trace, [(ts, "t1", 1.0, 0.0, 0.0, None)])
-        assert match_events("a", [ts], trace, 500).points.tolist() == [[1.0, 0.0, 0.0]]
+        assert match_events([ts], trace, 500).tolist() == [[1.0, 0.0, 0.0]]
 
     @pytest.mark.parametrize("events", [[1.9, 2.2], np.array([1.9, 2.2]), [1, True], np.array([True])])
     def test_match_events_non_integer_times(self, load_rows, events):
         rtls = load_rows(load_rtls_trace, [(1, "t1", 0.0, 0.0, 0.0, None), (2, "t1", 1.0, 0.0, 0.0, None)])
         with pytest.raises(TraceError, match="timestamp must be an integer"):
-            match_events("a", events, rtls, 500)
+            match_events(events, rtls, 500)
 
 
 class TestMatchEvents:
     def test_picks_nearest_in_time(self, load_rows):
         events = _events([(900, 0.0), (1000, 1.0)])
         rtls = load_rows(load_rtls_trace, [(990, "t1", 1.0, 0.0, 0.0, None), (1030, "t1", 2.0, 0.0, 0.0, None)])
-        series = match_events("a", events, rtls, 500)
-        assert series.points.tolist() == [[1.0, 0.0, 0.0]]
+        series = match_events(events, rtls, 500)
+        assert series.tolist() == [[1.0, 0.0, 0.0]]
 
     def test_event_outside_window_skipped(self, load_rows):
         events = _events([(0, 0.0), (1000, 1.0)])
         rtls = load_rows(load_rtls_trace, [(1600, "t1", 1.0, 0.0, 0.0, None)])
-        series = match_events("a", events, rtls, 500)
+        series = match_events(events, rtls, 500)
         assert len(series) == 0
 
     def test_tie_broken_by_earlier_then_tracker(self, load_rows):
@@ -428,7 +427,7 @@ class TestMatchEvents:
                 (1010, "t1", 2.0, 0.0, 0.0, None),
             ]
         )
-        assert match_events("a", events, rtls, 500).points.tolist() == [[1.0, 0.0, 0.0]]
+        assert match_events(events, rtls, 500).tolist() == [[1.0, 0.0, 0.0]]
         rtls = load_rows(
                 load_rtls_trace,
             [
@@ -436,7 +435,7 @@ class TestMatchEvents:
                 (1000, "t1", 4.0, 0.0, 0.0, None),
             ]
         )
-        assert match_events("a", events, rtls, 500).points.tolist() == [[4.0, 0.0, 0.0]]
+        assert match_events(events, rtls, 500).tolist() == [[4.0, 0.0, 0.0]]
 
     def test_equal_distance_and_equal_timestamps_across_three_trackers(self, load_rows):
         events = [1000]
@@ -452,7 +451,7 @@ class TestMatchEvents:
         )
         # Equal |dt|: the earlier samples; of those the smallest tracker id,
         # and of its two samples the first.
-        assert match_events("a", events, rtls, 500).points.tolist() == [[3.0, 0.0, 0.0]]
+        assert match_events(events, rtls, 500).tolist() == [[3.0, 0.0, 0.0]]
 
     def test_equals_nearest_by_linear_scan(self, load_rows):
         rng = random.Random(11)
@@ -470,8 +469,8 @@ class TestMatchEvents:
                 if near:
                     best = min(near, key=lambda s: (abs(s[0] - t), s[0], s[1]))
                     expected.append(best[2:5])
-            series = match_events("a", times, load_rows(load_rtls_trace, samples), window)
-            assert [tuple(p) for p in series.points.tolist()] == expected
+            series = match_events(times, load_rows(load_rtls_trace, samples), window)
+            assert [tuple(p) for p in series.tolist()] == expected
 
     def test_mini_every_sensor_event_matched(self, mini_plant, tmp_path):
         paths = mini_plant.write_outputs(tmp_path)
@@ -480,38 +479,38 @@ class TestMatchEvents:
         for tag in ("S_occ_1_1", "S_occ_1_2"):
             events = events_by_tag[tag]
             assert len(events) > 0
-            series = match_events(tag, events, rtls, 500)
+            series = match_events(events, rtls, 500)
             assert len(series) == len(events)
 
 
 class TestEstimatePosition:
     def test_mean(self):
-        s = PositionSeries("a", [(0.0, 0.0, 0.0), (2.0, 0.0, 0.0)])
+        s = np.array([(0.0, 0.0, 0.0), (2.0, 0.0, 0.0)])
         est = estimate_position(s, min_matches=2)
         assert est.status is EstimateStatus.KNOWN
         assert est.mean == (1.0, 0.0, 0.0)
 
     def test_below_min_matches_unknown(self):
-        s = PositionSeries("a", [(1.0, 1.0, 1.0)])
+        s = np.array([(1.0, 1.0, 1.0)])
         est = estimate_position(s, min_matches=5)
         assert est.status is EstimateStatus.UNKNOWN
         assert est.mean is None
         assert est.match_count == 1
 
     def test_identical_points(self):
-        s = PositionSeries("a", [(1.0, 2.0, 0.5)] * 3)
+        s = np.array([(1.0, 2.0, 0.5)] * 3)
         est = estimate_position(s, min_matches=3)
         assert est.mean == (1.0, 2.0, 0.5)
 
     def test_mean_order_free(self):
         pts = [(1.0, 2.0, 3.0), (4.0, 5.0, 6.0), (7.0, 8.0, 9.0)]
-        a = estimate_position(PositionSeries("a", pts), 3)
-        b = estimate_position(PositionSeries("a", list(reversed(pts))), 3)
+        a = estimate_position(np.array(pts), 3)
+        b = estimate_position(np.array(list(reversed(pts))), 3)
         assert a.mean == b.mean
 
     def test_status_follows_the_mean(self):
-        assert PositionEstimate("a", (1.0, 2.0, 3.0), 0).status is EstimateStatus.KNOWN
-        assert PositionEstimate("a", None, 9).status is EstimateStatus.UNKNOWN
+        assert PositionEstimate((1.0, 2.0, 3.0), 0).status is EstimateStatus.KNOWN
+        assert PositionEstimate(None, 9).status is EstimateStatus.UNKNOWN
 
 
 class TestLabeledSegments:
